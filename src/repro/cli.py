@@ -89,7 +89,13 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ReproError, SweepFaultError
 from repro.experiments.parallel import resolve_jobs
-from repro.experiments.registry import ScenarioSpec, all_scenarios, get_scenario
+from repro.experiments.registry import (
+    ScenarioSpec,
+    all_scenarios,
+    get_scenario,
+    scenario_description,
+    scenario_listing,
+)
 from repro.experiments.runner import ExperimentReport, ExperimentRunner
 from repro.experiments.supervise import ON_ERROR_MODES, FaultPolicy
 
@@ -607,59 +613,29 @@ def build_parser() -> argparse.ArgumentParser:
 # -- subcommand implementations ------------------------------------------------
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    specs = all_scenarios()
+    payload = scenario_listing()
     if args.json:
-        payload = [
-            {
-                "name": spec.name,
-                "section": spec.section,
-                "summary": spec.summary,
-                "parameters": [parameter.name for parameter in spec.parameters],
-            }
-            for spec in specs
-        ]
         print(json.dumps(payload, indent=2))
         return 0
     rows = [
         (
-            spec.name,
-            spec.section,
-            ", ".join(parameter.name for parameter in spec.parameters),
-            spec.summary,
+            entry["name"],
+            entry["section"],
+            ", ".join(entry["parameters"]),
+            entry["summary"],
         )
-        for spec in specs
+        for entry in payload
     ]
     print(_render_table(("scenario", "paper section", "parameters", "summary"), rows))
     return 0
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
-    spec = get_scenario(args.scenario)
-    defaults = spec.validate_params({}) if not any(p.required for p in spec.parameters) else None
-    formulas = spec.default_formulas() if defaults is not None else {}
+    payload = scenario_description(args.scenario)
     if args.json:
-        payload = {
-            "name": spec.name,
-            "section": spec.section,
-            "summary": spec.summary,
-            "details": spec.details,
-            "parameters": [
-                {
-                    "name": parameter.name,
-                    "type": parameter.type.__name__,
-                    "required": parameter.required,
-                    "default": parameter.default,
-                    "minimum": parameter.minimum,
-                    "maximum": parameter.maximum,
-                    "choices": list(parameter.choices) if parameter.choices else None,
-                    "description": parameter.description,
-                }
-                for parameter in spec.parameters
-            ],
-            "default_formulas": {label: str(f) for label, f in formulas.items()},
-        }
         print(json.dumps(payload, indent=2))
         return 0
+    spec = get_scenario(args.scenario)
     print(f"{spec.name} — {spec.summary}")
     print(f"reproduces: {spec.section}")
     if spec.details:
@@ -670,9 +646,9 @@ def _cmd_describe(args: argparse.Namespace) -> int:
         if parameter.description:
             line += f" — {parameter.description}"
         print(line)
-    if formulas:
+    if payload["default_formulas"]:
         print("\ndefault formulas (at default parameters):")
-        for label, formula in formulas.items():
+        for label, formula in payload["default_formulas"].items():
             print(f"  {label:24s} {formula}")
     return 0
 

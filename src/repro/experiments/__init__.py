@@ -10,22 +10,24 @@ The paper's worked examples live as hand-written modules in
   :class:`~repro.experiments.runner.ExperimentRunner`, which builds scenarios
   from parameter assignments (cached by parameter key under a bounded LRU),
   evaluates formula batches through the shared engine's ``extensions()`` memo,
-  and sweeps parameter grids across engine backends.
-* :mod:`repro.experiments.parallel` — sharded sweep execution: the cartesian
-  grid is chunked over a process pool (``sweep(jobs=N)`` / ``repro sweep
-  --jobs N``), with workers rebuilding instances from the registry by
-  parameter key and results merged back in deterministic grid order.
+  and runs every sweep through one pipeline: plan the grid into pre-flighted
+  points, partition them against the store, execute the misses in process
+  or on the supervised pool, merge in grid order.
+* :mod:`repro.experiments.parallel` — the picklable
+  :class:`~repro.experiments.parallel.RunSpec` a planned point travels as,
+  and the ``jobs`` helpers (``sweep(jobs=N)`` / ``repro sweep --jobs N``).
 * :mod:`repro.experiments.store` — the persistent content-addressed
   :class:`~repro.experiments.store.ResultStore` (sqlite, WAL): completed rows
   are recorded under their canonical request key and served back on repeat
   requests (``repro sweep --store PATH --resume``), serially and under
   ``--jobs N``.
-* :mod:`repro.experiments.supervise` — fault-tolerant sweep execution: a
-  :class:`~repro.experiments.supervise.FaultPolicy` (retries with backoff,
-  per-point watchdog timeouts, bounded pool restarts, quarantine-or-abort)
-  drives the :class:`~repro.experiments.supervise.SweepSupervisor`, which
-  bisects failing chunks down to the poison point instead of aborting the
-  sweep.
+* :mod:`repro.experiments.supervise` — the only process pool: the
+  :class:`~repro.experiments.supervise.SweepSupervisor` runs a sweep's misses
+  on worker processes under a
+  :class:`~repro.experiments.supervise.FaultPolicy` — fail fast by default;
+  otherwise retries with backoff, per-point watchdog timeouts, bounded pool
+  restarts, and bisection of failing chunks down to the poison point, which
+  is quarantined or aborts the sweep.
 * :mod:`repro.experiments.chaos` — the deterministic fault-injection harness
   (``REPRO_CHAOS``) that makes the supervision layer testable byte-for-byte.
 

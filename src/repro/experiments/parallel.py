@@ -1,81 +1,46 @@
-"""Sharded parallel execution of parameter sweeps.
+"""What a sweep's grid point is when it crosses the process pool.
 
-A sweep's cartesian grid is an embarrassingly parallel workload: every
-``(scenario, parameters, backend)`` point builds and evaluates independently.
-This module shards the grid into contiguous chunks and runs the chunks in a
-:class:`concurrent.futures.ProcessPoolExecutor`, with three invariants:
-
-* **Only specs cross the boundary.**  A grid point travels as a
-  :class:`RunSpec` — scenario *name*, validated parameters flattened through
-  :func:`repro.experiments.registry.params_to_key`, the normalised
-  ``(label, Formula)`` batch (formulas pickle structurally), the resolved
-  backend name and the ``minimize``/``fresh_evaluator`` flags.  Models,
-  evaluators and their caches never leave the process that built them; result
-  rows come back as plain :class:`~repro.experiments.runner.ExperimentReport`
-  data.
-* **Workers own their caches.**  Each worker process holds one
-  :class:`~repro.experiments.runner.ExperimentRunner` (created by the pool
-  initializer) whose LRU instance cache is bounded exactly like the parent's,
-  so a huge grid cannot blow memory on either side of the pool.
-* **Deterministic merge.**  Chunks are submitted in grid order and their
-  results are yielded in submission order, so a parallel sweep's report
-  sequence — order, values, ``minimized`` flags — is identical to the serial
-  sweep's; only the timing fields differ.  Chunks are *contiguous* slices of
-  the grid on purpose: neighbouring points often share a scenario instance
-  (same parameters on another backend, or the same model re-parameterised), so
-  contiguity preserves the cache locality the serial sweep enjoys.
-
-Workers import scenarios from the registry (``load_builtin_scenarios``), so
-every built-in scenario is available regardless of the pool start method;
-scenarios registered at runtime in the parent are visible to workers only
-under the ``fork`` start method (the Linux default).
-
-The persistent result store (:mod:`repro.experiments.store`) composes with
-this design without widening it: the parent partitions the grid against the
-store *before* submitting (recorded points never reach a worker), and because
-result rows already stream back to the parent as plain data, the parent is
-the single process that writes them to the store — workers stay entirely
-store-free, and cross-*sweep* concurrency is sqlite WAL's problem, not ours.
+:meth:`~repro.experiments.runner.ExperimentRunner.iter_sweep` plans a grid
+into ordered points, partitions them against the result store and hands the
+misses to one executor; with ``jobs > 1`` (see :func:`resolve_jobs`) or a
+watchdog that is the :class:`~repro.experiments.supervise.SweepSupervisor`
+pool.  Only a :class:`RunSpec` crosses the boundary — scenario *name*,
+validated parameters flattened through
+:func:`~repro.experiments.registry.params_to_key`, the normalised
+``(label, Formula)`` batch (formulas pickle structurally), the resolved
+backend and the ``minimize``/``fresh_evaluator`` flags — and only plain
+:class:`~repro.experiments.runner.ExperimentReport` rows come back.  Models,
+evaluators and their caches never leave the process that built them, the
+parent has already validated and pre-flighted every spec, and workers never
+open the result store: the parent is its single writer.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import ScenarioError
-from repro.experiments.registry import load_builtin_scenarios, params_from_key
 from repro.logic.syntax import Formula
 
 __all__ = [
     "RunSpec",
     "available_cpus",
     "resolve_jobs",
-    "iter_parallel_sweep",
-    "run_specs",
 ]
-
-DEFAULT_CHUNKS_PER_WORKER = 4
-"""How many chunks each worker gets on average.
-
-More chunks than workers smooths out uneven grid points (a temporal-heavy
-horizon=6 point can take many times longer than horizon=3) at the cost of a
-little more submission overhead; four per worker is a conventional balance.
-"""
 
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One grid point of a sweep, in the picklable shape shipped to workers.
+    """One planned grid point, in the picklable shape shipped to workers.
 
     ``params_key`` is the canonical tuple form of the *validated* parameter
     assignment (:func:`~repro.experiments.registry.params_to_key`);
     ``formulas`` is the normalised ``(label, Formula)`` batch, or ``None`` to
-    use the scenario's default formula set (computed per grid point in the
-    worker, exactly as the serial path does); ``backend`` is the already
-    resolved engine backend name.
+    use the scenario's default formula set (computed per grid point where the
+    point is evaluated); ``backend`` is the already resolved engine backend
+    name.
     """
 
     scenario: str
@@ -122,101 +87,3 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     if jobs == 0:
         return available_cpus()
     return jobs
-
-
-# One runner per worker process, created by the pool initializer.  Module-level
-# because ProcessPoolExecutor tasks can only reach per-process state through
-# globals; the parent process never touches it.
-_WORKER_RUNNER = None
-
-
-def _init_worker(max_cached_instances: int) -> None:
-    """Pool initializer: build this worker's runner and load the registry."""
-    global _WORKER_RUNNER
-    from repro.experiments.runner import ExperimentRunner
-
-    load_builtin_scenarios()
-    _WORKER_RUNNER = ExperimentRunner(max_cached_instances=max_cached_instances)
-
-
-def _run_on(runner, specs: Sequence[RunSpec]) -> List[object]:
-    """Evaluate ``specs`` in grid order on ``runner`` (the shared spec→report loop)."""
-    return [
-        runner.run(
-            spec.scenario,
-            params_from_key(spec.params_key),
-            formulas=spec.formulas,
-            backend=spec.backend,
-            fresh_evaluator=spec.fresh_evaluator,
-            minimize=spec.minimize,
-        )
-        for spec in specs
-    ]
-
-
-def _run_chunk(specs: Sequence[RunSpec]) -> List[object]:
-    """Evaluate one contiguous chunk of grid points in this worker."""
-    runner = _WORKER_RUNNER
-    if runner is None:  # pragma: no cover - initializer always runs first
-        raise ScenarioError("parallel sweep worker used before initialization")
-    return _run_on(runner, specs)
-
-
-def _chunked(specs: Sequence[RunSpec], jobs: int) -> List[Sequence[RunSpec]]:
-    """Split ``specs`` into contiguous chunks sized for ``jobs`` workers."""
-    size = max(1, -(-len(specs) // (jobs * DEFAULT_CHUNKS_PER_WORKER)))
-    return [specs[start : start + size] for start in range(0, len(specs), size)]
-
-
-def run_specs(
-    specs: Sequence[RunSpec], max_cached_instances: Optional[int] = None
-) -> List[object]:
-    """Evaluate ``specs`` serially in this process (the jobs=1 reference path).
-
-    Used by tests and benchmarks that want the exact worker code path —
-    spec in, report out — without a pool; a fresh runner is created the same
-    way a worker's initializer would, including the instance-cache bound
-    (``None`` = the runner's default).
-    """
-    from repro.experiments.runner import DEFAULT_MAX_CACHED_INSTANCES, ExperimentRunner
-
-    load_builtin_scenarios()
-    if max_cached_instances is None:
-        max_cached_instances = DEFAULT_MAX_CACHED_INSTANCES
-    return _run_on(ExperimentRunner(max_cached_instances=max_cached_instances), specs)
-
-
-def iter_parallel_sweep(
-    specs: Sequence[RunSpec],
-    jobs: int,
-    max_cached_instances: Optional[int] = None,
-) -> Iterator[object]:
-    """Evaluate ``specs`` on a ``jobs``-worker pool, yielding in grid order.
-
-    Chunks are submitted up front and their futures are drained in submission
-    order, so reports stream out as soon as their prefix of the grid is
-    complete — later chunks keep computing in the background while earlier
-    results are being consumed.  Worker exceptions propagate to the caller.
-    Abandoning the iterator early (``close()`` on the generator, or an error
-    in the consumer) cancels every not-yet-started chunk, so teardown only
-    waits for the chunks already running.
-    """
-    from repro.experiments.runner import DEFAULT_MAX_CACHED_INSTANCES
-
-    if max_cached_instances is None:
-        max_cached_instances = DEFAULT_MAX_CACHED_INSTANCES
-    if jobs < 2:
-        yield from run_specs(specs, max_cached_instances=max_cached_instances)
-        return
-    chunks = _chunked(specs, jobs)
-    pool = ProcessPoolExecutor(
-        max_workers=min(jobs, len(chunks)),
-        initializer=_init_worker,
-        initargs=(max_cached_instances,),
-    )
-    try:
-        futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]
-        for future in futures:
-            yield from future.result()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)

@@ -32,7 +32,7 @@ scenario modules; the registry only holds the schema and the callable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ScenarioError
 from repro.kripke.structure import KripkeStructure
@@ -50,6 +50,8 @@ __all__ = [
     "get_scenario",
     "scenario_names",
     "all_scenarios",
+    "scenario_listing",
+    "scenario_description",
     "load_builtin_scenarios",
     "params_to_key",
     "params_from_key",
@@ -433,3 +435,55 @@ def all_scenarios() -> Tuple[ScenarioSpec, ...]:
     """Every registered spec, sorted by name."""
     load_builtin_scenarios()
     return tuple(_REGISTRY[name] for name in scenario_names())
+
+
+def scenario_listing() -> List[Dict[str, object]]:
+    """The scenario catalogue as JSON-ready data, sorted by name.
+
+    The one payload behind ``repro list --json`` and ``GET /scenarios``.
+    """
+    return [
+        {
+            "name": spec.name,
+            "section": spec.section,
+            "summary": spec.summary,
+            "parameters": [parameter.name for parameter in spec.parameters],
+        }
+        for spec in all_scenarios()
+    ]
+
+
+def scenario_description(name: str) -> Dict[str, object]:
+    """One scenario's schema and default formulas as JSON-ready data.
+
+    The one payload behind ``repro describe --json`` and
+    ``GET /scenarios/<name>``.  ``default_formulas`` is the suite at the
+    default parameters, empty when a parameter is required.  Unknown names
+    raise :class:`ScenarioError`.
+    """
+    spec = get_scenario(name)
+    formulas = (
+        {}
+        if any(parameter.required for parameter in spec.parameters)
+        else spec.default_formulas()
+    )
+    return {
+        "name": spec.name,
+        "section": spec.section,
+        "summary": spec.summary,
+        "details": spec.details,
+        "parameters": [
+            {
+                "name": parameter.name,
+                "type": parameter.type.__name__,
+                "required": parameter.required,
+                "default": parameter.default,
+                "minimum": parameter.minimum,
+                "maximum": parameter.maximum,
+                "choices": list(parameter.choices) if parameter.choices else None,
+                "description": parameter.description,
+            }
+            for parameter in spec.parameters
+        ],
+        "default_formulas": {label: str(f) for label, f in formulas.items()},
+    }

@@ -37,6 +37,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -45,15 +46,17 @@ from typing import (
 
 from repro.engine import resolve_backend_name
 from repro.analysis.diagnostics import render_diagnostics, summarize
-from repro.errors import CheckError, ScenarioError
+from repro.errors import CheckError, ReproError, ScenarioError
 from repro.experiments.chaos import maybe_inject
 from repro.experiments.registry import (
     KIND_KRIPKE,
     BuiltScenario,
     ScenarioSpec,
     get_scenario,
+    params_from_key,
     params_to_key,
 )
+from repro.experiments.parallel import RunSpec
 from repro.logic.check import check_formulas
 from repro.kripke.bisimulation import quotient
 from repro.kripke.checker import ModelChecker
@@ -70,6 +73,7 @@ __all__ = [
     "FormulaOutcome",
     "ExperimentReport",
     "ExperimentRunner",
+    "PlannedPoint",
     "DEFAULT_MAX_CACHED_INSTANCES",
 ]
 
@@ -326,6 +330,21 @@ class ExperimentReport:
         )
 
 
+class PlannedPoint(NamedTuple):
+    """One grid point after planning (see :meth:`ExperimentRunner.plan`).
+
+    ``index`` is the point's position in grid order, ``key`` its store key
+    (``None`` without a store, or when a formula has no canonical text form),
+    ``run`` the picklable spec an executor evaluates, and ``batch`` the
+    resolved ``(label, Formula)`` batch the point was pre-flighted with.
+    """
+
+    index: int
+    key: Optional["StoreKey"]
+    run: RunSpec
+    batch: List[Tuple[str, Formula]]
+
+
 class ExperimentRunner:
     """Run scenarios and formula batches by name, with model caching.
 
@@ -368,8 +387,8 @@ class ExperimentRunner:
     ``store_hits`` the number of reports served from the store instead — a
     fully resumed sweep is exactly ``eval_count == 0``.  Supervised sweeps add
     ``retries`` (re-attempts of failed grid points) and ``quarantined``
-    (points given up on under ``on_error="skip"``); both stay 0 on the
-    unsupervised paths.
+    (points given up on under ``on_error="skip"``); both stay 0 under the
+    default fail-fast policy.
     """
 
     def __init__(
@@ -415,7 +434,12 @@ class ExperimentRunner:
         wins so every caller shares one instance.
         """
         spec = get_scenario(scenario)
-        validated = spec.validate_params(params)
+        return self._instance(spec, spec.validate_params(params))
+
+    def _instance(
+        self, spec: ScenarioSpec, validated: Dict[str, object]
+    ) -> ScenarioInstance:
+        """:meth:`instance` for an already validated assignment."""
         key = (spec.name, params_to_key(validated))
         with self._lock:
             cached = self._instances.get(key)
@@ -451,29 +475,21 @@ class ExperimentRunner:
 
     # -- formula handling ------------------------------------------------------
     @staticmethod
-    def _formula_batch(
-        spec: ScenarioSpec,
-        params: Mapping[str, object],
-        formulas: Optional[Iterable[FormulaLike]],
+    def _default_batch(
+        spec: ScenarioSpec, params: Mapping[str, object]
     ) -> List[Tuple[str, Formula]]:
-        """Normalise the caller's formula list into ``(label, Formula)`` pairs.
+        """The scenario's default formula set for validated ``params``, as a batch.
 
-        Accepts formula strings (parsed with :func:`repro.logic.parser.parse`),
-        built :class:`~repro.logic.syntax.Formula` objects, or ``(label, either)``
-        pairs; ``None`` selects the scenario's default formula set for the
-        validated ``params``.  Only the spec and the parameters are needed —
-        never the built model — which is what lets the result store answer a
-        request without building anything.
+        Only the spec and the parameters are needed — never the built model —
+        which is what lets the planner key a point without building anything.
         """
-        if formulas is None:
-            defaults = spec.default_formulas(params)
-            if not defaults:
-                raise ScenarioError(
-                    f"scenario {spec.name!r} has no default formulas; "
-                    "pass an explicit formula list"
-                )
-            return list(defaults.items())
-        return ExperimentRunner.normalise_formulas(formulas)
+        defaults = spec.default_formulas(params)
+        if not defaults:
+            raise ScenarioError(
+                f"scenario {spec.name!r} has no default formulas; "
+                "pass an explicit formula list"
+            )
+        return list(defaults.items())
 
     @staticmethod
     def normalise_formulas(
@@ -481,9 +497,10 @@ class ExperimentRunner:
     ) -> List[Tuple[str, Formula]]:
         """Normalise an explicit formula list into ``(label, Formula)`` pairs.
 
-        This is the explicit-list half of :meth:`_formula_batch` — it needs no
-        scenario at all, which is why the parallel sweep can normalise once in
-        the parent process and ship the parsed batch to every worker.
+        Accepts formula strings (parsed with :func:`repro.logic.parser.parse`),
+        built :class:`~repro.logic.syntax.Formula` objects, or ``(label,
+        either)`` pairs.  No scenario is involved, so a sweep normalises its
+        batch once and ships the parsed formulas to every worker.
         """
         batch: List[Tuple[str, Formula]] = []
         for entry in formulas:
@@ -498,37 +515,6 @@ class ExperimentRunner:
                 )
             batch.append((str(label), formula))
         return batch
-
-    # -- store plumbing --------------------------------------------------------
-    def _store_key(
-        self,
-        scenario: str,
-        validated: Mapping[str, object],
-        batch: Sequence[Tuple[str, Formula]],
-        backend: Optional[str],
-        minimize: bool,
-    ) -> Optional["StoreKey"]:
-        """The canonical store key for one request, or ``None`` without a store.
-
-        Also ``None`` when a formula in the batch has no canonical text form
-        (the pretty-printer refuses names that would not round-trip) — such a
-        request simply bypasses persistence rather than failing.
-        """
-        if self.store is None:
-            return None
-        from repro.errors import FormulaError
-        from repro.experiments.store import StoreKey
-
-        try:
-            return StoreKey.for_request(
-                scenario,
-                params_to_key(validated),
-                batch,
-                resolve_backend_name(backend),
-                minimize,
-            )
-        except FormulaError:
-            return None
 
     # -- pre-flight ------------------------------------------------------------
     @staticmethod
@@ -564,38 +550,225 @@ class ExperimentRunner:
                 diagnostics=diagnostics,
             )
 
-    def _preflight_sweep(
-        self,
+    # -- planning --------------------------------------------------------------
+    @staticmethod
+    def plan_point(
         spec: ScenarioSpec,
-        assignments: Sequence[Tuple[Optional[str], Dict[str, object]]],
-        formulas: Optional[Iterable[FormulaLike]],
-        minimize: bool,
-    ) -> None:
-        """Pre-flight every distinct grid point of a sweep before dispatch.
+        validated: Mapping[str, object],
+        formulas: Optional[Sequence[Tuple[str, Formula]]],
+        backend: Optional[str],
+        minimize: bool = False,
+        fresh_evaluator: bool = False,
+        keyed: bool = False,
+        index: int = 0,
+        checked: Optional[Dict[object, List[Tuple[str, Formula]]]] = None,
+    ) -> PlannedPoint:
+        """Plan one validated parameter assignment into a :class:`PlannedPoint`.
 
-        Runs in the parent process *before* any worker pool spins up or any
-        instance is built, so an invalid batch aborts the sweep with a usage
-        error instead of a mid-sweep failure on grid point 40,000.  Distinct
-        parameter assignments are checked once each (backends do not affect
-        the static checks); default formula suites are resolved per point,
-        since they may depend on the parameters.
+        Resolves the formula batch (``formulas`` is an already normalised
+        explicit batch, or ``None`` for the scenario's defaults), runs the
+        static pre-flight (raising :class:`~repro.errors.CheckError`), resolves
+        the backend and — with ``keyed`` — computes the store key.  Nothing is
+        built.  ``checked`` memoises batches by parameter key, so a grid
+        pre-flights each distinct assignment once whatever the backends.
         """
-        explicit = (
-            None if formulas is None else self.normalise_formulas(formulas)
-        )
-        seen = set()
-        for _backend, params in assignments:
-            validated = spec.validate_params(params)
-            key = params_to_key(validated)
-            if key in seen:
-                continue
-            seen.add(key)
+        params_key = params_to_key(validated)
+        batch = None if checked is None else checked.get(params_key)
+        if batch is None:
             batch = (
-                explicit
-                if explicit is not None
-                else self._formula_batch(spec, validated, None)
+                list(formulas)
+                if formulas is not None
+                else ExperimentRunner._default_batch(spec, validated)
             )
-            self.preflight_batch(spec, validated, batch, minimize)
+            ExperimentRunner.preflight_batch(spec, validated, batch, minimize)
+            if checked is not None:
+                checked[params_key] = batch
+        backend = resolve_backend_name(backend)
+        key = None
+        if keyed:
+            from repro.experiments.store import request_key
+
+            key = request_key(spec.name, params_key, batch, backend, minimize)
+        run = RunSpec(
+            scenario=spec.name,
+            params_key=params_key,
+            formulas=None if formulas is None else tuple(formulas),
+            backend=backend,
+            minimize=bool(minimize),
+            fresh_evaluator=fresh_evaluator,
+        )
+        return PlannedPoint(index, key, run, batch)
+
+    @staticmethod
+    def plan(
+        scenario: str,
+        grid: Mapping[str, Iterable[object]],
+        formulas: Optional[Iterable[FormulaLike]] = None,
+        backends: Sequence[Optional[str]] = (None,),
+        minimize: bool = False,
+        fresh_evaluators: bool = False,
+        keyed: bool = False,
+        policy: Optional["FaultPolicy"] = None,
+    ) -> Tuple[List[PlannedPoint], Dict[int, ExperimentReport]]:
+        """Step 1 of every sweep: turn a grid into ordered, pre-flighted points.
+
+        The grid is the cartesian product of ``grid``'s axes, repeated per
+        backend (``None`` = the process-wide default).  Every point's
+        parameters are validated and each distinct assignment's batch is
+        pre-flighted once, before anything is built or any worker spawns.
+
+        Returns ``(points, settled)``: the runnable points in grid order, and
+        the grid indices whose parameters or batch were rejected.  A rejection
+        is deterministic — retrying it could only fail the same way — so under
+        a ``policy`` with ``on_error="skip"`` it settles at once as a
+        one-attempt quarantine row; otherwise the first rejection is raised
+        unchanged.  ``keyed`` also computes each point's store key.
+        """
+        from repro.experiments.supervise import (
+            attempt_record,
+            describe_failure,
+            quarantine_report,
+        )
+
+        spec = get_scenario(scenario)
+        names = list(grid)
+        for name in names:
+            spec.parameter(name)  # fail fast on unknown grid axes
+        value_lists = [list(grid[name]) for name in names]
+        for name, values in zip(names, value_lists):
+            if not values:
+                raise ScenarioError(f"grid axis {name!r} has no values")
+        explicit = (
+            None
+            if formulas is None
+            else tuple(ExperimentRunner.normalise_formulas(formulas))
+        )
+        points: List[PlannedPoint] = []
+        settled: Dict[int, ExperimentReport] = {}
+        checked: Dict[object, List[Tuple[str, Formula]]] = {}
+        grid_points = itertools.product(backends, *value_lists)
+        for index, (backend, *values) in enumerate(grid_points):
+            params = dict(zip(names, values))
+            try:
+                params = spec.validate_params(params)
+                points.append(
+                    ExperimentRunner.plan_point(
+                        spec,
+                        params,
+                        explicit,
+                        backend,
+                        minimize,
+                        fresh_evaluators,
+                        keyed,
+                        index,
+                        checked,
+                    )
+                )
+            except ReproError as error:
+                if policy is None or policy.on_error != "skip":
+                    raise
+                settled[index] = quarantine_report(
+                    spec.name,
+                    params,
+                    resolve_backend_name(backend),
+                    minimize,
+                    [attempt_record(1, "error", describe_failure(error))],
+                )
+        return points, settled
+
+    # -- lookup, evaluation, persistence ---------------------------------------
+    def _lookup(self, key: Optional["StoreKey"]) -> Optional[ExperimentReport]:
+        """The recorded report for ``key``, when the store is read (``resume``)."""
+        if key is None or not self.resume:
+            return None
+        report = self.store.get(key)
+        if report is not None:
+            with self._lock:
+                self.store_hits += 1
+        return report
+
+    def _record(self, key: Optional["StoreKey"], report: ExperimentReport) -> None:
+        """Count a fresh evaluation and persist it; quarantine rows are neither."""
+        if report.error is not None:
+            return
+        with self._lock:
+            self.eval_count += 1
+        if key is not None:
+            self.store.put(key, report)
+
+    def _evaluate(
+        self,
+        run: RunSpec,
+        batch: Optional[Sequence[Tuple[str, Formula]]] = None,
+    ) -> ExperimentReport:
+        """Build (or reuse) and evaluate one planned point.
+
+        No validation, pre-flight or store access: the planner did the first
+        two, and the caller owns the store.  ``batch`` is the planner's
+        resolved batch when it is at hand; otherwise the spec's explicit batch
+        or the scenario defaults are used (pool workers take that path).
+        """
+        spec = get_scenario(run.scenario)
+        values = params_from_key(run.params_key)
+        validated = {parameter.name: values[parameter.name] for parameter in spec.parameters}
+        if batch is None:
+            batch = (
+                run.formulas
+                if run.formulas is not None
+                else self._default_batch(spec, validated)
+            )
+        # The chaos hook sits between the store lookup and the model build:
+        # store-served rows are never faulted (nothing is evaluated), every
+        # actual evaluation attempt — parent or pool worker — is. No-op
+        # unless REPRO_CHAOS is set.
+        maybe_inject(spec.name, validated, run.backend, run.minimize)
+
+        instance = self._instance(spec, validated)
+        # Evaluation (and fresh-evaluator construction, which may compute the
+        # shared bisimulation quotient) is serialised per instance: evaluators
+        # and the built model carry mutable caches written single-threaded.
+        with instance.eval_lock:
+            evaluator = (
+                instance.make_evaluator(run.backend, minimize=run.minimize)
+                if run.fresh_evaluator
+                else instance.evaluator(run.backend, minimize=run.minimize)
+            )
+
+            start = time.perf_counter()
+            extensions = evaluator.extensions([formula for _, formula in batch])
+            eval_seconds = time.perf_counter() - start
+
+        focus = instance.focus
+        if run.minimize:
+            reduced, _ = instance.minimized()
+            universe = len(reduced.worlds)
+            focus = instance.focus_class(focus)
+        else:
+            universe = instance.universe_size
+        rows = [
+            FormulaOutcome(
+                label=label,
+                formula=str(formula),
+                count=len(extension),
+                universe=universe,
+                satisfiable=bool(extension),
+                valid=len(extension) == universe,
+                holds_at_focus=None if focus is None else focus in extension,
+            )
+            for (label, formula), extension in zip(batch, extensions)
+        ]
+        return ExperimentReport(
+            scenario=instance.spec.name,
+            params=dict(instance.params),
+            backend=evaluator.backend,
+            kind=instance.kind,
+            universe=universe,
+            focus=None if focus is None else repr(focus),
+            build_seconds=instance.build_seconds,
+            eval_seconds=eval_seconds,
+            rows=rows,
+            minimized=bool(run.minimize),
+        )
 
     # -- execution -------------------------------------------------------------
     def run(
@@ -626,81 +799,27 @@ class ExperimentRunner:
         With a :class:`~repro.experiments.store.ResultStore` attached (and
         ``resume`` on), a request whose canonical key is already recorded is
         served from the store without building or evaluating anything; fresh
-        evaluations are recorded before the report is returned.
+        evaluations are recorded before the report is returned.  A run is a
+        one-point sweep: it goes through the same plan, lookup, evaluate and
+        record steps as :meth:`iter_sweep`.
         """
         spec = get_scenario(scenario)
         validated = spec.validate_params(params)
-        batch = self._formula_batch(spec, validated, formulas)
         # Fail fast on a semantically invalid batch: nothing is built, no
         # store row is touched and no evaluation starts.
-        self.preflight_batch(spec, validated, batch, minimize)
-        chosen_backend = backend if backend is not None else self.backend
-        key = self._store_key(spec.name, validated, batch, chosen_backend, minimize)
-        if key is not None and self.resume:
-            cached = self.store.get(key)
-            if cached is not None:
-                with self._lock:
-                    self.store_hits += 1
-                return cached
-
-        # The chaos hook sits between the store lookup and the model build:
-        # store-served rows are never faulted (nothing is evaluated), every
-        # actual evaluation attempt — parent or pool worker — is. No-op
-        # unless REPRO_CHAOS is set.
-        maybe_inject(
-            spec.name, validated, resolve_backend_name(chosen_backend), minimize
+        point = self.plan_point(
+            spec,
+            validated,
+            None if formulas is None else self.normalise_formulas(formulas),
+            backend if backend is not None else self.backend,
+            minimize,
+            fresh_evaluator,
+            keyed=self.store is not None,
         )
-
-        instance = self.instance(scenario, validated)
-        # Evaluation (and fresh-evaluator construction, which may compute the
-        # shared bisimulation quotient) is serialised per instance: evaluators
-        # and the built model carry mutable caches written single-threaded.
-        with instance.eval_lock:
-            evaluator = (
-                instance.make_evaluator(chosen_backend, minimize=minimize)
-                if fresh_evaluator
-                else instance.evaluator(chosen_backend, minimize=minimize)
-            )
-
-            start = time.perf_counter()
-            extensions = evaluator.extensions([formula for _, formula in batch])
-            eval_seconds = time.perf_counter() - start
-        with self._lock:
-            self.eval_count += 1
-
-        focus = instance.focus
-        if minimize:
-            reduced, _ = instance.minimized()
-            universe = len(reduced.worlds)
-            focus = instance.focus_class(focus)
-        else:
-            universe = instance.universe_size
-        rows = [
-            FormulaOutcome(
-                label=label,
-                formula=str(formula),
-                count=len(extension),
-                universe=universe,
-                satisfiable=bool(extension),
-                valid=len(extension) == universe,
-                holds_at_focus=None if focus is None else focus in extension,
-            )
-            for (label, formula), extension in zip(batch, extensions)
-        ]
-        report = ExperimentReport(
-            scenario=instance.spec.name,
-            params=dict(instance.params),
-            backend=evaluator.backend,
-            kind=instance.kind,
-            universe=universe,
-            focus=None if focus is None else repr(focus),
-            build_seconds=instance.build_seconds,
-            eval_seconds=eval_seconds,
-            rows=rows,
-            minimized=bool(minimize),
-        )
-        if key is not None:
-            self.store.put(key, report)
+        report = self._lookup(point.key)
+        if report is None:
+            report = self._evaluate(point.run, point.batch)
+            self._record(point.key, report)
         return report
 
     def iter_sweep(
@@ -720,401 +839,119 @@ class ExperimentRunner:
         :class:`ExperimentReport` as soon as it (and every report before it in
         grid order) is finished, instead of accumulating the whole list — this
         is what lets ``repro sweep --json`` print rows while later grid points
-        are still being evaluated.  With ``jobs > 1`` the grid is sharded
-        across a process pool (see :mod:`repro.experiments.parallel`); the
-        yielded order — and every report row — is the same either way.
+        are still being evaluated.  Every sweep runs one pipeline:
+
+        1. **Plan** (:meth:`plan`): validate the grid, pre-flight each
+           distinct point once, resolve backends and store keys.
+        2. **Partition**: look every key up in the store once (with
+           ``resume``); recorded points are served without building anything.
+        3. **Execute** the misses through one executor: in this process (so
+           this runner's instance cache stays warm) for ``jobs=1`` without a
+           watchdog, and for a lone miss under the fail-fast policy; otherwise
+           on the :class:`~repro.experiments.supervise.SweepSupervisor`
+           process pool.  The yielded order and every report row are the same
+           either way.
+        4. **Merge** in grid order, persisting healthy rows only and updating
+           ``eval_count``/``store_hits``/``retries``/``quarantined``.
 
         ``policy`` (a :class:`~repro.experiments.supervise.FaultPolicy`)
-        selects supervised execution: failing grid points are retried with
-        backoff, watchdogged, and — under ``on_error="skip"`` — quarantined as
-        structured error rows instead of aborting the sweep (see
-        :mod:`repro.experiments.supervise`).  ``None``, or a policy whose
-        ``supervised`` property is false, keeps the historical fail-fast
-        paths and their exact exception behaviour.
+        governs failing points in both executors: retries with backoff, a
+        watchdog, and — under ``on_error="skip"`` — quarantine rows instead of
+        an aborted sweep.  Under the default policy the first failure in grid
+        order is raised unchanged.
         """
-        spec = get_scenario(scenario)
-        names = list(grid)
-        for name in names:
-            spec.parameter(name)  # fail fast on unknown grid axes
-        value_lists = [list(grid[name]) for name in names]
-        for name, values in zip(names, value_lists):
-            if not values:
-                raise ScenarioError(f"grid axis {name!r} has no values")
-        chosen_backends: Sequence[Optional[str]] = (
-            backends if backends else (self.backend,)
-        )
-        assignments: List[Tuple[Optional[str], Dict[str, object]]] = [
-            (backend, dict(zip(names, combination)))
-            for backend in chosen_backends
-            for combination in itertools.product(*value_lists)
-        ]
-
         from repro.experiments.parallel import resolve_jobs
+        from repro.experiments.supervise import FaultPolicy, SweepSupervisor
 
-        worker_count = resolve_jobs(jobs)
-        supervised = policy is not None and policy.supervised
-        if not (supervised and policy.on_error == "skip"):
-            # Whole-sweep pre-flight: an invalid batch aborts before any
-            # instance build or pool spin-up.  Supervised skip-mode sweeps
-            # keep their per-point quarantine semantics instead (a batch may
-            # be invalid for only some grid points, e.g. an agent that exists
-            # for n>=4 but not n=2), relying on the per-point pre-flight in
-            # :meth:`run`.
-            self._preflight_sweep(spec, assignments, formulas, minimize)
-        if supervised:
-            # A watchdog needs a killable worker even at jobs=1: escalate to a
-            # one-worker pool so a hung point can actually be reclaimed.
-            if worker_count > 1 or policy.timeout_per_point is not None:
-                yield from self._iter_parallel_supervised(
-                    spec,
-                    assignments,
-                    formulas=formulas,
-                    fresh_evaluators=fresh_evaluators,
-                    minimize=minimize,
-                    jobs=worker_count,
-                    policy=policy,
-                )
+        policy = policy if policy is not None else FaultPolicy()
+        jobs = resolve_jobs(jobs)
+        points, settled = self.plan(
+            scenario,
+            grid,
+            formulas,
+            [self.backend if b is None else b for b in (backends or (None,))],
+            minimize,
+            fresh_evaluators,
+            keyed=self.store is not None,
+            policy=policy,
+        )
+        with self._lock:
+            self.quarantined += len(settled)
+        total = len(points) + len(settled)
+
+        misses = []
+        for point in points:
+            report = self._lookup(point.key)
+            if report is None:
+                misses.append(point)
             else:
-                yield from self._iter_serial_supervised(
-                    spec,
-                    assignments,
-                    formulas=formulas,
-                    fresh_evaluators=fresh_evaluators,
-                    minimize=minimize,
-                    policy=policy,
-                )
-            return
-        if worker_count > 1 and len(assignments) > 1:
-            yield from self._iter_parallel(
-                spec,
-                assignments,
-                formulas=formulas,
-                fresh_evaluators=fresh_evaluators,
-                minimize=minimize,
-                jobs=worker_count,
-            )
-            return
-        for backend, params in assignments:
-            yield self.run(
-                scenario,
-                params,
-                formulas=formulas,
-                backend=backend,
-                fresh_evaluator=fresh_evaluators,
-                minimize=minimize,
-            )
+                settled[point.index] = report
 
-    def _iter_parallel(
-        self,
-        spec: ScenarioSpec,
-        assignments: Sequence[Tuple[Optional[str], Dict[str, object]]],
-        formulas: Optional[Iterable[FormulaLike]],
-        fresh_evaluators: bool,
-        minimize: bool,
-        jobs: int,
-    ) -> Iterator[ExperimentReport]:
-        """Shard ``assignments`` over the process pool, preserving grid order.
-
-        With a store attached (and ``resume`` on) the grid is partitioned
-        *before* the pool spins up: recorded grid points are served from the
-        store in the parent, only the missing points travel to workers, and
-        each worker row is persisted by the parent the moment it streams back
-        — workers never open the store, so ``--jobs N`` keeps a single
-        writer.  A fully recorded grid never starts a pool at all.
-        """
-        from repro.experiments.parallel import RunSpec, iter_parallel_sweep
-
-        batch = (
-            None
-            if formulas is None
-            else tuple(self.normalise_formulas(formulas))
-        )
-        keyed_specs: List[Tuple[Optional["StoreKey"], RunSpec]] = []
-        for backend, params in assignments:
-            validated = spec.validate_params(params)
-            # Resolve now so every worker evaluates on the exact backend the
-            # serial path would have picked, whatever the workers' own
-            # process-wide default is.
-            resolved = resolve_backend_name(
-                backend if backend is not None else self.backend
+        supervisor = None
+        if policy.timeout_per_point is None and (
+            jobs == 1 or (len(misses) <= 1 and not policy.supervised)
+        ):
+            stream = self._execute_here(misses, policy)
+        else:
+            supervisor = SweepSupervisor(
+                [point.run for point in misses],
+                jobs=jobs,
+                policy=policy,
+                max_cached_instances=self.max_cached_instances,
             )
-            key = (
-                None
-                if self.store is None
-                else self._store_key(
-                    spec.name,
-                    validated,
-                    batch
-                    if batch is not None
-                    else self._formula_batch(spec, validated, None),
-                    resolved,
-                    minimize,
-                )
-            )
-            keyed_specs.append(
-                (
-                    key,
-                    RunSpec(
-                        scenario=spec.name,
-                        params_key=params_to_key(validated),
-                        formulas=batch,
-                        backend=resolved,
-                        minimize=minimize,
-                        fresh_evaluator=fresh_evaluators,
-                    ),
-                )
-            )
+            stream = supervisor.run()
 
-        cached: Dict[int, ExperimentReport] = {}
-        if self.store is not None and self.resume:
-            for index, (key, _) in enumerate(keyed_specs):
-                if key is None:
-                    continue
-                report = self.store.get(key)
-                if report is not None:
-                    cached[index] = report
-                    with self._lock:
-                        self.store_hits += 1
-        missing = [
-            (index, run_spec)
-            for index, (_, run_spec) in enumerate(keyed_specs)
-            if index not in cached
-        ]
-        if not missing:
-            for index in range(len(keyed_specs)):
-                yield cached[index]
-            return
-
-        stream = iter_parallel_sweep(
-            [run_spec for _, run_spec in missing],
-            jobs=jobs,
-            max_cached_instances=self.max_cached_instances,
-        )
+        keys = {point.index: point.key for point in misses}
         try:
-            # ``missing`` indices are increasing and the stream yields in the
-            # same order, so one linear merge restores full grid order.
-            for index in range(len(keyed_specs)):
-                if index in cached:
-                    yield cached[index]
-                    continue
-                report = next(stream)
-                with self._lock:
-                    self.eval_count += 1
-                key = keyed_specs[index][0]
-                if key is not None:
-                    self.store.put(key, report)
+            for index in range(total):
+                report = settled.pop(index, None)
+                if report is None:
+                    report = next(stream)
+                    self._record(keys[index], report)
                 yield report
         finally:
             stream.close()
+            if supervisor is not None:
+                with self._lock:
+                    self.retries += supervisor.retries
+                    self.quarantined += supervisor.quarantined
 
-    # -- supervised execution ----------------------------------------------------
-    def _settle_failed_point(
-        self,
-        scenario: str,
-        params: Mapping[str, object],
-        backend: str,
-        minimize: bool,
-        attempts: Sequence[Dict[str, object]],
-        policy: "FaultPolicy",
-    ) -> ExperimentReport:
-        """Quarantine a point that exhausted its budget, or abort the sweep."""
-        from repro.experiments.supervise import quarantine_report, sweep_fault
-
-        if policy.on_error == "skip":
-            with self._lock:
-                self.quarantined += 1
-            return quarantine_report(scenario, params, backend, minimize, attempts)
-        raise sweep_fault(scenario, params, backend, attempts)
-
-    def _iter_serial_supervised(
-        self,
-        spec: ScenarioSpec,
-        assignments: Sequence[Tuple[Optional[str], Dict[str, object]]],
-        formulas: Optional[Iterable[FormulaLike]],
-        fresh_evaluators: bool,
-        minimize: bool,
-        policy: "FaultPolicy",
+    def _execute_here(
+        self, points: Sequence[PlannedPoint], policy: "FaultPolicy"
     ) -> Iterator[ExperimentReport]:
-        """The supervised in-process sweep: retry/backoff and quarantine only.
+        """The in-process executor: evaluate ``points`` on this runner.
 
-        No pool means no watchdog and no crash recovery — ``iter_sweep`` routes
-        any policy with ``timeout_per_point`` to the pool path even at
-        ``jobs=1`` — but transient failures still heal and poison points still
-        quarantine instead of aborting the whole sweep.
+        Applies the same fault-policy rule as the supervisor
+        (:func:`~repro.experiments.supervise.settle_failure`), minus what needs
+        a pool: no watchdog and no crash recovery.
         """
-        from repro.experiments.supervise import attempt_record, describe_failure
+        from repro.experiments.supervise import (
+            attempt_record,
+            describe_failure,
+            settle_failure,
+        )
 
-        for backend, params in assignments:
-            backend_name = resolve_backend_name(
-                backend if backend is not None else self.backend
-            )
-            # Invalid parameters settle immediately — retrying a deterministic
-            # validation error would just burn the budget (and the quarantine
-            # row carries the validated shape when it exists, matching the
-            # pool path).
-            try:
-                validated = spec.validate_params(params)
-            except ScenarioError as error:
-                yield self._settle_failed_point(
-                    spec.name,
-                    params,
-                    backend_name,
-                    minimize,
-                    [attempt_record(1, "error", describe_failure(error))],
-                    policy,
-                )
-                continue
+        for point in points:
             attempts: List[Dict[str, object]] = []
-            while True:
+            report = None
+            while report is None:
                 try:
-                    report = self.run(
-                        scenario=spec.name,
-                        params=validated,
-                        formulas=formulas,
-                        backend=backend,
-                        fresh_evaluator=fresh_evaluators,
-                        minimize=minimize,
-                    )
+                    report = self._evaluate(point.run, point.batch)
                 except Exception as error:
+                    if not policy.supervised:
+                        raise
                     attempts.append(
-                        attempt_record(
-                            len(attempts) + 1, "error", describe_failure(error)
-                        )
+                        attempt_record(len(attempts) + 1, "error", describe_failure(error))
                     )
-                    if len(attempts) <= policy.retries:
+                    report = settle_failure(policy, point.run, attempts)
+                    if report is not None:
+                        with self._lock:
+                            self.quarantined += 1
+                    else:
                         with self._lock:
                             self.retries += 1
                         time.sleep(policy.backoff_seconds(len(attempts)))
-                        continue
-                    yield self._settle_failed_point(
-                        spec.name, validated, backend_name, minimize, attempts, policy
-                    )
-                    break
-                else:
-                    yield report
-                    break
-
-    def _iter_parallel_supervised(
-        self,
-        spec: ScenarioSpec,
-        assignments: Sequence[Tuple[Optional[str], Dict[str, object]]],
-        formulas: Optional[Iterable[FormulaLike]],
-        fresh_evaluators: bool,
-        minimize: bool,
-        jobs: int,
-        policy: "FaultPolicy",
-    ) -> Iterator[ExperimentReport]:
-        """The supervised pool sweep (see :mod:`repro.experiments.supervise`).
-
-        Store composition mirrors :meth:`_iter_parallel` — partition against
-        the store first, single parent writer — with two fault-specific rules:
-        grid points whose *parameters* fail validation settle immediately
-        (quarantine or abort) without burning retries or a pool slot, and
-        quarantined reports are never written to the store, so a later
-        resumed sweep re-attempts exactly them.
-        """
-        from repro.experiments.parallel import RunSpec
-        from repro.experiments.supervise import (
-            SweepSupervisor,
-            attempt_record,
-            describe_failure,
-        )
-
-        batch = (
-            None
-            if formulas is None
-            else tuple(self.normalise_formulas(formulas))
-        )
-        keyed_specs: List[Tuple[Optional["StoreKey"], Optional[RunSpec]]] = []
-        settled: Dict[int, ExperimentReport] = {}
-        for index, (backend, params) in enumerate(assignments):
-            resolved = resolve_backend_name(
-                backend if backend is not None else self.backend
-            )
-            try:
-                validated = spec.validate_params(params)
-            except ScenarioError as error:
-                settled[index] = self._settle_failed_point(
-                    spec.name,
-                    params,
-                    resolved,
-                    minimize,
-                    [attempt_record(1, "error", describe_failure(error))],
-                    policy,
-                )
-                keyed_specs.append((None, None))
-                continue
-            key = (
-                None
-                if self.store is None
-                else self._store_key(
-                    spec.name,
-                    validated,
-                    batch
-                    if batch is not None
-                    else self._formula_batch(spec, validated, None),
-                    resolved,
-                    minimize,
-                )
-            )
-            keyed_specs.append(
-                (
-                    key,
-                    RunSpec(
-                        scenario=spec.name,
-                        params_key=params_to_key(validated),
-                        formulas=batch,
-                        backend=resolved,
-                        minimize=minimize,
-                        fresh_evaluator=fresh_evaluators,
-                    ),
-                )
-            )
-
-        if self.store is not None and self.resume:
-            for index, (key, run_spec) in enumerate(keyed_specs):
-                if key is None or run_spec is None or index in settled:
-                    continue
-                report = self.store.get(key)
-                if report is not None:
-                    settled[index] = report
-                    with self._lock:
-                        self.store_hits += 1
-        missing = [
-            (index, run_spec)
-            for index, (_, run_spec) in enumerate(keyed_specs)
-            if index not in settled and run_spec is not None
-        ]
-        if not missing:
-            for index in range(len(keyed_specs)):
-                yield settled[index]
-            return
-
-        supervisor = SweepSupervisor(
-            [run_spec for _, run_spec in missing],
-            jobs=jobs,
-            policy=policy,
-            max_cached_instances=self.max_cached_instances,
-        )
-        stream = supervisor.run()
-        try:
-            for index in range(len(keyed_specs)):
-                if index in settled:
-                    yield settled[index]
-                    continue
-                report = next(stream)
-                if report.error is None:
-                    with self._lock:
-                        self.eval_count += 1
-                    key = keyed_specs[index][0]
-                    if key is not None:
-                        self.store.put(key, report)
-                yield report
-        finally:
-            stream.close()
-            with self._lock:
-                self.retries += supervisor.retries
-                self.quarantined += supervisor.quarantined
+            yield report
 
     def sweep(
         self,
@@ -1139,16 +976,11 @@ class ExperimentRunner:
 
         ``jobs`` selects parallel execution: ``None``/``1`` evaluates in this
         process, ``N > 1`` shards the grid across ``N`` worker processes, and
-        ``0`` means one worker per CPU.  Workers rebuild their scenario
-        instances from the registry by parameter key (nothing non-picklable
-        crosses the pool boundary) and keep their own bounded instance caches;
-        the merged report list is in the same deterministic grid order as a
-        serial sweep, with identical rows — only the timing fields
-        (``build_seconds``/``eval_seconds``) reflect where the work actually
-        ran.  See :mod:`repro.experiments.parallel`.
-
-        ``policy`` opts into supervised fault-tolerant execution exactly as in
-        :meth:`iter_sweep`.
+        ``0`` means one worker per CPU.  The report list is in the same
+        deterministic grid order either way, with identical rows — only the
+        timing fields (``build_seconds``/``eval_seconds``) reflect where the
+        work actually ran.  ``policy`` governs failing points exactly as in
+        :meth:`iter_sweep`, which documents the pipeline.
         """
         return list(
             self.iter_sweep(

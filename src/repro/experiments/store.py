@@ -78,13 +78,20 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import StoreError
+from repro.engine import resolve_backend_name
+from repro.errors import FormulaError, StoreError
 from repro.experiments.registry import ParamKey
 from repro.experiments.runner import ExperimentReport
 from repro.logic.pretty import pretty
 from repro.logic.syntax import Formula
 
-__all__ = ["SEMANTICS_VERSION", "SCHEMA_VERSION", "StoreKey", "ResultStore"]
+__all__ = [
+    "SEMANTICS_VERSION",
+    "SCHEMA_VERSION",
+    "StoreKey",
+    "ResultStore",
+    "request_key",
+]
 
 SEMANTICS_VERSION = 1
 """Version of the *meaning* of stored rows.
@@ -199,6 +206,29 @@ class StoreKey:
     def digest(self) -> str:
         """The sha256 content address of :meth:`canonical`."""
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
+
+
+def request_key(
+    scenario: str,
+    params: ParamKey,
+    batch: Iterable[Tuple[str, Formula]],
+    backend: Optional[str],
+    minimize: bool,
+) -> Optional[StoreKey]:
+    """The store key of one request, which is also its coalescing address.
+
+    ``backend`` is resolved here (``None`` means the process-wide engine
+    default).  Returns ``None`` when a formula in the batch has no canonical
+    text form (the pretty-printer refuses names that would not round-trip):
+    such a request simply bypasses persistence and coalescing instead of
+    failing.
+    """
+    try:
+        return StoreKey.for_request(
+            scenario, params, batch, resolve_backend_name(backend), minimize
+        )
+    except FormulaError:
+        return None
 
 
 def _corrupt(path: str, detail: str) -> StoreError:

@@ -1,11 +1,15 @@
-"""Supervised fault-tolerant execution of sharded sweeps.
+"""The sweep process pool, supervised by a :class:`FaultPolicy`.
 
-:mod:`repro.experiments.parallel` treats the worker pool as reliable: the
-first exception aborts the whole sweep, a ``SIGKILL``-ed worker breaks the
-pool for good, and a hung worker wedges the parent forever.  This module adds
-the supervision layer that makes a sweep degrade per-*point* instead of
-per-*sweep*, governed by a :class:`FaultPolicy`:
+:class:`SweepSupervisor` is the only code in the package that runs a
+process pool (``tools/lint_repo.py`` rule LNT004 keeps it that way).  The
+runner's sweep pipeline — plan, partition against the store, execute, merge
+(see :meth:`~repro.experiments.runner.ExperimentRunner.iter_sweep`) — hands
+it the store misses whenever a sweep needs a pool: ``jobs > 1`` or a
+watchdog.  The policy decides how a failing grid point degrades:
 
+* **Fail fast** (the default policy, :attr:`FaultPolicy.supervised` false) —
+  the first failure in grid order is re-raised unchanged, after every row
+  before it has streamed; no bisection, retry or pool restart.
 * **Retries with exponential backoff** — a failed grid point is re-attempted
   up to ``retries`` times, waiting ``retry_backoff * 2**(failures-1)`` seconds
   between attempts, so transient faults (OOM kills, flaky builders) heal
@@ -33,24 +37,27 @@ per-*sweep*, governed by a :class:`FaultPolicy`:
   with the healthy rows; ``on_error="abort"`` raises
   :class:`~repro.errors.SweepFaultError` naming the point instead.
 
-The supervisor never persists anything itself: the runner records healthy
-rows in the result store and *skips* quarantined ones, so a later
-``--resume`` re-attempts exactly the quarantined points.
+Retry-or-settle for a single point is one rule, :func:`settle_failure`,
+shared with the runner's in-process executor.  Workers evaluate the planned
+specs without re-validating them and never touch the store: the runner
+records healthy rows and *skips* quarantined ones, so a later ``--resume``
+re-attempts exactly the quarantined points.
 """
 
 from __future__ import annotations
 
+import queue
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ScenarioError, SweepFaultError
-from repro.experiments.parallel import RunSpec, _chunked, _init_worker, _run_chunk
-from repro.experiments.registry import params_from_key
-from repro.experiments.runner import ExperimentReport
+from repro.experiments.parallel import RunSpec
+from repro.experiments.registry import load_builtin_scenarios, params_from_key
+from repro.experiments.runner import ExperimentReport, ExperimentRunner
 
 __all__ = [
     "ON_ERROR_MODES",
@@ -59,6 +66,7 @@ __all__ = [
     "attempt_record",
     "describe_failure",
     "quarantine_report",
+    "settle_failure",
     "sweep_fault",
 ]
 
@@ -73,9 +81,25 @@ machines.  Without it a 1-point chunk whose evaluation fits the budget could
 still trip the watchdog on a cold pool.
 """
 
+IDLE_WAKE_SECONDS = 1.0
+"""Longest the supervisor sleeps waiting on the pool.
+
+A Ctrl-C can land on a pool helper thread (the CLI blocks SIGINT in the main
+thread while it writes a row); CPython runs the handler only once the main
+thread runs again, so an untimed wait on a hung chunk could swallow it.
+"""
+
 MAX_BACKOFF_SECONDS = 30.0
 """Cap on one exponential-backoff sleep, so a generous retry budget cannot
 turn into multi-minute stalls between attempts."""
+
+DEFAULT_CHUNKS_PER_WORKER = 4
+"""How many chunks each worker gets on average.
+
+More chunks than workers smooths out uneven grid points (a temporal-heavy
+horizon=6 point can take many times longer than horizon=3) at the cost of a
+little more submission overhead; four per worker is a conventional balance.
+"""
 
 
 @dataclass(frozen=True)
@@ -83,9 +107,9 @@ class FaultPolicy:
     """How a sweep responds to failing grid points (see module docs).
 
     The default policy — abort on first error, no retries, no watchdog — is
-    exactly the historical behaviour, and :attr:`supervised` is ``False`` for
-    it: the runner then keeps using the plain unsupervised pool path, whose
-    failure semantics existing callers rely on.
+    fail-fast, and :attr:`supervised` is ``False`` for it: both executors then
+    re-raise the first failure unchanged, the exception existing callers rely
+    on.
     """
 
     on_error: str = "abort"
@@ -120,7 +144,7 @@ class FaultPolicy:
 
     @property
     def supervised(self) -> bool:
-        """Whether this policy needs the supervision machinery at all."""
+        """Whether failures are supervised (retried, settled) instead of re-raised."""
         return (
             self.on_error != "abort"
             or self.retries > 0
@@ -208,6 +232,56 @@ def sweep_fault(
     )
 
 
+def settle_failure(
+    policy: FaultPolicy,
+    spec: RunSpec,
+    attempts: Sequence[Mapping[str, object]],
+) -> Optional[ExperimentReport]:
+    """The fault-policy rule for a single grid point that has just failed.
+
+    ``None`` means the point gets another attempt, after
+    ``policy.backoff_seconds(len(attempts))``.  Once the retry budget is
+    spent the point is given up on: its quarantine row under
+    ``on_error="skip"``, the abort-mode :class:`~repro.errors.SweepFaultError`
+    raised otherwise.
+    """
+    if len(attempts) <= policy.retries:
+        return None
+    params = params_from_key(spec.params_key)
+    if policy.on_error == "skip":
+        return quarantine_report(
+            spec.scenario, params, spec.backend, spec.minimize, attempts
+        )
+    raise sweep_fault(spec.scenario, params, spec.backend, attempts)
+
+
+# One runner per worker process, created by the pool initializer.  Module-level
+# because ProcessPoolExecutor tasks can only reach per-process state through
+# globals; the parent process never touches it.
+_WORKER_RUNNER: Optional[ExperimentRunner] = None
+
+
+def _init_worker(max_cached_instances: int) -> None:
+    """Pool initializer: build this worker's runner and load the registry."""
+    global _WORKER_RUNNER
+    load_builtin_scenarios()
+    _WORKER_RUNNER = ExperimentRunner(max_cached_instances=max_cached_instances)
+
+
+def _run_chunk(specs: Sequence[RunSpec]) -> List[ExperimentReport]:
+    """Evaluate one contiguous chunk of planned grid points in this worker."""
+    runner = _WORKER_RUNNER
+    if runner is None:  # pragma: no cover - initializer always runs first
+        raise ScenarioError("sweep worker used before initialization")
+    return [runner._evaluate(spec) for spec in specs]
+
+
+def _chunked(specs: Sequence[RunSpec], jobs: int) -> List[Sequence[RunSpec]]:
+    """Split ``specs`` into contiguous chunks sized for ``jobs`` workers."""
+    size = max(1, -(-len(specs) // (jobs * DEFAULT_CHUNKS_PER_WORKER)))
+    return [specs[start : start + size] for start in range(0, len(specs), size)]
+
+
 class _Unit:
     """One schedulable slice of the grid: contiguous specs plus retry state.
 
@@ -233,7 +307,7 @@ class SweepSupervisor:
     spec, healthy or quarantined, in grid order — plus the counters ``retries``
     (re-attempts performed), ``quarantined`` (points given up on) and
     ``pool_restarts`` (pools discarded after a crash or watchdog kill), which
-    the runner folds into its own totals.
+    the runner folds into its own totals.  A supervisor runs its specs once.
     """
 
     def __init__(
@@ -246,7 +320,9 @@ class SweepSupervisor:
         from repro.experiments.runner import DEFAULT_MAX_CACHED_INSTANCES
 
         self.specs = list(specs)
-        self.jobs = max(1, int(jobs))
+        chunks = _chunked(self.specs, max(1, int(jobs)))
+        # No more workers than chunks: a short grid never forks idle workers.
+        self.jobs = max(1, min(int(jobs), len(chunks)))
         self.policy = policy
         self.max_cached_instances = (
             DEFAULT_MAX_CACHED_INSTANCES
@@ -257,6 +333,24 @@ class SweepSupervisor:
         self.quarantined = 0
         self.pool_restarts = 0
         self._pool: Optional[ProcessPoolExecutor] = None
+        self._pending: Deque[_Unit] = deque()
+        offset = 0
+        for chunk in chunks:
+            self._pending.append(_Unit(offset, chunk))
+            offset += len(chunk)
+        # Units suspected of crashing or hanging a worker run from this queue,
+        # one at a time, so the next pool break identifies its culprit exactly.
+        self._cautious: Deque[_Unit] = deque()
+        self._inflight: Dict[object, Tuple[_Unit, Optional[float]]] = {}
+        # Reports by grid index; under the fail-fast policy a failed chunk
+        # leaves its exception at its first index, raised once every row
+        # before it has been yielded.
+        self._buffer: Dict[int, object] = {}
+        # Finished futures, put by their done-callbacks.  The loop blocks on
+        # this queue instead of ``concurrent.futures.wait``, whose lock loop a
+        # Ctrl-C can interrupt halfway, leaving future locks held so that the
+        # pool's manager thread deadlocks interpreter exit.
+        self._done: "queue.SimpleQueue[object]" = queue.SimpleQueue()
 
     # -- pool lifecycle --------------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -313,29 +407,23 @@ class SweepSupervisor:
     # -- the supervision loop --------------------------------------------------
     def run(self) -> Iterator[ExperimentReport]:
         """Yield one report per spec, in grid order, surviving point faults."""
-        pending: Deque[_Unit] = deque()
-        offset = 0
-        for chunk in _chunked(self.specs, self.jobs):
-            pending.append(_Unit(offset, chunk))
-            offset += len(chunk)
-        # Units suspected of crashing or hanging a worker run from this queue,
-        # one at a time, so the next pool break identifies its culprit exactly.
-        cautious: Deque[_Unit] = deque()
-        buffer: Dict[int, ExperimentReport] = {}
-        inflight: Dict[object, Tuple[_Unit, Optional[float]]] = {}
+        buffer = self._buffer
         emit = 0
         total = len(self.specs)
         try:
             while emit < total:
                 while emit in buffer:
-                    yield buffer.pop(emit)
+                    report = buffer.pop(emit)
+                    if isinstance(report, BaseException):
+                        raise report
+                    yield report
                     emit += 1
                 if emit >= total:
                     break
                 now = time.monotonic()
-                self._submit_ready(pending, cautious, inflight, buffer, now)
-                if not inflight:
-                    waiting = list(cautious) + list(pending)
+                self._submit_ready(now)
+                if not self._inflight:
+                    waiting = list(self._cautious) + list(self._pending)
                     if not waiting and emit not in buffer:
                         raise ScenarioError(
                             "internal error: sweep supervisor lost track of "
@@ -347,38 +435,37 @@ class SweepSupervisor:
                         wake = min(unit.ready_at for unit in waiting)
                         time.sleep(min(max(wake - time.monotonic(), 0.0), 1.0))
                     continue
-                timeout = self._wait_timeout(pending, cautious, inflight, now)
-                done, _ = wait(
-                    set(inflight), timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    self._handle_done(future, pending, cautious, inflight, buffer)
-                self._expire_deadlines(pending, cautious, inflight, buffer)
+                try:
+                    self._handle_done(self._done.get(timeout=self._wait_timeout(now)))
+                except queue.Empty:
+                    pass
+                self._expire_deadlines()
         finally:
             self._discard_pool()
 
     # -- scheduling ------------------------------------------------------------
     @staticmethod
-    def _take_ready(queue: Deque[_Unit], now: float) -> Optional[_Unit]:
-        for index, unit in enumerate(queue):
+    def _take_ready(units: Deque[_Unit], now: float) -> Optional[_Unit]:
+        for index, unit in enumerate(units):
             if unit.ready_at <= now:
-                del queue[index]
+                del units[index]
                 return unit
         return None
 
-    def _submit_ready(
-        self,
-        pending: Deque[_Unit],
-        cautious: Deque[_Unit],
-        inflight: Dict[object, Tuple[_Unit, Optional[float]]],
-        buffer: Dict[int, ExperimentReport],
-        now: float,
-    ) -> None:
-        # In cautious mode exactly one unit runs in the whole pool; otherwise
-        # keep one chunk per worker in flight so watchdog deadlines measure
-        # *running* time, not time spent queued behind other chunks.
-        capacity = (1 if cautious else self.jobs) - len(inflight)
-        source = cautious if cautious else pending
+    def _submit_ready(self, now: float) -> None:
+        # In cautious mode exactly one unit runs in the whole pool.  A
+        # supervised pool keeps one chunk per worker in flight, so watchdog
+        # deadlines measure *running* time and a crash indicts few chunks; a
+        # fail-fast pool queues every chunk at once, so workers never wait on
+        # this thread between chunks.
+        source = self._cautious if self._cautious else self._pending
+        if self._cautious:
+            limit = 1
+        elif self.policy.supervised:
+            limit = self.jobs
+        else:
+            limit = len(self.specs)
+        capacity = limit - len(self._inflight)
         while capacity > 0 and source:
             unit = self._take_ready(source, now)
             if unit is None:
@@ -386,12 +473,14 @@ class SweepSupervisor:
             try:
                 future = self._ensure_pool().submit(_run_chunk, list(unit.specs))
             except BrokenProcessPool as error:
+                if not self.policy.supervised:
+                    self._buffer[unit.start] = error
+                    return
                 # The pool died between submissions (a worker was killed while
                 # idle); everything in flight is suspect, this unit included.
-                self._recover_broken_pool(
-                    unit, error, pending, cautious, inflight, buffer
-                )
+                self._recover_broken_pool(unit, error)
                 return
+            future.add_done_callback(self._done.put)
             deadline = None
             if self.policy.timeout_per_point is not None:
                 deadline = (
@@ -399,68 +488,45 @@ class SweepSupervisor:
                     + self.policy.timeout_per_point * len(unit.specs)
                     + DEADLINE_GRACE_SECONDS
                 )
-            inflight[future] = (unit, deadline)
+            self._inflight[future] = (unit, deadline)
             capacity -= 1
 
-    def _wait_timeout(
-        self,
-        pending: Deque[_Unit],
-        cautious: Deque[_Unit],
-        inflight: Dict[object, Tuple[_Unit, Optional[float]]],
-        now: float,
-    ) -> Optional[float]:
-        marks = [deadline for _, deadline in inflight.values() if deadline is not None]
+    def _wait_timeout(self, now: float) -> float:
+        marks = [d for _, d in self._inflight.values() if d is not None]
         marks += [
             unit.ready_at
-            for unit in list(pending) + list(cautious)
+            for unit in list(self._pending) + list(self._cautious)
             if unit.ready_at > now
         ]
         if not marks:
-            return None
-        return max(min(marks) - now, 0.0) + 0.01
+            return IDLE_WAKE_SECONDS
+        return min(max(min(marks) - now, 0.0) + 0.01, IDLE_WAKE_SECONDS)
 
     # -- completion and failure handling ---------------------------------------
-    def _handle_done(
-        self,
-        future,
-        pending: Deque[_Unit],
-        cautious: Deque[_Unit],
-        inflight: Dict[object, Tuple[_Unit, Optional[float]]],
-        buffer: Dict[int, ExperimentReport],
-    ) -> None:
-        entry = inflight.pop(future, None)
+    def _harvest(self, unit: _Unit, reports: Sequence[ExperimentReport]) -> None:
+        for index, report in enumerate(reports):
+            self._buffer[unit.start + index] = report
+
+    def _handle_done(self, future) -> None:
+        entry = self._inflight.pop(future, None)
         if entry is None:
-            return  # already reassigned during a pool-break recovery
+            return  # already harvested, or from a discarded pool
         unit, _ = entry
         try:
             reports = future.result(timeout=0)
-        except BrokenProcessPool as error:
-            self._recover_broken_pool(unit, error, pending, cautious, inflight, buffer)
         except Exception as error:
-            # The worker raised and said so: the pool is healthy, the culprit
-            # chunk is known. Bisect or retry in normal parallel mode.
-            self._failed(
-                unit,
-                "error",
-                describe_failure(error),
-                pending,
-                cautious,
-                buffer,
-                crash=False,
-            )
+            if not self.policy.supervised:
+                self._buffer[unit.start] = error
+            elif isinstance(error, BrokenProcessPool):
+                self._recover_broken_pool(unit, error)
+            else:
+                # The worker raised and said so: the pool is healthy, the
+                # culprit chunk is known. Bisect or retry in parallel mode.
+                self._failed(unit, "error", describe_failure(error), crash=False)
         else:
-            for index, report in enumerate(reports):
-                buffer[unit.start + index] = report
+            self._harvest(unit, reports)
 
-    def _recover_broken_pool(
-        self,
-        first_suspect: _Unit,
-        error: BaseException,
-        pending: Deque[_Unit],
-        cautious: Deque[_Unit],
-        inflight: Dict[object, Tuple[_Unit, Optional[float]]],
-        buffer: Dict[int, ExperimentReport],
-    ) -> None:
+    def _recover_broken_pool(self, first_suspect: _Unit, error: BaseException) -> None:
         """A worker died without a word (SIGKILL, OOM): rebuild and attribute.
 
         Completed results still held by other futures are harvested first.
@@ -470,20 +536,12 @@ class SweepSupervisor:
         culprit and takes the failure.
         """
         suspects = [first_suspect]
-        for future, (unit, _) in list(inflight.items()):
-            harvested = False
-            if future.done():
-                try:
-                    reports = future.result(timeout=0)
-                except Exception:
-                    pass
-                else:
-                    for index, report in enumerate(reports):
-                        buffer[unit.start + index] = report
-                    harvested = True
-            if not harvested:
+        for future, (unit, _) in list(self._inflight.items()):
+            try:
+                self._harvest(unit, future.result(timeout=0))
+            except Exception:  # still running, or broken with the pool
                 suspects.append(unit)
-        inflight.clear()
+        self._inflight.clear()
         self._restart_pool("a worker process died unexpectedly", suspects[0])
         if len(suspects) == 1:
             # Alone in the pool: proven culprit.
@@ -491,28 +549,19 @@ class SweepSupervisor:
                 suspects[0],
                 "crash",
                 f"worker process died during this chunk ({describe_failure(error)})",
-                pending,
-                cautious,
-                buffer,
                 crash=True,
             )
             return
         for unit in sorted(suspects, key=lambda u: u.start, reverse=True):
-            cautious.appendleft(unit)
+            self._cautious.appendleft(unit)
 
-    def _expire_deadlines(
-        self,
-        pending: Deque[_Unit],
-        cautious: Deque[_Unit],
-        inflight: Dict[object, Tuple[_Unit, Optional[float]]],
-        buffer: Dict[int, ExperimentReport],
-    ) -> None:
-        if self.policy.timeout_per_point is None or not inflight:
+    def _expire_deadlines(self) -> None:
+        if self.policy.timeout_per_point is None or not self._inflight:
             return
         now = time.monotonic()
         expired = [
             future
-            for future, (_, deadline) in inflight.items()
+            for future, (_, deadline) in self._inflight.items()
             if deadline is not None and now >= deadline and not future.done()
         ]
         if not expired:
@@ -521,82 +570,53 @@ class SweepSupervisor:
         # discards the innocent chunks' workers: harvest what finished, then
         # resubmit the innocents and route the expired units through failure
         # handling.
-        for future in list(inflight):
+        for future in list(self._inflight):
             if future not in expired and future.done():
-                self._handle_done(future, pending, cautious, inflight, buffer)
-        expired_units = [inflight[future][0] for future in expired if future in inflight]
+                self._handle_done(future)
+        expired_units = [
+            self._inflight[future][0] for future in expired if future in self._inflight
+        ]
         innocents = [
             unit
-            for future, (unit, _) in inflight.items()
+            for future, (unit, _) in self._inflight.items()
             if future not in expired
         ]
         if not expired_units:  # pragma: no cover - harvested by a racing break
             return
-        inflight.clear()
+        self._inflight.clear()
         self._restart_pool("a worker exceeded the point watchdog", expired_units[0])
         for unit in sorted(innocents, key=lambda u: u.start, reverse=True):
-            pending.appendleft(unit)
+            self._pending.appendleft(unit)
         budget = self.policy.timeout_per_point
         for unit in expired_units:
             self._failed(
                 unit,
                 "timeout",
-                (
-                    f"watchdog expired: {len(unit.specs)} point(s) still "
-                    f"running after {budget * len(unit.specs):g}s "
-                    f"(timeout-per-point {budget:g}s)"
-                ),
-                pending,
-                cautious,
-                buffer,
+                f"watchdog expired: {len(unit.specs)} point(s) still "
+                f"running after {budget * len(unit.specs):g}s "
+                f"(timeout-per-point {budget:g}s)",
                 crash=True,
             )
 
-    def _failed(
-        self,
-        unit: _Unit,
-        kind: str,
-        detail: str,
-        pending: Deque[_Unit],
-        cautious: Deque[_Unit],
-        buffer: Dict[int, ExperimentReport],
-        crash: bool,
-    ) -> None:
+    def _failed(self, unit: _Unit, kind: str, detail: str, crash: bool) -> None:
         """Apply the fault policy to a failed unit (bisect / retry / settle)."""
+        # Crash/hang units stay cautious — running them alone is how the next
+        # break or timeout pins the poison point; plain-error units can rejoin
+        # normal parallelism, the worker will name the failure.
+        target = self._cautious if crash else self._pending
         if len(unit.specs) > 1:
             mid = len(unit.specs) // 2
-            left = _Unit(unit.start, unit.specs[:mid])
-            right = _Unit(unit.start + mid, unit.specs[mid:])
-            # Crash/hang halves stay cautious — running them alone is how the
-            # next break or timeout pins the poison point; plain-error halves
-            # can rejoin normal parallelism, the worker will name the failure.
-            target = cautious if crash else pending
-            target.appendleft(right)
-            target.appendleft(left)
+            target.appendleft(_Unit(unit.start + mid, unit.specs[mid:]))
+            target.appendleft(_Unit(unit.start, unit.specs[:mid]))
             return
-        spec = unit.specs[0]
-        unit.attempts.append(
-            attempt_record(len(unit.attempts) + 1, kind, detail)
-        )
-        failures = len(unit.attempts)
-        if failures <= self.policy.retries:
-            self.retries += 1
-            unit.ready_at = time.monotonic() + self.policy.backoff_seconds(failures)
-            (cautious if crash else pending).appendleft(unit)
-            return
-        if self.policy.on_error == "skip":
+        unit.attempts.append(attempt_record(len(unit.attempts) + 1, kind, detail))
+        report = settle_failure(self.policy, unit.specs[0], unit.attempts)
+        if report is not None:
             self.quarantined += 1
-            buffer[unit.start] = quarantine_report(
-                spec.scenario,
-                params_from_key(spec.params_key),
-                spec.backend,
-                spec.minimize,
-                unit.attempts,
-            )
+            self._buffer[unit.start] = report
             return
-        raise sweep_fault(
-            spec.scenario,
-            params_from_key(spec.params_key),
-            spec.backend,
-            unit.attempts,
+        self.retries += 1
+        unit.ready_at = time.monotonic() + self.policy.backoff_seconds(
+            len(unit.attempts)
         )
+        target.appendleft(unit)

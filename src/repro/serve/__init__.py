@@ -30,7 +30,6 @@ from repro.serve.schema import (
     SweepRequest,
     parse_run_request,
     parse_sweep_request,
-    request_digest,
 )
 
 __all__ = [
@@ -43,5 +42,4 @@ __all__ = [
     "ServeRequestError",
     "parse_run_request",
     "parse_sweep_request",
-    "request_digest",
 ]

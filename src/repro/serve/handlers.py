@@ -22,7 +22,11 @@ from dataclasses import dataclass, field
 from typing import AsyncIterator, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.experiments.registry import all_scenarios, get_scenario
+from repro.experiments.registry import (
+    all_scenarios,
+    scenario_description,
+    scenario_listing,
+)
 from repro.experiments.runner import ExperimentRunner
 from repro.serve.coalesce import CoalescingMap
 from repro.serve.schema import (
@@ -99,51 +103,17 @@ def handle_stats(state: ServeState) -> Dict[str, object]:
 
 def handle_scenarios(state: ServeState) -> List[Dict[str, object]]:
     """``GET /scenarios`` — the ``repro list --json`` payload."""
-    return [
-        {
-            "name": spec.name,
-            "section": spec.section,
-            "summary": spec.summary,
-            "parameters": [parameter.name for parameter in spec.parameters],
-        }
-        for spec in all_scenarios()
-    ]
+    return scenario_listing()
 
 
 def handle_scenario_detail(state: ServeState, name: str) -> Dict[str, object]:
     """``GET /scenarios/<name>`` — the ``repro describe --json`` payload."""
     try:
-        spec = get_scenario(name)
+        return scenario_description(name)
     except ReproError as error:
         raise ServeRequestError(
             str(error), status=404, error_type="unknown_scenario"
         ) from None
-    defaults = (
-        spec.validate_params({})
-        if not any(p.required for p in spec.parameters)
-        else None
-    )
-    formulas = spec.default_formulas() if defaults is not None else {}
-    return {
-        "name": spec.name,
-        "section": spec.section,
-        "summary": spec.summary,
-        "details": spec.details,
-        "parameters": [
-            {
-                "name": parameter.name,
-                "type": parameter.type.__name__,
-                "required": parameter.required,
-                "default": parameter.default,
-                "minimum": parameter.minimum,
-                "maximum": parameter.maximum,
-                "choices": list(parameter.choices) if parameter.choices else None,
-                "description": parameter.description,
-            }
-            for parameter in spec.parameters
-        ],
-        "default_formulas": {label: str(f) for label, f in formulas.items()},
-    }
 
 
 async def handle_run(state: ServeState, payload: object) -> Dict[str, object]:

@@ -19,19 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.engine import resolve_backend_name
-from repro.errors import (
-    CheckError,
-    FormulaError,
-    ReproError,
-    ScenarioError,
-)
-from repro.experiments.registry import (
-    ScenarioSpec,
-    get_scenario,
-    params_to_key,
-    scenario_names,
-)
+from repro.errors import CheckError, ReproError, ScenarioError
+from repro.experiments.registry import ScenarioSpec, get_scenario, scenario_names
 from repro.experiments.runner import ExperimentRunner
 from repro.logic.syntax import Formula
 
@@ -41,7 +30,6 @@ __all__ = [
     "SweepRequest",
     "parse_run_request",
     "parse_sweep_request",
-    "request_digest",
 ]
 
 _BACKEND_CHOICES = ("frozenset", "bitset")
@@ -205,45 +193,17 @@ def _bool_field(payload: Mapping[str, object], name: str) -> bool:
     return value
 
 
-def request_digest(
-    scenario: str,
-    validated: Mapping[str, object],
-    batch: Sequence[Tuple[str, Formula]],
-    backend: Optional[str],
-    minimize: bool,
-) -> Optional[str]:
-    """The content address concurrent identical requests coalesce on.
-
-    Exactly the persistent store's canonical identity — scenario name,
-    :func:`~repro.experiments.registry.params_to_key` tuple, the pretty-form
-    formula batch, the resolved backend and the minimize flag, hashed through
-    :class:`~repro.experiments.store.StoreKey` — so an in-flight evaluation
-    and a stored row answer the same set of requests.  ``None`` when a
-    formula has no canonical text form (such requests simply never coalesce).
-    """
-    from repro.experiments.store import StoreKey
-
-    try:
-        key = StoreKey.for_request(
-            scenario,
-            params_to_key(validated),
-            batch,
-            resolve_backend_name(backend),
-            minimize,
-        )
-    except FormulaError:
-        return None
-    return key.digest
-
-
 @dataclass(frozen=True)
 class RunRequest:
     """One validated ``POST /run`` body, ready for the runner.
 
     ``params`` is the *validated* assignment (defaults merged, values
     coerced); ``formulas`` is the normalised batch or ``None`` for the
-    scenario's defaults; ``digest`` is the coalescing content address (see
-    :func:`request_digest`).
+    scenario's defaults; ``digest`` is the coalescing content address —
+    exactly the persistent store's key (:func:`repro.experiments.store.request_key`),
+    so an in-flight evaluation and a stored row answer the same set of
+    requests — or ``None`` when a formula has no canonical text form (such
+    requests simply never coalesce).
     """
 
     scenario: str
@@ -287,12 +247,9 @@ def parse_run_request(payload: object) -> RunRequest:
     backend = _resolved_backend(body)
     minimize = _bool_field(body, "minimize")
     try:
-        resolved_batch = (
-            batch
-            if batch is not None
-            else ExperimentRunner._formula_batch(spec, validated, None)
+        point = ExperimentRunner.plan_point(
+            spec, validated, batch, backend, minimize, keyed=True
         )
-        ExperimentRunner.preflight_batch(spec, validated, resolved_batch, minimize)
     except ReproError as error:
         raise _reject(error) from None
     return RunRequest(
@@ -301,9 +258,7 @@ def parse_run_request(payload: object) -> RunRequest:
         formulas=batch,
         backend=backend,
         minimize=minimize,
-        digest=request_digest(
-            spec.name, validated, resolved_batch, backend, minimize
-        ),
+        digest=None if point.key is None else point.key.digest,
     )
 
 
@@ -392,29 +347,11 @@ def parse_sweep_request(payload: object) -> SweepRequest:
     if jobs is not None and (not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 0):
         raise ServeRequestError(f"'jobs' must be a non-negative integer, got {jobs!r}")
 
-    # Pre-flight every distinct grid point now, while a 400 body is still
-    # possible (the stream's 200 status is committed before iter_sweep runs).
-    point_count = 0
+    # Plan (and so pre-flight) every grid point now, while a 400 body is
+    # still possible (the stream's 200 status is committed before iter_sweep
+    # runs).
     try:
-        import itertools
-
-        names = list(axes)
-        seen = set()
-        combinations = list(itertools.product(*(axes[name] for name in names)))
-        point_count = len(combinations) * len(backends)
-        for combination in combinations:
-            params = dict(zip(names, combination))
-            validated = spec.validate_params(params)
-            key = params_to_key(validated)
-            if key in seen:
-                continue
-            seen.add(key)
-            point_batch = (
-                batch
-                if batch is not None
-                else ExperimentRunner._formula_batch(spec, validated, None)
-            )
-            ExperimentRunner.preflight_batch(spec, validated, point_batch, minimize)
+        points, _ = ExperimentRunner.plan(spec.name, axes, batch, backends, minimize)
     except ReproError as error:
         raise _reject(error) from None
 
@@ -425,5 +362,5 @@ def parse_sweep_request(payload: object) -> SweepRequest:
         backends=backends,
         minimize=minimize,
         jobs=jobs,
-        point_count=point_count,
+        point_count=len(points),
     )

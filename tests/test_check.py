@@ -305,12 +305,12 @@ def test_run_rejects_over_horizon_timestamp_pre_flight():
 
 def test_invalid_sweep_batch_rejected_before_any_worker_spawns(monkeypatch):
     """The acceptance pin: pre-flight fires before the pool machinery."""
-    import repro.experiments.parallel as parallel
+    import repro.experiments.supervise as supervise
 
     def boom(*args, **kwargs):
         raise AssertionError("worker pool was spawned for an invalid batch")
 
-    monkeypatch.setattr(parallel, "iter_parallel_sweep", boom)
+    monkeypatch.setattr(supervise, "SweepSupervisor", boom)
     with pytest.raises(CheckError, match="REP101"):
         ExperimentRunner().sweep(
             "muddy_children",

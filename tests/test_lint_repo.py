@@ -12,6 +12,7 @@ sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 from lint_repo import (  # noqa: E402 - needs the tools/ path above
     MASK_SPACE_FILES,
+    POOL_OWNER_FILES,
     WORKER_SIDE_FILES,
     lint_paths,
     lint_source,
@@ -70,13 +71,27 @@ def test_bare_except_flagged_everywhere():
     ) == []
 
 
+def test_process_pool_flagged_outside_the_supervisor():
+    source = (
+        "import concurrent.futures\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "a = ProcessPoolExecutor(max_workers=2)\n"
+        "b = concurrent.futures.ProcessPoolExecutor()\n"
+        "c = concurrent.futures.ThreadPoolExecutor()\n"
+    )
+    findings = lint_source(source, "src/repro/experiments/runner.py")
+    assert rules(findings) == ["LNT004", "LNT004"]
+    assert {finding.line for finding in findings} == {3, 4}
+    assert lint_source(source, "src/repro/experiments/supervise.py") == []
+
+
 def test_syntax_error_is_reported_not_raised():
     findings = lint_source("def broken(:\n", "src/repro/broken.py")
     assert rules(findings) == ["LNT000"]
 
 
 def test_scoped_file_lists_point_at_real_files():
-    for path in MASK_SPACE_FILES + WORKER_SIDE_FILES:
+    for path in MASK_SPACE_FILES + WORKER_SIDE_FILES + POOL_OWNER_FILES:
         assert (REPO_ROOT / path).is_file(), path
 
 

@@ -267,17 +267,15 @@ def test_abandoning_the_parallel_stream_early_does_not_finish_the_grid():
     stream.close()  # must return promptly and without raising
 
 
-def test_run_specs_honours_the_cache_bound():
-    from repro.experiments.parallel import run_specs
-
-    specs = [
-        RunSpec(
-            scenario="muddy_children",
-            params_key=params_to_key({"n": n, "k": 1, "announced": False}),
-            formulas=None,
-            backend="frozenset",
-        )
-        for n in range(2, 6)
-    ]
-    reports = run_specs(specs, max_cached_instances=2)
+def test_jobs_sweep_honours_the_cache_bound():
+    """A pooled sweep on a runner with a tiny instance-cache bound: workers
+    get the parent's bound and still evaluate every point in grid order."""
+    runner = ExperimentRunner(max_cached_instances=2)
+    reports = runner.sweep(
+        "muddy_children",
+        {"n": range(2, 6), "k": [1], "announced": [False]},
+        backends=("frozenset",),
+        jobs=2,
+    )
     assert [report.params["n"] for report in reports] == [2, 3, 4, 5]
+    assert runner.cached_instances <= 2

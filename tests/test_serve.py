@@ -83,20 +83,22 @@ def post(server, path, payload):
 
 
 def slow_runner(server, delay=0.25):
-    """Wrap the resident runner's ``run`` with a delay.
+    """Wrap the resident runner's evaluation step with a delay.
 
     Evaluations on the test scenarios finish in single-digit milliseconds —
     faster than eight client threads can connect — so coalescing tests
-    widen the in-flight window to make the overlap deterministic.
+    widen the in-flight window to make the overlap deterministic.  Every
+    ``POST /run`` miss and every served sweep point evaluates through
+    ``_evaluate``, so the delay applies per evaluated point.
     """
     runner = server.app.state.runner
-    original = runner.run
+    original = runner._evaluate
 
     def slowed(*args, **kwargs):
         time.sleep(delay)
         return original(*args, **kwargs)
 
-    runner.run = slowed
+    runner._evaluate = slowed
     return runner
 
 

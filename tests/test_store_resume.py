@@ -31,6 +31,7 @@ from repro.cli import main as cli_main
 from repro.errors import ScenarioError
 from repro.experiments import (
     ExperimentRunner,
+    FaultPolicy,
     ResultStore,
     get_scenario,
     register_scenario,
@@ -294,3 +295,48 @@ def test_store_shared_between_serial_and_parallel_runs(tmp_path):
         grown = wider.sweep("muddy_children", {"n": [2, 3, 4, 5]}, jobs=2)
         assert wider.eval_count == 1  # only n=5 is new
         assert comparable(grown[:3]) == comparable(fresh)
+
+
+def test_every_executor_keeps_rows_and_counters_in_parity(tmp_path):
+    """Counter-parity differential across the sweep executors.
+
+    The same half-recorded grid, resumed serially, at ``jobs=2`` and under a
+    supervising policy (in process and pooled): identical rows, identical
+    ``eval_count``/``store_hits`` and ``from_store`` flags, and a second
+    resume evaluates nothing.
+    """
+    grid = {"n": [2, 3, 4, 5]}
+    supervising = FaultPolicy(on_error="skip", retries=1, retry_backoff=0.001)
+    modes = {
+        "serial": {},
+        "jobs2": {"jobs": 2},
+        "supervised": {"policy": supervising},
+        "supervised_jobs2": {"jobs": 2, "policy": supervising},
+    }
+    outcomes = {}
+    for name, options in modes.items():
+        with ResultStore(str(tmp_path / f"{name}.sqlite")) as store:
+            ExperimentRunner(store=store).sweep(
+                "muddy_children", {"n": [2, 4]}, backends=("frozenset",)
+            )
+            runner = ExperimentRunner(store=store)
+            reports = runner.sweep(
+                "muddy_children", grid, backends=("frozenset",), **options
+            )
+            resumed = ExperimentRunner(store=store)
+            again = resumed.sweep(
+                "muddy_children", grid, backends=("frozenset",), **options
+            )
+        outcomes[name] = (
+            comparable(reports),
+            [report.from_store for report in reports],
+            (runner.eval_count, runner.store_hits),
+            (resumed.eval_count, resumed.store_hits),
+            comparable(again),
+        )
+    for name in modes:
+        assert outcomes[name] == outcomes["serial"], name
+    assert outcomes["serial"][1] == [True, False, True, False]
+    assert outcomes["serial"][2] == (2, 2)
+    assert outcomes["serial"][3] == (0, 4)
+    assert outcomes["serial"][4] == outcomes["serial"][0]

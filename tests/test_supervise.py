@@ -205,6 +205,28 @@ def test_invalid_grid_params_settle_without_burning_retries(monkeypatch):
     assert runner.retries == 0 and runner.quarantined == 1
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_preflight_failures_settle_without_burning_retries(monkeypatch, jobs):
+    """A batch the static pre-flight rejects for one grid point (child_2 does
+    not exist at n=2) is as deterministic as a bad parameter: it settles at
+    plan time as a one-attempt quarantine row — no retry, no backoff sleep,
+    no bisection — on the in-process executor and under the pool alike."""
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    runner = ExperimentRunner()
+    reports = runner.sweep(
+        "muddy_children",
+        {"n": [2, 3]},
+        formulas=["K_child_2 at_least_one"],
+        jobs=jobs,
+        policy=FaultPolicy(on_error="skip", retries=2, retry_backoff=0.2),
+    )
+    assert reports[0].error is not None and reports[1].error is None
+    assert "CheckError" in reports[0].error["message"]
+    assert len(reports[0].error["attempts"]) == 1
+    assert runner.retries == 0 and runner.quarantined == 1
+    assert runner.eval_count == 1
+
+
 def test_builder_errors_are_retried_then_quarantined(monkeypatch):
     """A *build-time* failure (k > n passes the schema, the builder rejects
     it) is indistinguishable from a transient fault, so it consumes the retry

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo lint gate: ``ast``-based checks for patterns the test suite can't see.
 
-Three rules, each scoped to where the pattern actually bites:
+Four rules, each scoped to where the pattern actually bites:
 
 ``LNT001`` — no ``frozenset(...)`` construction in the mask-space hot paths of
 ``src/repro/engine/universe.py``.  The bitset backend's whole point is that
@@ -13,8 +13,7 @@ their job.
 
 ``LNT002`` — no wall-clock reads (``time.time()``, ``datetime.now()``,
 ``datetime.utcnow()``) in worker-side sweep code
-(``src/repro/experiments/parallel.py``, ``runner.py``, ``supervise.py``,
-``chaos.py``).  Timing that feeds retry/backoff/watchdog decisions must use
+(``src/repro/experiments/runner.py``, ``supervise.py``, ``chaos.py``).  Timing that feeds retry/backoff/watchdog decisions must use
 the monotonic clock (``time.monotonic``/``time.perf_counter``): wall clocks
 jump under NTP and break supervision determinism.  Parent-side provenance
 stamping (``store.py``) legitimately uses wall time and is out of scope.
@@ -23,6 +22,11 @@ stamping (``store.py``) legitimately uses wall time and is out of scope.
 swallows ``KeyboardInterrupt``/``SystemExit``, which breaks the CLI's
 exit-130 contract and the sweep supervisor's cancellation path.  Write
 ``except Exception:`` (or narrower).
+
+``LNT004`` — a ``ProcessPoolExecutor`` is constructed only in
+``src/repro/experiments/supervise.py``.  Every sweep runs one pipeline, and
+its process pool is the supervisor's: a second pool owner would bypass the
+fault policy, the deterministic merge and the single-writer store rule.
 
 Usage::
 
@@ -51,11 +55,13 @@ MASK_SPACE_FILES = ("src/repro/engine/universe.py",)
 
 #: Modules that run (or drive) worker-side sweep code (LNT002).
 WORKER_SIDE_FILES = (
-    "src/repro/experiments/parallel.py",
     "src/repro/experiments/runner.py",
     "src/repro/experiments/supervise.py",
     "src/repro/experiments/chaos.py",
 )
+
+#: The one module allowed to construct a process pool (LNT004).
+POOL_OWNER_FILES = ("src/repro/experiments/supervise.py",)
 
 #: Attribute calls LNT002 rejects, as dotted names.
 WALL_CLOCK_CALLS = frozenset(
@@ -141,6 +147,21 @@ def lint_source(source: str, path: str) -> List[Finding]:
                         "code; use time.monotonic()/time.perf_counter()",
                     )
                 )
+        if (
+            isinstance(node, ast.Call)
+            and normalised not in POOL_OWNER_FILES
+            and (_dotted_name(node.func) or "").split(".")[-1] == "ProcessPoolExecutor"
+        ):
+            findings.append(
+                Finding(
+                    path,
+                    node.lineno,
+                    "LNT004",
+                    "ProcessPoolExecutor constructed outside the sweep "
+                    "supervisor; run pooled work through "
+                    "repro.experiments.supervise.SweepSupervisor",
+                )
+            )
         if isinstance(node, ast.ExceptHandler) and node.type is None:
             findings.append(
                 Finding(
