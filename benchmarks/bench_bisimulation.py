@@ -112,10 +112,8 @@ def test_checking_with_minimisation(benchmark, inflated_model):
 def test_runner_minimize_flag_round_trip():
     """The runner's minimize=True arm agrees with minimize=False at the focus."""
     runner = ExperimentRunner()
-    plain = runner.run("muddy_children", {"n": 6, "k": 3}, backend="bitset")
-    reduced = runner.run(
-        "muddy_children", {"n": 6, "k": 3}, backend="bitset", minimize=True
-    )
+    plain = runner.run("muddy_children", {"n": 6, "k": 3})
+    reduced = runner.run("muddy_children", {"n": 6, "k": 3}, minimize=True)
     assert reduced.minimized and not plain.minimized
     assert [row.holds_at_focus for row in plain.rows] == [
         row.holds_at_focus for row in reduced.rows

@@ -12,20 +12,20 @@ acceptance criteria name:
   ``from_store=True``), serially and under ``jobs=2``;
 * the resumed sweep's rows are identical to the fresh sweep's (timing fields
   excepted), and it is at least :data:`SPEEDUP_FLOOR` times faster end-to-end
-  — deserializing JSON out of sqlite simply cannot lose to re-running the
-  ``O(T^2)``-per-run temporal reference evaluator, or the store is broken.
+  — deserializing JSON out of sqlite simply cannot lose to re-enumerating the
+  runs and re-running the temporal evaluator, or the store is broken.
 """
 
 import time
 
 import pytest
 
+from repro.engine import get_default_backend
 from repro.experiments import ExperimentRunner, ResultStore
 
 SPEEDUP_FLOOR = 3.0
 
 SCENARIO = "coordinated_attack"
-BACKEND = "frozenset"  # the reference path: evaluation-dominated grid points
 GRID = {"depth": [4], "horizon": list(range(8, 16))}
 SMALL_GRID = {"depth": [2], "horizon": [3, 4]}
 
@@ -60,7 +60,7 @@ def recorded_store(tmp_path_factory, grid):
     store = ResultStore(str(path))
     runner = ExperimentRunner(store=store)
     start = time.perf_counter()
-    reports = runner.sweep(SCENARIO, grid, backends=(BACKEND,))
+    reports = runner.sweep(SCENARIO, grid)
     fresh_seconds = time.perf_counter() - start
     assert runner.eval_count == len(reports) > 0
     yield store, reports, fresh_seconds
@@ -71,7 +71,7 @@ def test_resumed_sweep_is_zero_eval_and_identical(recorded_store, grid):
     """The acceptance claim: resume = zero evaluations, identical rows."""
     store, fresh_reports, _ = recorded_store
     runner = ExperimentRunner(store=store)
-    resumed = runner.sweep(SCENARIO, grid, backends=(BACKEND,))
+    resumed = runner.sweep(SCENARIO, grid)
     assert runner.eval_count == 0
     assert runner.store_hits == len(resumed)
     assert all(report.from_store for report in resumed)
@@ -82,7 +82,7 @@ def test_resumed_sweep_is_zero_eval_under_jobs(recorded_store, grid):
     """A fully recorded grid never even starts the worker pool."""
     store, fresh_reports, _ = recorded_store
     runner = ExperimentRunner(store=store)
-    resumed = runner.sweep(SCENARIO, grid, backends=(BACKEND,), jobs=2)
+    resumed = runner.sweep(SCENARIO, grid, jobs=2)
     assert runner.eval_count == 0
     assert comparable_rows(resumed) == comparable_rows(fresh_reports)
 
@@ -92,11 +92,9 @@ def test_resumed_sweep_wall_clock(benchmark, recorded_store, grid):
     store, _, _ = recorded_store
 
     def resumed_sweep():
-        return ExperimentRunner(store=store).sweep(
-            SCENARIO, grid, backends=(BACKEND,)
-        )
+        return ExperimentRunner(store=store).sweep(SCENARIO, grid)
 
-    benchmark.extra_info["backend"] = BACKEND
+    benchmark.extra_info["backend"] = get_default_backend()
     reports = benchmark.pedantic(resumed_sweep, rounds=3, iterations=1)
     assert all(report.from_store for report in reports)
     benchmark.extra_info["worlds"] = sum(report.universe for report in reports)
@@ -110,7 +108,7 @@ def test_store_speedup_floor(recorded_store, grid, request):
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        ExperimentRunner(store=store).sweep(SCENARIO, grid, backends=(BACKEND,))
+        ExperimentRunner(store=store).sweep(SCENARIO, grid)
         best = min(best, time.perf_counter() - start)
     assert best * SPEEDUP_FLOOR < fresh_seconds, (
         f"resumed sweep ({best * 1e3:.1f} ms) should be >= {SPEEDUP_FLOOR}x "

@@ -23,6 +23,7 @@ import time
 
 import pytest
 
+from repro.engine import get_default_backend
 from repro.experiments import ExperimentRunner, FaultPolicy
 from repro.experiments.chaos import ENV_VAR
 
@@ -31,7 +32,6 @@ RECOVERY_CEILING_SECONDS = 30.0
 HANG_SECONDS = 600.0
 
 SCENARIO = "muddy_children"
-BACKEND = "frozenset"
 GRID = {"n": [2, 3, 4, 5, 6, 7]}
 SMALL_GRID = {"n": [2, 3]}
 
@@ -44,7 +44,6 @@ def run_sweep(policy=None, grid=None, jobs=1):
     reports = runner.sweep(
         SCENARIO,
         grid if grid is not None else GRID,
-        backends=(BACKEND,),
         jobs=jobs,
         policy=policy,
     )
@@ -96,7 +95,7 @@ def test_sweep_wall_clock(benchmark, supervised, request):
     smoke = request.config.getoption("--benchmark-disable")
     grid = SMALL_GRID if smoke else GRID
     policy = POLICY if supervised else None
-    benchmark.extra_info["backend"] = BACKEND
+    benchmark.extra_info["backend"] = get_default_backend()
     benchmark.extra_info["supervised"] = supervised
     _, reports = benchmark.pedantic(
         run_sweep, kwargs={"policy": policy, "grid": grid}, rounds=2, iterations=1

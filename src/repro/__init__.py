@@ -6,8 +6,8 @@ The library is organised in layers (see DESIGN.md):
 * :mod:`repro.logic` — the epistemic language: ``K_i``, ``S_G``, ``E_G``, ``D_G``,
   ``C_G``, the temporal variants ``C^eps`` / ``C^<>`` / ``C^T``, and the fixpoint
   operators of Appendix A.
-* :mod:`repro.engine` — the shared formula-evaluation core with pluggable set
-  representations (``frozenset`` reference backend and fast ``bitset`` backend).
+* :mod:`repro.engine` — the shared formula-evaluation core: the ``bitset``
+  production backend, with the ``frozenset`` transcription kept as the test oracle.
 * :mod:`repro.kripke` — finite S5 Kripke structures, model checking, public
   announcements, bisimulation.
 * :mod:`repro.systems` — the runs-and-systems model of Section 5, view-based and
@@ -18,8 +18,8 @@ The library is organised in layers (see DESIGN.md):
 * :mod:`repro.scenarios` — the paper's worked examples (muddy children, coordinated
   attack, R2–D2, the OK protocol, phases, distributed commit).
 * :mod:`repro.experiments` — the scenario registry and the batch
-  :class:`~repro.experiments.runner.ExperimentRunner` (parameter grids, backend
-  sweeps, structure caching).
+  :class:`~repro.experiments.runner.ExperimentRunner` (parameter grids, sweeps,
+  structure caching).
 * :mod:`repro.analysis` — executable forms of the paper's theorems.
 * :mod:`repro.cli` — the ``python -m repro`` / ``repro`` command line interface
   (``list`` / ``describe`` / ``run`` / ``sweep``).

@@ -11,7 +11,7 @@ gate and the long-lived evaluation service from the shell::
     repro check --all --strict                  # every scenario's suite (CI gate)
     repro run muddy_children -p n=4 -p k=2      # evaluate the default formulas
     repro run muddy_children -f "C_{child_0,child_1} at_least_one"
-    repro sweep muddy_children -g n=2..6 --backends both
+    repro sweep muddy_children -g n=2..6
     repro sweep coordinated_attack -g horizon=3..6 --jobs 4
     repro sweep gossip -g n=3..6 --store results.sqlite --resume
     repro store stats results.sqlite            # rows, slices, provenance
@@ -19,12 +19,12 @@ gate and the long-lived evaluation service from the shell::
     repro bench compare --current /tmp/bench.json
     repro serve --port 8750 --store results.sqlite   # long-lived HTTP service
 
-Every subcommand takes ``--json`` for machine-readable output; ``run`` and
-``sweep`` take ``--backend`` / ``--backends`` to pick the engine's set
-representation (``frozenset`` reference or ``bitset`` fast path), and ``sweep``
-takes ``--jobs N`` to shard the grid across ``N`` worker processes (``--jobs
-0`` = one per CPU) with the same deterministic output order as a serial sweep;
-its ``--json`` output streams one report at a time as grid points finish.
+Every subcommand takes ``--json`` for machine-readable output.  ``run`` and
+``sweep`` evaluate on the engine's ``bitset`` production backend (the
+``frozenset`` oracle is for tests only), and ``sweep`` takes ``--jobs N`` to
+shard the grid across ``N`` worker processes (``--jobs 0`` = one per CPU) with
+the same deterministic output order as a serial sweep; its ``--json`` output
+streams one report at a time as grid points finish.
 
 ``run`` and ``sweep`` also take ``--store PATH`` (default: the
 ``REPRO_STORE`` environment variable) to record every evaluated report in a
@@ -349,12 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate this formula instead of the scenario defaults (repeatable)",
     )
     run.add_argument(
-        "--backend",
-        choices=_BACKEND_CHOICES,
-        default=None,
-        help="engine backend (default: the process-wide default, frozenset)",
-    )
-    run.add_argument(
         "--minimize",
         action="store_true",
         help=(
@@ -367,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", action="store_true", help="emit JSON")
 
     sweep = subparsers.add_parser(
-        "sweep", help="run a scenario over a parameter grid, optionally per backend"
+        "sweep", help="run a scenario over a parameter grid"
     )
     sweep.add_argument("scenario", help="registered scenario name")
     sweep.add_argument(
@@ -399,11 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         help="evaluate this formula instead of the scenario defaults (repeatable)",
-    )
-    sweep.add_argument(
-        "--backends",
-        default="frozenset",
-        help="comma-separated backends, or 'both' (default: frozenset)",
     )
     sweep.add_argument(
         "--minimize",
@@ -857,7 +846,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             args.scenario,
             params,
             formulas=formulas,
-            backend=args.backend,
             minimize=args.minimize,
         )
     finally:
@@ -932,17 +920,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if name in grid:
             raise ReproError(f"parameter {name!r} is both fixed (-p) and swept (-g)")
 
-    backends_text = args.backends.strip().lower()
-    if backends_text == "both":
-        backends: Sequence[str] = _BACKEND_CHOICES
-    else:
-        backends = tuple(part.strip() for part in backends_text.split(",") if part.strip())
-    for backend in backends:
-        if backend not in _BACKEND_CHOICES:
-            raise ReproError(
-                f"unknown backend {backend!r}; expected one of {_BACKEND_CHOICES} or 'both'"
-            )
-
     store = _open_store(args)
     runner = ExperimentRunner(store=store, resume=args.resume)
     formulas = args.formula or None
@@ -956,7 +933,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             args.scenario,
             full_grid,
             formulas=formulas,
-            backends=backends,
             minimize=args.minimize,
             jobs=args.jobs,
             policy=policy,

@@ -3,11 +3,14 @@
 This package factors the structural-recursion semantics of Section 6 out of the two
 evaluators (:class:`repro.kripke.checker.ModelChecker` and
 :class:`repro.systems.interpretation.ViewBasedInterpretation`) into one engine with
-two interchangeable set representations:
+two set representations:
 
-* the ``frozenset`` reference backend (the paper's clauses, transcribed literally);
-* the ``bitset`` backend (extensions as integer bitmasks over an indexed universe,
-  with per-agent partition masks and per-group reachability closures precomputed).
+* the ``bitset`` backend, the default and the only production backend
+  (extensions as integer bitmasks over an indexed universe, with per-agent
+  partition masks and per-group reachability components precomputed);
+* the ``frozenset`` backend, the test oracle (the paper's clauses, transcribed
+  literally), reachable only through an evaluator's ``backend=`` argument or
+  the process-wide default the test suite sets.
 
 The differential tests in ``tests/test_engine_equivalence.py`` keep the two backends
 in lock-step on every operator.

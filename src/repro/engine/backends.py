@@ -4,16 +4,19 @@ The engine (:mod:`repro.engine.core`) performs the structural recursion of Secti
 generically; a *backend* decides how extensions (sets of worlds/points) are
 represented and supplies the epistemic primitives over that representation:
 
-* :class:`FrozensetBackend` — the reference implementation.  Extensions are
-  ``frozenset`` objects and every operator is evaluated by the per-world subset
-  checks that transcribe the paper's clauses (a)-(g) directly.  It is deliberately
-  naive so it can serve as the ground truth of the differential test harness.
-* :class:`BitsetBackend` — the fast implementation.  Extensions are Python ints
+* :class:`FrozensetBackend` — the test oracle.  Extensions are ``frozenset``
+  objects and every operator is evaluated by the per-world subset checks that
+  transcribe the paper's clauses (a)-(g) directly.  It is deliberately naive so
+  it can serve as the ground truth of the differential test harness; nothing
+  outside the tests and the benchmark's correctness oracle evaluates on it.
+* :class:`BitsetBackend` — the production backend and the process-wide
+  default.  Extensions are Python ints
   (bitmasks over an :class:`~repro.engine.universe.IndexedUniverse`); each agent's
   partition is precomputed as a tuple of block masks, so ``K_i`` is one ``AND`` plus
   one compare per equivalence class, and the Boolean connectives are single bitwise
   operations.  Group joint partitions (for ``D_G``) and G-reachability components
-  (for ``C_G``) are computed once per group and memoised on the backend.
+  (for ``C_G``, via :func:`~repro.engine.universe.reachability_components`) are
+  computed once per group and memoised on the backend.
 
 Both backends are constructed from the same inputs — a deterministic element order
 and one ``element -> equivalence class`` map per agent — so they are guaranteed to
@@ -26,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Hashable, List, Mapping, Sequence, Tuple
 
 from repro.errors import EvaluationError
-from repro.engine.universe import IndexedUniverse
+from repro.engine.universe import IndexedUniverse, reachability_components
 
 __all__ = [
     "EngineBackend",
@@ -259,20 +262,24 @@ class BitsetBackend(EngineBackend):
         return self
 
     def __init__(self, elements: Sequence[Element], class_maps: ClassMaps):
-        self._universe = IndexedUniverse(elements)
-        self._full_mask = self._universe.full_mask
+        self._universe = universe = IndexedUniverse(elements)
+        self._full_mask = universe.full_mask
         # Per agent: the distinct partition blocks as masks, and the per-element
         # class mask in bit-position order (for joint-partition refinement).
+        # Members of a block share its class, so each distinct block is
+        # converted to a mask once, not once per member.
         self._blocks: Dict[Agent, Tuple[int, ...]] = {}
         self._class_at: Dict[Agent, List[int]] = {}
         for agent, class_of in class_maps.items():
-            seen: Dict[int, None] = {}
+            block_masks: Dict[FrozenSet[Element], int] = {}
             class_at: List[int] = []
-            for element in self._universe.elements:
-                mask = self._universe.mask_of(class_of[element])
+            for element in universe.elements:
+                block = class_of[element]
+                mask = block_masks.get(block)
+                if mask is None:
+                    mask = block_masks[block] = universe.mask_of(block)
                 class_at.append(mask)
-                seen.setdefault(mask, None)
-            self._blocks[agent] = tuple(seen)
+            self._blocks[agent] = tuple(block_masks.values())
             self._class_at[agent] = class_at
         self._joint_blocks: Dict[Tuple[Agent, ...], Tuple[int, ...]] = {}
         self._component_masks: Dict[Tuple[Agent, ...], Tuple[int, ...]] = {}
@@ -342,7 +349,9 @@ class BitsetBackend(EngineBackend):
             if self._component_source is not None:
                 components = tuple(self._component_source(members))
             else:
-                components = self._build_components(members)
+                components = reachability_components(
+                    [self._class_at[agent] for agent in members]
+                )
             self._component_masks[members] = components
         result = 0
         for component in components:
@@ -367,34 +376,12 @@ class BitsetBackend(EngineBackend):
             seen.setdefault(joint, None)
         return tuple(seen)
 
-    def _build_components(self, members: Tuple[Agent, ...]) -> Tuple[int, ...]:
-        """G-reachability components as masks, by merging overlapping blocks.
-
-        Components are the connected components of the union of the members'
-        partitions; merging each block into the (pairwise-disjoint) accumulated
-        components computes exactly that closure.
-        """
-        components: List[int] = []
-        for agent in members:
-            for block in self._blocks[agent]:
-                merged = block
-                kept: List[int] = []
-                for component in components:
-                    if component & merged:
-                        merged |= component
-                    else:
-                        kept.append(component)
-                kept.append(merged)
-                components = kept
-        return tuple(components)
-
-
 BACKENDS: Dict[str, type] = {
     FrozensetBackend.name: FrozensetBackend,
     BitsetBackend.name: BitsetBackend,
 }
 
-_default_backend: str = FrozensetBackend.name
+_default_backend: str = BitsetBackend.name
 
 
 def resolve_backend_name(name) -> str:
@@ -417,7 +404,8 @@ def set_default_backend(name: str) -> str:
     """Set the process-wide default backend; returns the previous default.
 
     The test suite uses this (via the ``--engine-backend`` pytest option) to run the
-    full suite against either backend without touching each test.
+    full suite, the runner included, on the frozenset oracle without touching each
+    test; sweep pool workers call it to mirror their parent's default.
     """
     global _default_backend
     if name not in BACKENDS:

@@ -20,11 +20,11 @@ at once.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import ModelError
 
-__all__ = ["IndexedUniverse", "MaskCompressor", "Segmentation"]
+__all__ = ["IndexedUniverse", "MaskCompressor", "Segmentation", "reachability_components"]
 
 Element = Hashable
 
@@ -117,6 +117,37 @@ class IndexedUniverse:
         """
         compressor = MaskCompressor(survivor_mask)
         return IndexedUniverse(self.elements_of(survivor_mask)), compressor
+
+
+def reachability_components(class_ats: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """The G-reachability components of a universe, as masks.
+
+    ``class_ats`` holds one sequence per member of G: the member's class mask
+    of each element, in bit-position order.  Two elements share a component
+    when a chain of the members' classes links them (Section 6), so ``C_G
+    phi`` is the union of the components inside ``phi``.  A breadth-first
+    search in mask space: each element enters a frontier once and ORs in its
+    members' classes, so the work grows with elements x members, not with
+    blocks x components.
+    """
+    remaining = (1 << len(class_ats[0])) - 1
+    components: List[int] = []
+    while remaining:
+        component = 0
+        frontier = remaining & -remaining
+        while frontier:
+            component |= frontier
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                position = low.bit_length() - 1
+                for class_at in class_ats:
+                    grown |= class_at[position]
+            frontier = grown & ~component
+        remaining &= ~component
+        components.append(component)
+    return tuple(components)
 
 
 class Segmentation:

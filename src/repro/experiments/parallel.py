@@ -8,7 +8,7 @@ pool.  Only a :class:`RunSpec` crosses the boundary — scenario *name*,
 validated parameters flattened through
 :func:`~repro.experiments.registry.params_to_key`, the normalised
 ``(label, Formula)`` batch (formulas pickle structurally), the resolved
-backend and the ``minimize``/``fresh_evaluator`` flags — and only plain
+backend and the ``minimize`` flag — and only plain
 :class:`~repro.experiments.runner.ExperimentReport` rows come back.  Models,
 evaluators and their caches never leave the process that built them, the
 parent has already validated and pre-flighted every spec, and workers never
@@ -48,7 +48,6 @@ class RunSpec:
     formulas: Optional[Tuple[Tuple[str, Formula], ...]]
     backend: str
     minimize: bool = False
-    fresh_evaluator: bool = False
 
 
 def available_cpus() -> int:

@@ -2,8 +2,8 @@
 
 :class:`ExperimentRunner` is the bridge between the scenario registry and the
 PR 1 evaluation engine: it instantiates a scenario for a parameter assignment
-(caching the built model by parameter key, so sweeping formulas or backends over
-the same grid point never rebuilds the model), wraps it in the right evaluator
+(caching the built model by parameter key, so sweeping formulas over the same
+grid point never rebuilds the model), wraps it in the right evaluator
 (:class:`~repro.kripke.checker.ModelChecker` for Kripke structures,
 :class:`~repro.systems.interpretation.ViewBasedInterpretation` for systems), and
 evaluates whole formula batches through the engine's shared-memo
@@ -16,11 +16,10 @@ Typical use::
     for row in report.rows:
         print(row.label, row.count, row.holds_at_focus)
 
-    reports = runner.sweep(
-        "muddy_children",
-        grid={"n": range(2, 8)},
-        backends=("frozenset", "bitset"),
-    )
+    reports = runner.sweep("muddy_children", grid={"n": range(2, 8)})
+
+Evaluators follow the engine's process-wide default backend, which is the
+``bitset`` production backend; the runner offers no backend choice of its own.
 """
 
 from __future__ import annotations
@@ -94,9 +93,10 @@ least recently used instance (with its evaluators and their memos) is evicted.
 class ScenarioInstance:
     """A scenario built for one validated parameter assignment.
 
-    Owns the built model and hands out evaluators per engine backend.  Evaluators
-    are cached: asking twice for the ``bitset`` evaluator of the same instance
-    returns the same object, so its engine memo keeps accumulating across queries.
+    Owns the built model and hands out its evaluators, one for the model and
+    one for its bisimulation quotient.  Evaluators are cached: asking twice for
+    the same one returns the same object, so its engine memo keeps accumulating
+    across queries.
     """
 
     def __init__(self, spec: ScenarioSpec, params: Dict[str, object], built: BuiltScenario, build_seconds: float):
@@ -105,11 +105,11 @@ class ScenarioInstance:
         self.built = built
         self.build_seconds = build_seconds
         self.kind = ScenarioSpec.kind_of(built.model)
-        self._evaluators: Dict[Tuple[str, bool], Evaluator] = {}
+        self._evaluators: Dict[bool, Evaluator] = {}
         self._minimized: Optional[Tuple[object, Dict[object, object]]] = None
         self._universe_size: Optional[int] = None
         # Guards the evaluator/quotient caches above; reentrant because
-        # ``evaluator`` -> ``make_evaluator`` -> ``minimized`` nest.
+        # ``evaluator`` -> ``minimized`` nest.
         self._lock = threading.RLock()
         self.eval_lock = threading.Lock()
         """Serialises formula evaluation on this instance's model.
@@ -155,8 +155,8 @@ class ScenarioInstance:
         temporal operators need the run/time shape the quotient no longer
         carries, and the checker rejects them.  The quotient (and the mapping
         used to translate the focus world) is computed once per instance and
-        cached, so sweeping formulas or backends over a minimised grid point
-        pays for partition refinement exactly once.
+        cached, so sweeping formulas over a minimised grid point pays for
+        partition refinement exactly once.
         """
         with self._lock:
             if self._minimized is None:
@@ -180,33 +180,25 @@ class ScenarioInstance:
             focus = (focus.run.name, focus.time)
         return class_of[focus]
 
-    def make_evaluator(
-        self, backend: Optional[str] = None, minimize: bool = False
-    ) -> Evaluator:
-        """Construct a fresh evaluator on ``backend`` (no instance-level caching).
+    def evaluator(self, minimize: bool = False) -> Evaluator:
+        """The cached evaluator of the model, or of its quotient with ``minimize``.
 
-        The sweep benchmarks use this to time evaluation from a cold formula
-        memo; everything else should prefer :meth:`evaluator`.  With
-        ``minimize=True`` the evaluator checks the bisimulation quotient of the
-        model instead of the model itself (system scenarios quotient their
-        Kripke export, see :meth:`minimized`).
+        With ``minimize=True`` the evaluator checks the bisimulation quotient of
+        the model instead of the model itself (system scenarios quotient their
+        Kripke export, see :meth:`minimized`).  Evaluators use the engine's
+        process-wide default backend.
         """
-        if minimize:
-            return ModelChecker(self.minimized()[0], backend=backend)
-        if self.kind == KIND_KRIPKE:
-            return ModelChecker(self.model, backend=backend)
-        return ViewBasedInterpretation(self.model, backend=backend)
-
-    def evaluator(
-        self, backend: Optional[str] = None, minimize: bool = False
-    ) -> Evaluator:
-        """The cached evaluator for ``backend`` (resolved via the engine default)."""
-        key = (resolve_backend_name(backend), bool(minimize))
+        minimize = bool(minimize)
         with self._lock:
-            evaluator = self._evaluators.get(key)
+            evaluator = self._evaluators.get(minimize)
             if evaluator is None:
-                evaluator = self.make_evaluator(key[0], minimize=minimize)
-                self._evaluators[key] = evaluator
+                if minimize:
+                    evaluator = ModelChecker(self.minimized()[0])
+                elif self.kind == KIND_KRIPKE:
+                    evaluator = ModelChecker(self.model)
+                else:
+                    evaluator = ViewBasedInterpretation(self.model)
+                self._evaluators[minimize] = evaluator
             return evaluator
 
     def default_formulas(self) -> Dict[str, Formula]:
@@ -350,10 +342,6 @@ class ExperimentRunner:
 
     Parameters
     ----------
-    backend:
-        Default engine backend for every evaluation (``None`` follows the
-        process-wide default, see :func:`repro.engine.get_default_backend`).
-
     max_cached_instances:
         Upper bound on the built-instance cache (default
         :data:`DEFAULT_MAX_CACHED_INSTANCES`).  The cache is LRU: when a sweep
@@ -377,8 +365,7 @@ class ExperimentRunner:
         (no ``--resume``) behaviour.
 
     Built models are cached per ``(scenario, parameter-assignment)`` key: a sweep
-    that revisits a grid point — or runs the same grid on a second backend —
-    reuses the model (and, through
+    that revisits a grid point reuses the model (and, through
     :meth:`ScenarioInstance.evaluator`, the evaluator's accumulated formula
     memo) instead of rebuilding.
 
@@ -393,7 +380,6 @@ class ExperimentRunner:
 
     def __init__(
         self,
-        backend: Optional[str] = None,
         max_cached_instances: int = DEFAULT_MAX_CACHED_INSTANCES,
         store: Optional["ResultStore"] = None,
         resume: bool = True,
@@ -402,7 +388,6 @@ class ExperimentRunner:
             raise ScenarioError(
                 f"max_cached_instances must be >= 1, got {max_cached_instances!r}"
             )
-        self.backend = backend
         self.max_cached_instances = max_cached_instances
         self.store = store
         self.resume = resume
@@ -556,9 +541,7 @@ class ExperimentRunner:
         spec: ScenarioSpec,
         validated: Mapping[str, object],
         formulas: Optional[Sequence[Tuple[str, Formula]]],
-        backend: Optional[str],
         minimize: bool = False,
-        fresh_evaluator: bool = False,
         keyed: bool = False,
         index: int = 0,
         checked: Optional[Dict[object, List[Tuple[str, Formula]]]] = None,
@@ -568,9 +551,9 @@ class ExperimentRunner:
         Resolves the formula batch (``formulas`` is an already normalised
         explicit batch, or ``None`` for the scenario's defaults), runs the
         static pre-flight (raising :class:`~repro.errors.CheckError`), resolves
-        the backend and — with ``keyed`` — computes the store key.  Nothing is
-        built.  ``checked`` memoises batches by parameter key, so a grid
-        pre-flights each distinct assignment once whatever the backends.
+        the engine's default backend and — with ``keyed`` — computes the store
+        key.  Nothing is built.  ``checked`` memoises batches by parameter key,
+        so a grid pre-flights each distinct assignment once.
         """
         params_key = params_to_key(validated)
         batch = None if checked is None else checked.get(params_key)
@@ -583,7 +566,7 @@ class ExperimentRunner:
             ExperimentRunner.preflight_batch(spec, validated, batch, minimize)
             if checked is not None:
                 checked[params_key] = batch
-        backend = resolve_backend_name(backend)
+        backend = resolve_backend_name(None)
         key = None
         if keyed:
             from repro.experiments.store import request_key
@@ -595,7 +578,6 @@ class ExperimentRunner:
             formulas=None if formulas is None else tuple(formulas),
             backend=backend,
             minimize=bool(minimize),
-            fresh_evaluator=fresh_evaluator,
         )
         return PlannedPoint(index, key, run, batch)
 
@@ -604,16 +586,13 @@ class ExperimentRunner:
         scenario: str,
         grid: Mapping[str, Iterable[object]],
         formulas: Optional[Iterable[FormulaLike]] = None,
-        backends: Sequence[Optional[str]] = (None,),
         minimize: bool = False,
-        fresh_evaluators: bool = False,
         keyed: bool = False,
         policy: Optional["FaultPolicy"] = None,
     ) -> Tuple[List[PlannedPoint], Dict[int, ExperimentReport]]:
         """Step 1 of every sweep: turn a grid into ordered, pre-flighted points.
 
-        The grid is the cartesian product of ``grid``'s axes, repeated per
-        backend (``None`` = the process-wide default).  Every point's
+        The grid is the cartesian product of ``grid``'s axes.  Every point's
         parameters are validated and each distinct assignment's batch is
         pre-flighted once, before anything is built or any worker spawns.
 
@@ -646,8 +625,7 @@ class ExperimentRunner:
         points: List[PlannedPoint] = []
         settled: Dict[int, ExperimentReport] = {}
         checked: Dict[object, List[Tuple[str, Formula]]] = {}
-        grid_points = itertools.product(backends, *value_lists)
-        for index, (backend, *values) in enumerate(grid_points):
+        for index, values in enumerate(itertools.product(*value_lists)):
             params = dict(zip(names, values))
             try:
                 params = spec.validate_params(params)
@@ -656,9 +634,7 @@ class ExperimentRunner:
                         spec,
                         params,
                         explicit,
-                        backend,
                         minimize,
-                        fresh_evaluators,
                         keyed,
                         index,
                         checked,
@@ -670,7 +646,7 @@ class ExperimentRunner:
                 settled[index] = quarantine_report(
                     spec.name,
                     params,
-                    resolve_backend_name(backend),
+                    resolve_backend_name(None),
                     minimize,
                     [attempt_record(1, "error", describe_failure(error))],
                 )
@@ -724,15 +700,10 @@ class ExperimentRunner:
         maybe_inject(spec.name, validated, run.backend, run.minimize)
 
         instance = self._instance(spec, validated)
-        # Evaluation (and fresh-evaluator construction, which may compute the
-        # shared bisimulation quotient) is serialised per instance: evaluators
-        # and the built model carry mutable caches written single-threaded.
+        # Evaluation is serialised per instance: evaluators and the built
+        # model carry mutable caches written single-threaded.
         with instance.eval_lock:
-            evaluator = (
-                instance.make_evaluator(run.backend, minimize=run.minimize)
-                if run.fresh_evaluator
-                else instance.evaluator(run.backend, minimize=run.minimize)
-            )
+            evaluator = instance.evaluator(minimize=run.minimize)
 
             start = time.perf_counter()
             extensions = evaluator.extensions([formula for _, formula in batch])
@@ -776,17 +747,13 @@ class ExperimentRunner:
         scenario: str,
         params: Optional[Mapping[str, object]] = None,
         formulas: Optional[Iterable[FormulaLike]] = None,
-        backend: Optional[str] = None,
-        fresh_evaluator: bool = False,
         minimize: bool = False,
     ) -> ExperimentReport:
         """Evaluate a formula batch on one scenario instance.
 
         ``formulas`` defaults to the scenario's registered formula set.  The
         whole batch goes through the engine's ``extensions()`` API, so formulas
-        sharing subterms (e.g. a ``E^k`` hierarchy) share one memo.  With
-        ``fresh_evaluator`` the evaluation starts from a cold memo (used by the
-        benchmarks); the built model is still reused from the cache.
+        sharing subterms (e.g. a ``E^k`` hierarchy) share one memo.
 
         With ``minimize=True`` evaluation runs on the bisimulation quotient:
         truth at the focus world, satisfiability and validity are preserved by
@@ -811,9 +778,7 @@ class ExperimentRunner:
             spec,
             validated,
             None if formulas is None else self.normalise_formulas(formulas),
-            backend if backend is not None else self.backend,
             minimize,
-            fresh_evaluator,
             keyed=self.store is not None,
         )
         report = self._lookup(point.key)
@@ -827,8 +792,6 @@ class ExperimentRunner:
         scenario: str,
         grid: Mapping[str, Iterable[object]],
         formulas: Optional[Iterable[FormulaLike]] = None,
-        backends: Optional[Sequence[Optional[str]]] = None,
-        fresh_evaluators: bool = False,
         minimize: bool = False,
         jobs: Optional[int] = None,
         policy: Optional["FaultPolicy"] = None,
@@ -842,7 +805,7 @@ class ExperimentRunner:
         are still being evaluated.  Every sweep runs one pipeline:
 
         1. **Plan** (:meth:`plan`): validate the grid, pre-flight each
-           distinct point once, resolve backends and store keys.
+           distinct point once, compute store keys.
         2. **Partition**: look every key up in the store once (with
            ``resume``); recorded points are served without building anything.
         3. **Execute** the misses through one executor: in this process (so
@@ -869,9 +832,7 @@ class ExperimentRunner:
             scenario,
             grid,
             formulas,
-            [self.backend if b is None else b for b in (backends or (None,))],
             minimize,
-            fresh_evaluators,
             keyed=self.store is not None,
             policy=policy,
         )
@@ -958,21 +919,17 @@ class ExperimentRunner:
         scenario: str,
         grid: Mapping[str, Iterable[object]],
         formulas: Optional[Iterable[FormulaLike]] = None,
-        backends: Optional[Sequence[Optional[str]]] = None,
-        fresh_evaluators: bool = False,
         minimize: bool = False,
         jobs: Optional[int] = None,
         policy: Optional["FaultPolicy"] = None,
     ) -> List[ExperimentReport]:
-        """Run every point of a parameter grid, on one or several backends.
+        """Run every point of a parameter grid.
 
         ``grid`` maps parameter names to iterables of values; the sweep runs the
-        cartesian product (parameters absent from the grid keep their defaults).
-        Grid points are visited per backend in a stable order, and the built
-        models are shared across backends through the instance cache.  With
-        ``minimize=True`` every grid point is evaluated on its bisimulation
-        quotient (the quotient is computed once per point and shared across
-        backends through the same cache).
+        cartesian product (parameters absent from the grid keep their defaults)
+        in a stable order.  With ``minimize=True`` every grid point is evaluated
+        on its bisimulation quotient (computed once per point and cached on the
+        instance).
 
         ``jobs`` selects parallel execution: ``None``/``1`` evaluates in this
         process, ``N > 1`` shards the grid across ``N`` worker processes, and
@@ -987,8 +944,6 @@ class ExperimentRunner:
                 scenario,
                 grid,
                 formulas=formulas,
-                backends=backends,
-                fresh_evaluators=fresh_evaluators,
                 minimize=minimize,
                 jobs=jobs,
                 policy=policy,

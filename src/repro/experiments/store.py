@@ -25,9 +25,10 @@ which changes the answer and therefore the key:
   (``parse(pretty(f)) == f``), which makes the text form a faithful canonical
   spelling of the formula; two structurally equal formulas always print
   identically, whatever code built them;
-* ``backend`` — the resolved engine backend name (``frozenset``/``bitset``);
-  the backends are differentially tested to agree, but the store never
-  *assumes* they do;
+* ``backend`` — the resolved engine backend name.  The runner, the CLI and
+  the service always evaluate on ``bitset``, the production backend; the
+  ``frozenset`` oracle only appears here under a test that makes it the
+  engine's process-wide default;
 * ``minimize`` — whether evaluation ran on the bisimulation quotient
   (universe and counts differ there);
 * ``semantics_version`` — :data:`SEMANTICS_VERSION`, bumped whenever the

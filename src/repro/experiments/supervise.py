@@ -54,6 +54,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from repro.engine import get_default_backend, set_default_backend
 from repro.errors import ScenarioError, SweepFaultError
 from repro.experiments.parallel import RunSpec
 from repro.experiments.registry import load_builtin_scenarios, params_from_key
@@ -261,9 +262,14 @@ def settle_failure(
 _WORKER_RUNNER: Optional[ExperimentRunner] = None
 
 
-def _init_worker(max_cached_instances: int) -> None:
-    """Pool initializer: build this worker's runner and load the registry."""
+def _init_worker(max_cached_instances: int, backend: str) -> None:
+    """Pool initializer: build this worker's runner and load the registry.
+
+    ``backend`` is the parent's engine default, so workers evaluate on the
+    same backend as the parent whatever the process start method.
+    """
     global _WORKER_RUNNER
+    set_default_backend(backend)
     load_builtin_scenarios()
     _WORKER_RUNNER = ExperimentRunner(max_cached_instances=max_cached_instances)
 
@@ -358,7 +364,7 @@ class SweepSupervisor:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_init_worker,
-                initargs=(self.max_cached_instances,),
+                initargs=(self.max_cached_instances, get_default_backend()),
             )
         return self._pool
 

@@ -21,12 +21,13 @@ itself: it instantiates a shared :class:`repro.engine.EvaluationEngine` over the
 structure's worlds and delegates every query to it.  The engine is generic over a
 set-representation backend (the ``backend`` constructor argument):
 
-* ``"frozenset"`` (default) — the reference semantics, a literal transcription of the
-  paper's clauses over ``frozenset`` extensions;
-* ``"bitset"`` — extensions as integer bitmasks over
-  :meth:`KripkeStructure.indexed_universe`, with per-agent partition masks and
-  per-group reachability closures precomputed, which is substantially faster on the
-  fixpoint-heavy common-knowledge queries (see ``benchmarks/bench_model_checking.py``).
+* ``"bitset"`` (default) — the production backend: extensions as integer bitmasks
+  over :meth:`KripkeStructure.indexed_universe`, with per-agent partition masks and
+  per-group reachability components precomputed, which is substantially faster on
+  the fixpoint-heavy common-knowledge queries (see
+  ``benchmarks/bench_model_checking.py``);
+* ``"frozenset"`` — the test oracle, a literal transcription of the paper's clauses
+  over ``frozenset`` extensions.
 
 The two backends are kept observably identical by the differential harness in
 ``tests/test_engine_equivalence.py``.  Results are memoised per formula structure
@@ -116,9 +117,10 @@ class ModelChecker:
     common_strategy:
         How ``C_G`` is evaluated (:class:`CommonKnowledgeStrategy`).
     backend:
-        Which engine backend represents extensions: ``"frozenset"`` (the reference
-        semantics) or ``"bitset"`` (fast bitmask evaluation).  ``None`` picks the
-        process-wide default (:func:`repro.engine.get_default_backend`).
+        Which engine backend represents extensions.  ``None`` picks the
+        process-wide default (:func:`repro.engine.get_default_backend`), which is
+        ``"bitset"``, the production backend; ``"frozenset"`` pins the test
+        oracle, as the differential tests do.
 
     Examples
     --------

@@ -50,7 +50,7 @@ from typing import (
     Tuple,
 )
 
-from repro.engine.universe import IndexedUniverse
+from repro.engine.universe import IndexedUniverse, reachability_components
 from repro.errors import ModelError, UnknownAgentError, UnknownWorldError
 from repro.logic.agents import Agent, Group, GroupLike, as_group
 
@@ -426,25 +426,15 @@ class KripkeStructure:
 
         ``C_G phi`` holds on exactly the union of the components contained in the
         extension of ``phi`` (Section 6).  Components are the connected components
-        of the union of the members' partitions, computed by merging overlapping
-        partition blocks entirely in bitmask space.
+        of the union of the members' partitions
+        (:func:`~repro.engine.universe.reachability_components`).
         """
         members = self._require_group(group)
         cached = self._component_mask_cache.get(members)
         if cached is None:
-            components: List[int] = []
-            for agent in members:
-                for block in self.partition_masks(agent):
-                    merged = block
-                    kept: List[int] = []
-                    for component in components:
-                        if component & merged:
-                            merged |= component
-                        else:
-                            kept.append(component)
-                    kept.append(merged)
-                    components = kept
-            cached = tuple(components)
+            cached = reachability_components(
+                [self.class_masks_in_order(agent) for agent in members]
+            )
             self._component_mask_cache[members] = cached
         return cached
 

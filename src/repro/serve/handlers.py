@@ -134,7 +134,6 @@ async def handle_run(state: ServeState, payload: object) -> Dict[str, object]:
             request.scenario,
             request.params,
             formulas=request.formulas,
-            backend=request.backend,
             minimize=request.minimize,
         )
         return report.to_dict()
@@ -184,7 +183,6 @@ async def sweep_lines(
                 request.scenario,
                 request.grid,
                 formulas=request.formulas,
-                backends=request.backends,
                 minimize=request.minimize,
                 jobs=request.jobs,
             )

@@ -32,9 +32,6 @@ __all__ = [
     "parse_sweep_request",
 ]
 
-_BACKEND_CHOICES = ("frozenset", "bitset")
-
-
 class ServeRequestError(ReproError):
     """A request body the service refuses, with its HTTP rendering attached.
 
@@ -173,17 +170,6 @@ def _normalised_batch(
         raise _reject(error) from None
 
 
-def _resolved_backend(payload: Mapping[str, object]) -> Optional[str]:
-    backend = payload.get("backend")
-    if backend is None:
-        return None
-    if backend not in _BACKEND_CHOICES:
-        raise ServeRequestError(
-            f"unknown backend {backend!r}; expected one of {_BACKEND_CHOICES}"
-        )
-    return backend
-
-
 def _bool_field(payload: Mapping[str, object], name: str) -> bool:
     value = payload.get(name, False)
     if not isinstance(value, bool):
@@ -209,7 +195,6 @@ class RunRequest:
     scenario: str
     params: Dict[str, object]
     formulas: Optional[List[Tuple[str, Formula]]]
-    backend: Optional[str]
     minimize: bool
     digest: Optional[str]
 
@@ -219,14 +204,12 @@ class SweepRequest:
     """One validated ``POST /sweep`` body, ready for ``iter_sweep``.
 
     ``grid`` maps every axis (swept axes plus fixed parameters as
-    single-value axes, exactly like the CLI) to its coerced value list;
-    ``backends`` is the resolved backend tuple.
+    single-value axes, exactly like the CLI) to its coerced value list.
     """
 
     scenario: str
     grid: Dict[str, List[object]]
     formulas: Optional[List[Tuple[str, Formula]]]
-    backends: Tuple[str, ...]
     minimize: bool
     jobs: Optional[int]
     point_count: int = field(default=0)
@@ -240,23 +223,19 @@ def parse_run_request(payload: object) -> RunRequest:
     stage raises :class:`ServeRequestError` before anything is built.
     """
     body = _require_object(payload)
-    _check_fields(body, ("scenario", "params", "formulas", "backend", "minimize"))
+    _check_fields(body, ("scenario", "params", "formulas", "minimize"))
     spec = _get_scenario(body)
     validated = _validated_params(spec, body)
     batch = _normalised_batch(_formula_entries(body))
-    backend = _resolved_backend(body)
     minimize = _bool_field(body, "minimize")
     try:
-        point = ExperimentRunner.plan_point(
-            spec, validated, batch, backend, minimize, keyed=True
-        )
+        point = ExperimentRunner.plan_point(spec, validated, batch, minimize, keyed=True)
     except ReproError as error:
         raise _reject(error) from None
     return RunRequest(
         scenario=spec.name,
         params=validated,
         formulas=batch,
-        backend=backend,
         minimize=minimize,
         digest=None if point.key is None else point.key.digest,
     )
@@ -292,15 +271,15 @@ def parse_sweep_request(payload: object) -> SweepRequest:
     """Validate a ``POST /sweep`` body end to end.
 
     Mirrors ``repro sweep``: the swept grid and the fixed parameters merge
-    into one full grid (fixed values become single-value axes), backends
-    resolve exactly like ``--backends``, and every distinct grid point's
+    into one full grid (fixed values become single-value axes), and every
+    distinct grid point's
     formula batch is pre-flighted before the response stream starts — an
     invalid batch is a 400 error body, never a broken NDJSON stream.
     """
     body = _require_object(payload)
     _check_fields(
         body,
-        ("scenario", "grid", "params", "formulas", "backends", "minimize", "jobs"),
+        ("scenario", "grid", "params", "formulas", "minimize", "jobs"),
     )
     spec = _get_scenario(body)
     axes = _grid_axes(spec, body)
@@ -323,25 +302,6 @@ def parse_sweep_request(payload: object) -> SweepRequest:
 
     batch = _normalised_batch(_formula_entries(body))
 
-    backends_field = body.get("backends", ("frozenset",))
-    if backends_field == "both":
-        backends: Tuple[str, ...] = _BACKEND_CHOICES
-    elif isinstance(backends_field, str):
-        backends = (backends_field,)
-    elif isinstance(backends_field, (list, tuple)) and backends_field:
-        backends = tuple(backends_field)
-    else:
-        raise ServeRequestError(
-            "'backends' must be a backend name, an array of backend names, "
-            "or 'both'"
-        )
-    for backend in backends:
-        if backend not in _BACKEND_CHOICES:
-            raise ServeRequestError(
-                f"unknown backend {backend!r}; expected one of "
-                f"{_BACKEND_CHOICES} or 'both'"
-            )
-
     minimize = _bool_field(body, "minimize")
     jobs = body.get("jobs")
     if jobs is not None and (not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 0):
@@ -351,7 +311,7 @@ def parse_sweep_request(payload: object) -> SweepRequest:
     # still possible (the stream's 200 status is committed before iter_sweep
     # runs).
     try:
-        points, _ = ExperimentRunner.plan(spec.name, axes, batch, backends, minimize)
+        points, _ = ExperimentRunner.plan(spec.name, axes, batch, minimize)
     except ReproError as error:
         raise _reject(error) from None
 
@@ -359,7 +319,6 @@ def parse_sweep_request(payload: object) -> SweepRequest:
         scenario=spec.name,
         grid=axes,
         formulas=batch,
-        backends=backends,
         minimize=minimize,
         jobs=jobs,
         point_count=len(points),

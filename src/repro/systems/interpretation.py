@@ -21,9 +21,10 @@ Backend architecture
 The static fragment of the language (Boolean connectives, ``K``/``S``/``E``/``D``/
 ``C`` and the plain fixpoint binders) is evaluated by the shared
 :class:`repro.engine.EvaluationEngine`, instantiated over the system's points.  The
-``backend`` constructor argument selects the set representation: ``"frozenset"``
-(the reference semantics, default) or ``"bitset"`` (integer bitmasks with
-precomputed per-processor partition masks — much faster on large systems).  The
+``backend`` constructor argument selects the set representation: ``"bitset"``
+(the production default: integer bitmasks with precomputed per-processor
+partition masks) or ``"frozenset"`` (the reference semantics, kept as the test
+oracle).  The
 temporal and temporal-epistemic operators are host-specific — they need the run/time
 shape of points — so this class feeds them to the engine through its ``special``
 hooks; their extensions are still memoised in the engine's cache, and both backends
@@ -120,9 +121,10 @@ class ViewBasedInterpretation:
     view:
         The view function ``v`` (defaults to the complete-history interpretation).
     backend:
-        Which engine backend represents extensions: ``"frozenset"`` (reference) or
-        ``"bitset"`` (fast bitmask evaluation).  ``None`` picks the process-wide
-        default (:func:`repro.engine.get_default_backend`).
+        Which engine backend represents extensions.  ``None`` picks the
+        process-wide default (:func:`repro.engine.get_default_backend`), which is
+        ``"bitset"``, the production backend; ``"frozenset"`` pins the test
+        oracle, as the differential tests do.
     """
 
     def __init__(

@@ -22,12 +22,12 @@ def pytest_addoption(parser):
     parser.addoption(
         "--engine-backend",
         action="store",
-        default="frozenset",
+        default="bitset",
         choices=("frozenset", "bitset", "both"),
         help=(
             "Which repro.engine backend evaluators default to for the whole suite: "
-            "the frozenset reference (default), the bitset fast path, or both "
-            "(parametrizes every test over the two backends)."
+            "the bitset production backend (default), the frozenset oracle, or "
+            "both (parametrizes every test over the two backends)."
         ),
     )
     parser.addoption(
@@ -71,16 +71,17 @@ def pytest_generate_tests(metafunc):
 def engine_backend(request):
     """Run every test under the backend selected by ``--engine-backend``.
 
-    Tier-1 (`pytest -x -q`) keeps the frozenset reference semantics; a second quick
-    pass with ``--engine-backend bitset`` (or one combined run with ``both``) puts
-    the exact same suite on the bitset fast path.  Evaluators constructed without an
-    explicit ``backend=`` argument pick up this process-wide default.
+    Tier-1 (`pytest -x -q`) runs the bitset production backend; a second pass
+    with ``--engine-backend frozenset`` (or one combined run with ``both``) puts
+    the exact same suite on the frozenset oracle.  Evaluators constructed without
+    an explicit ``backend=`` argument pick up this process-wide default, and so
+    do the runner, the CLI and the service.
     """
     backend = getattr(request, "param", None)
     if backend is None:
         backend = request.config.getoption("--engine-backend")
         if backend == "both":
-            backend = "frozenset"
+            backend = "bitset"
     previous = set_default_backend(backend)
     try:
         yield backend

@@ -85,13 +85,26 @@ def test_run_every_registered_scenario(capsys):
         assert "label" in out, name
 
 
-def test_run_with_params_and_backend(capsys):
-    code, out, _ = run_cli(
-        capsys, "run", "muddy_children", "-p", "n=4", "-p", "k=2", "--backend", "bitset"
-    )
+def test_run_with_params_and_backend(capsys, engine_backend):
+    # The run evaluates on the engine's default backend and reports it.
+    code, out, _ = run_cli(capsys, "run", "muddy_children", "-p", "n=4", "-p", "k=2")
     assert code == 0
-    assert "backend: bitset" in out
+    assert f"backend: {engine_backend}" in out
     assert "16 worlds" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "muddy_children", "--backend", "frozenset"),
+        ("sweep", "muddy_children", "-g", "n=2..3", "--backends", "both"),
+    ],
+)
+def test_backend_choice_flags_are_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_run_with_explicit_formula_json(capsys):
@@ -130,16 +143,6 @@ def test_sweep_range_grid(capsys):
     assert len(lines) == 3  # one row per grid point
 
 
-def test_sweep_both_backends_json(capsys):
-    code, out, _ = run_cli(
-        capsys, "sweep", "muddy_children", "-g", "n=2,3", "--backends", "both", "--json"
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert len(payload) == 4
-    assert {entry["backend"] for entry in payload} == {"frozenset", "bitset"}
-
-
 def test_sweep_list_grid_with_fixed_param(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "r2d2", "-g", "variant=uncertain,exact", "-p", "epsilon=1"
@@ -160,14 +163,6 @@ def test_sweep_rejects_conflicting_axis(capsys):
     )
     assert code == 2
     assert "both fixed" in err
-
-
-def test_sweep_rejects_unknown_backend(capsys):
-    code, _, err = run_cli(
-        capsys, "sweep", "muddy_children", "-g", "n=2..3", "--backends", "quantum"
-    )
-    assert code == 2
-    assert "unknown backend" in err
 
 
 def test_sweep_bad_range(capsys):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import pytest
 
 from _engine_gen import formula_suite
+from repro.engine import BACKENDS, set_default_backend
 from repro.experiments import ExperimentRunner
 from repro.simulation.fuzz import (
     ACTION_LABELS,
@@ -135,16 +136,15 @@ def test_parallel_sweep_matches_serial_on_fuzzed_scenario(fuzz_seeds):
 
 
 def test_parallel_sweep_matches_serial_both_backends(fuzz_seeds):
-    """Same identity with both engine backends in one sweep."""
+    """Same identity under each engine default backend (workers follow it)."""
     seeds = list(fuzz_seeds)[:2]
     grid = {"seed": seeds, "delivery": ["async"]}
-    serial = ExperimentRunner().sweep(
-        "random_protocol", grid, backends=("frozenset", "bitset")
-    )
-    parallel = ExperimentRunner().sweep(
-        "random_protocol", grid, backends=("frozenset", "bitset"), jobs=2
-    )
-    assert comparable(parallel) == comparable(serial)
+    for backend in BACKENDS:
+        set_default_backend(backend)  # the autouse fixture restores the default
+        serial = ExperimentRunner().sweep("random_protocol", grid)
+        parallel = ExperimentRunner().sweep("random_protocol", grid, jobs=2)
+        assert {report.backend for report in parallel} == {backend}
+        assert comparable(parallel) == comparable(serial)
 
 
 # -- minimize differential ------------------------------------------------------

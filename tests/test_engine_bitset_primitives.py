@@ -5,6 +5,9 @@ Three invariants the bitset backend's correctness rests on:
 * mask <-> frozenset conversions are mutually inverse bijections;
 * each agent's partition masks form a disjoint cover of the universe;
 * the G-reachability component masks agree with :meth:`KripkeStructure.reachable`.
+
+Plus a cost regression: a bitset backend built from class maps converts each
+distinct block to a mask once.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 from _engine_gen import random_structure
 from repro.engine import BitsetBackend, IndexedUniverse
 from repro.errors import ModelError
+from repro.experiments import get_scenario
 from repro.logic.agents import Group
+from repro.systems.interpretation import ViewBasedInterpretation
 
 _SETTINGS = {"max_examples": 60, "deadline": None}
 
@@ -187,3 +192,34 @@ def test_backend_components_match_structure_reachable(seed, n_worlds, data):
         if structure.reachable(Group(members), w) <= frozenset(body)
     )
     assert backend.to_frozenset(backend.common_reachability(members, body_mask)) == expected
+
+
+# ---------------------------------------------------------------------------
+# Construction cost
+# ---------------------------------------------------------------------------
+
+
+def test_bitset_interpretation_converts_each_distinct_block_once(monkeypatch):
+    """One ``mask_of`` call per distinct class, not one per point.
+
+    Members of a class share one frozenset; a conversion per member would
+    re-hash every point of the class once per member.
+    """
+    spec = get_scenario("sequence_transmission")
+    system = spec.build(spec.validate_params({"n_bits": 3, "horizon": 4})).model
+    calls = []
+    mask_of = IndexedUniverse.mask_of
+
+    def counting_mask_of(universe, elements):
+        calls.append(None)
+        return mask_of(universe, elements)
+
+    monkeypatch.setattr(IndexedUniverse, "mask_of", counting_mask_of)
+    interpretation = ViewBasedInterpretation(system, backend="bitset")
+    monkeypatch.undo()
+    distinct_blocks = sum(
+        len({interpretation.equivalence_class(agent, point) for point in interpretation.points})
+        for agent in system.processors
+    )
+    assert distinct_blocks < len(interpretation.points)
+    assert len(calls) == distinct_blocks

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine import BACKENDS, set_default_backend
 from repro.errors import ScenarioError
 from repro.experiments import (
     DEFAULT_MAX_CACHED_INSTANCES,
@@ -224,11 +225,14 @@ def test_sweep_on_large_grid_stays_under_bound(scratch_registration):
     assert runner.cached_instances <= 16
 
 
-def test_runner_caches_evaluators_per_backend():
+def test_runner_caches_evaluators_per_backend(engine_backend):
+    # Evaluators no longer take a backend argument: each instance caches one
+    # evaluator, built on the process-wide default backend.
     runner = ExperimentRunner()
     instance = runner.instance("muddy_children", {})
-    assert instance.evaluator("bitset") is instance.evaluator("bitset")
-    assert instance.evaluator("bitset") is not instance.evaluator("frozenset")
+    evaluator = instance.evaluator()
+    assert evaluator is instance.evaluator()
+    assert evaluator.backend == engine_backend
 
 
 def test_run_is_thread_safe_under_concurrent_hammering():
@@ -308,19 +312,19 @@ def test_run_system_scenario(engine_backend):
 
 
 def test_sweep_backends_agree():
-    runner = ExperimentRunner()
-    reports = runner.sweep(
-        "muddy_children",
-        {"n": range(2, 5)},
-        backends=("frozenset", "bitset"),
-    )
-    assert len(reports) == 6
+    # The runner follows the engine's default backend; the autouse
+    # ``engine_backend`` fixture restores the suite's default afterwards.
     by_backend = {}
-    for report in reports:
-        key = (report.params["n"],)
-        by_backend.setdefault(key, []).append(
-            [(row.label, row.count, row.holds_at_focus) for row in report.rows]
-        )
+    for backend in BACKENDS:
+        set_default_backend(backend)
+        reports = ExperimentRunner().sweep("muddy_children", {"n": range(2, 5)})
+        assert len(reports) == 3
+        assert {report.backend for report in reports} == {backend}
+        for report in reports:
+            key = (report.params["n"],)
+            by_backend.setdefault(key, []).append(
+                [(row.label, row.count, row.holds_at_focus) for row in report.rows]
+            )
     for key, outcomes in by_backend.items():
         assert outcomes[0] == outcomes[1], f"backends disagree at {key}"
 
@@ -378,10 +382,11 @@ def test_run_minimize_preserves_focus_verdicts(engine_backend):
 def test_minimized_evaluators_are_cached_separately():
     runner = ExperimentRunner()
     instance = runner.instance("muddy_children", {})
-    plain = instance.evaluator("bitset")
-    reduced = instance.evaluator("bitset", minimize=True)
+    plain = instance.evaluator()
+    reduced = instance.evaluator(minimize=True)
     assert plain is not reduced
-    assert reduced is instance.evaluator("bitset", minimize=True)
+    assert plain is instance.evaluator()
+    assert reduced is instance.evaluator(minimize=True)
 
 
 # -- system scenarios: minimisation and the temporal fast path ------------------
@@ -466,12 +471,13 @@ def test_universe_size_is_cached_on_the_instance():
 ])
 def test_temporal_default_formulas_agree_across_backends(scenario, params):
     """The registered temporal formula sets produce identical reports on the
-    frozenset reference and the bitset mask path."""
-    runner = ExperimentRunner()
-    reports = {
-        backend: runner.run(scenario, params, backend=backend)
-        for backend in ("frozenset", "bitset")
-    }
+    frozenset reference and the bitset mask path (the runner follows the
+    engine's default backend; the autouse fixture restores it)."""
+    reports = {}
+    for backend in BACKENDS:
+        set_default_backend(backend)
+        reports[backend] = ExperimentRunner().run(scenario, params)
+        assert reports[backend].backend == backend
     rows_by_backend = {
         backend: [
             (row.label, row.count, row.satisfiable, row.valid, row.holds_at_focus)

@@ -1,10 +1,10 @@
 """Differential and behavioural tests for the sharded parallel sweep.
 
 The contract under test: ``sweep(jobs=N)`` is observably the serial sweep —
-same reports, same order, same ``minimized`` flags — for every backend and
-both scenario kinds; only the timing fields may differ.  Plus the plumbing
-that makes that safe: picklable run specs, parameter-key round trips, worker
-error propagation, and the streaming CLI output.
+same reports, same order, same ``minimized`` flags — on either engine default
+backend and for both scenario kinds; only the timing fields may differ.  Plus
+the plumbing that makes that safe: picklable run specs, parameter-key round
+trips, worker error propagation, and the streaming CLI output.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pickle
 import pytest
 
 from repro.cli import main as cli_main
+from repro.engine import BACKENDS, set_default_backend
 from repro.errors import ScenarioError
 from repro.experiments import ExperimentRunner, params_from_key, params_to_key
 from repro.experiments.parallel import RunSpec, available_cpus, resolve_jobs
@@ -44,30 +45,31 @@ def comparable(reports):
 # -- the differential: parallel == serial ---------------------------------------
 
 
+def assert_parallel_matches_serial_on_each_backend(scenario, grid):
+    """jobs=JOBS and jobs=1 yield identical rows under each engine default.
+
+    Pool workers must evaluate on the parent's default backend, which the
+    reports' ``backend`` field shows.  The autouse ``engine_backend`` fixture
+    restores the suite's default afterwards.
+    """
+    for backend in BACKENDS:
+        set_default_backend(backend)
+        serial = ExperimentRunner().sweep(scenario, grid)
+        parallel = ExperimentRunner().sweep(scenario, grid, jobs=JOBS)
+        assert {report.backend for report in parallel} == {backend}
+        assert comparable(parallel) == comparable(serial)
+
+
 def test_parallel_matches_serial_kripke_both_backends():
     """Kripke scenario, both backends: jobs=4 and jobs=1 yield identical rows."""
-    serial = ExperimentRunner().sweep(
-        "muddy_children", {"n": range(2, 5)}, backends=("frozenset", "bitset")
-    )
-    parallel = ExperimentRunner().sweep(
-        "muddy_children",
-        {"n": range(2, 5)},
-        backends=("frozenset", "bitset"),
-        jobs=JOBS,
-    )
-    assert comparable(parallel) == comparable(serial)
+    assert_parallel_matches_serial_on_each_backend("muddy_children", {"n": range(2, 5)})
 
 
 def test_parallel_matches_serial_system_both_backends():
     """System scenario (temporal default formulas), both backends."""
-    grid = {"depth": [2], "horizon": [3, 4]}
-    serial = ExperimentRunner().sweep(
-        "coordinated_attack", grid, backends=("frozenset", "bitset")
+    assert_parallel_matches_serial_on_each_backend(
+        "coordinated_attack", {"depth": [2], "horizon": [3, 4]}
     )
-    parallel = ExperimentRunner().sweep(
-        "coordinated_attack", grid, backends=("frozenset", "bitset"), jobs=JOBS
-    )
-    assert comparable(parallel) == comparable(serial)
 
 
 def test_parallel_with_explicit_formulas_and_minimize():
@@ -180,7 +182,6 @@ def test_run_spec_pickles_round_trip():
         ),
         backend="bitset",
         minimize=False,
-        fresh_evaluator=True,
     )
     clone = pickle.loads(pickle.dumps(spec))
     assert clone == spec
@@ -274,7 +275,6 @@ def test_jobs_sweep_honours_the_cache_bound():
     reports = runner.sweep(
         "muddy_children",
         {"n": range(2, 6), "k": [1], "announced": [False]},
-        backends=("frozenset",),
         jobs=2,
     )
     assert [report.params["n"] for report in reports] == [2, 3, 4, 5]

@@ -323,7 +323,7 @@ def test_cli_no_store_bypasses_even_the_env_default(tmp_path, capsys, monkeypatc
     assert json.loads(out)[0]["from_store"] is False  # recorded, not read
 
 
-def test_cli_store_stats_and_gc(tmp_path, capsys):
+def test_cli_store_stats_and_gc(tmp_path, capsys, engine_backend):
     path = str(tmp_path / "results.sqlite")
     code, _, _ = run_cli(
         capsys, "sweep", "muddy_children", "-g", "n=2,3", "--store", path
@@ -339,7 +339,7 @@ def test_cli_store_stats_and_gc(tmp_path, capsys):
     assert stats["slices"] == [
         {
             "scenario": "muddy_children",
-            "backend": "frozenset",  # the CLI's explicit --backends default
+            "backend": engine_backend,  # the engine's default backend
             "minimized": False,
             "rows": 2,
         }

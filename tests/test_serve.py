@@ -163,8 +163,6 @@ def test_sweep_rows_match_cli_sweep_json(server, capsys):
         "n=2..4",
         "-p",
         "k=1",
-        "--backends",
-        "both",
         "--json",
     )
     assert code == 0
@@ -176,7 +174,6 @@ def test_sweep_rows_match_cli_sweep_json(server, capsys):
             "scenario": "muddy_children",
             "grid": {"n": [2, 3, 4]},
             "params": {"k": 1},
-            "backends": "both",
         },
     )
     assert status == 200
@@ -186,6 +183,19 @@ def test_sweep_rows_match_cli_sweep_json(server, capsys):
     assert len(served_rows) == len(cli_rows)
     for served, expected in zip(served_rows, cli_rows):
         assert comparable(served) == comparable(expected)
+
+
+@pytest.mark.parametrize(
+    "path,payload",
+    [
+        ("/run", {"scenario": "muddy_children", "backend": "frozenset"}),
+        ("/sweep", {"scenario": "muddy_children", "grid": {"n": [2]}, "backends": "both"}),
+    ],
+)
+def test_backend_choice_fields_are_rejected(server, path, payload):
+    status, body = post(server, path, payload)
+    assert status == 400
+    assert "unknown request field" in json.loads(body)["error"]["message"]
 
 
 def test_sweep_rows_are_compact_single_lines(server):
@@ -486,11 +496,9 @@ def test_parse_sweep_request_counts_grid_points():
             "scenario": "muddy_children",
             "grid": {"n": [2, 3, 4]},
             "params": {"k": 1},
-            "backends": "both",
         }
     )
-    assert request.point_count == 6
-    assert request.backends == ("frozenset", "bitset")
+    assert request.point_count == 3
     assert request.grid["k"] == [1]
 
 

@@ -14,8 +14,7 @@ shapes:
 In both cases the rows recorded before the failure must be durable, a resumed
 sweep must evaluate *only* the missing grid points (pinned via the runner's
 ``eval_count``), and the merged rows must be identical — timing fields
-excepted — to a sweep that never failed, serially and under ``--jobs 2``, on
-both engine backends.
+excepted — to a sweep that never failed, serially and under ``--jobs 2``.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ import sys
 import pytest
 
 from repro.cli import main as cli_main
+from repro.engine import set_default_backend
 from repro.errors import ScenarioError
 from repro.experiments import (
     ExperimentRunner,
@@ -40,9 +40,8 @@ from repro.experiments import (
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 POISON_ENV = "REPRO_TEST_POISON_N"
-BACKENDS = ("frozenset", "bitset")
 GRID = {"n": [2, 3, 4]}
-GRID_POINTS = len(GRID["n"]) * len(BACKENDS)
+GRID_POINTS = len(GRID["n"])
 
 
 def comparable(reports):
@@ -97,7 +96,7 @@ def fragile_scenario():
 def test_worker_failure_then_resume_matches_uninterrupted(
     fragile_scenario, tmp_path, monkeypatch, jobs
 ):
-    expected = ExperimentRunner().sweep(fragile_scenario, GRID, backends=BACKENDS)
+    expected = ExperimentRunner().sweep(fragile_scenario, GRID)
     assert len(expected) == GRID_POINTS
 
     path = str(tmp_path / "results.sqlite")
@@ -105,9 +104,9 @@ def test_worker_failure_then_resume_matches_uninterrupted(
     with ResultStore(path) as store:
         runner = ExperimentRunner(store=store)
         with pytest.raises(ScenarioError, match="injected transient failure"):
-            runner.sweep(fragile_scenario, GRID, backends=BACKENDS, jobs=jobs)
+            runner.sweep(fragile_scenario, GRID, jobs=jobs)
         recorded = store.stats()["rows"]
-    # The poison point (n=4, both backends) can never have been recorded; rows
+    # The poison point (n=4) can never have been recorded; rows
     # streamed back before the failure must have been.  Under --jobs the
     # failing chunk may take neighbours down with it, so the exact count is
     # schedule-dependent — durability of completed-and-streamed rows is not.
@@ -119,7 +118,7 @@ def test_worker_failure_then_resume_matches_uninterrupted(
     with ResultStore(path) as store:
         resumed_runner = ExperimentRunner(store=store)
         resumed = resumed_runner.sweep(
-            fragile_scenario, GRID, backends=BACKENDS, jobs=jobs
+            fragile_scenario, GRID, jobs=jobs
         )
         # Only the missing grid points were evaluated; the rest were served.
         assert resumed_runner.store_hits == recorded
@@ -129,7 +128,7 @@ def test_worker_failure_then_resume_matches_uninterrupted(
         # And now the grid is complete: a further resume evaluates nothing.
         final_runner = ExperimentRunner(store=store)
         final = final_runner.sweep(
-            fragile_scenario, GRID, backends=BACKENDS, jobs=jobs
+            fragile_scenario, GRID, jobs=jobs
         )
         assert final_runner.eval_count == 0
         assert final_runner.store_hits == GRID_POINTS
@@ -150,8 +149,7 @@ def test_hard_process_death_then_resume_matches_uninterrupted(tmp_path):
         "import os, sys\n"
         "from repro.experiments import ExperimentRunner, ResultStore\n"
         "runner = ExperimentRunner(store=ResultStore(sys.argv[1]))\n"
-        "stream = runner.iter_sweep('muddy_children', {'n': [2, 3, 4, 5]},\n"
-        "                           backends=('frozenset',))\n"
+        "stream = runner.iter_sweep('muddy_children', {'n': [2, 3, 4, 5]})\n"
         "next(stream)\n"
         "next(stream)\n"
         "os._exit(3)\n"
@@ -165,17 +163,18 @@ def test_hard_process_death_then_resume_matches_uninterrupted(tmp_path):
     )
     assert completed.returncode == 3, completed.stderr
 
-    # The child recorded on its own process default (frozenset); pin the same
-    # backend here so its rows resume this process's sweep whatever
-    # --engine-backend the suite runs under.
+    # The child recorded on the production backend; pin the same default here
+    # so its rows resume this process's sweep whatever --engine-backend the
+    # suite runs under (the autouse fixture restores it afterwards).
+    set_default_backend("bitset")
     expected = ExperimentRunner().sweep(
-        "muddy_children", {"n": [2, 3, 4, 5]}, backends=("frozenset",)
+        "muddy_children", {"n": [2, 3, 4, 5]}
     )
     with ResultStore(path) as store:
         assert store.stats()["rows"] == 2  # exactly the two consumed reports
         resumed_runner = ExperimentRunner(store=store)
         resumed = resumed_runner.sweep(
-            "muddy_children", {"n": [2, 3, 4, 5]}, backends=("frozenset",)
+            "muddy_children", {"n": [2, 3, 4, 5]}
         )
         assert resumed_runner.eval_count == 2
         assert resumed_runner.store_hits == 2
@@ -200,7 +199,7 @@ def test_cli_resume_completes_a_killed_cli_sweep(tmp_path, capsys):
         "import json, os, signal, subprocess, sys\n"
         "proc = subprocess.Popen(\n"
         "    [sys.executable, '-m', 'repro.cli', 'sweep', 'muddy_children',\n"
-        "     '-g', 'n=2,3,4', '--backends', 'frozenset',\n"
+        "     '-g', 'n=2,3,4',\n"
         "     '--store', sys.argv[1], '--json'],\n"
         "    stdout=subprocess.PIPE, text=True)\n"
         "rows = 0\n"
@@ -219,8 +218,11 @@ def test_cli_resume_completes_a_killed_cli_sweep(tmp_path, capsys):
     )
     assert completed.returncode == 0, completed.stderr
 
+    # The killed CLI evaluated on the production backend; resume on the same
+    # one whatever --engine-backend the suite runs under.
+    set_default_backend("bitset")
     code = cli_main(
-        ["sweep", "muddy_children", "-g", "n=2,3,4", "--backends", "frozenset",
+        ["sweep", "muddy_children", "-g", "n=2,3,4",
          "--store", path, "--resume", "--json"]
     )
     out = capsys.readouterr().out
@@ -244,7 +246,7 @@ def test_concurrent_sweeps_sharing_one_store_match_isolated_runs(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
     argv = [
         sys.executable, "-m", "repro", "sweep", "muddy_children",
-        "-g", "n=2,3,4,5", "--backends", "frozenset", "--jobs", "2",
+        "-g", "n=2,3,4,5", "--jobs", "2",
         "--store", path, "--json",
     ]
     first = subprocess.Popen(
@@ -261,15 +263,18 @@ def test_concurrent_sweeps_sharing_one_store_match_isolated_runs(tmp_path):
     for payload in outputs:
         assert [report["params"]["n"] for report in payload] == [2, 3, 4, 5]
 
+    # The CLI processes evaluated on the production backend; compare on the
+    # same one whatever --engine-backend the suite runs under.
+    set_default_backend("bitset")
     expected = ExperimentRunner().sweep(
-        "muddy_children", {"n": [2, 3, 4, 5]}, backends=("frozenset",)
+        "muddy_children", {"n": [2, 3, 4, 5]}
     )
     with ResultStore(path) as store:
         # One row per grid point — racing writers never duplicate a key.
         assert store.stats()["rows"] == len(expected)
         runner = ExperimentRunner(store=store)
         merged = runner.sweep(
-            "muddy_children", {"n": [2, 3, 4, 5]}, backends=("frozenset",)
+            "muddy_children", {"n": [2, 3, 4, 5]}
         )
         assert runner.eval_count == 0
         assert all(report.from_store for report in merged)
@@ -317,15 +322,15 @@ def test_every_executor_keeps_rows_and_counters_in_parity(tmp_path):
     for name, options in modes.items():
         with ResultStore(str(tmp_path / f"{name}.sqlite")) as store:
             ExperimentRunner(store=store).sweep(
-                "muddy_children", {"n": [2, 4]}, backends=("frozenset",)
+                "muddy_children", {"n": [2, 4]}
             )
             runner = ExperimentRunner(store=store)
             reports = runner.sweep(
-                "muddy_children", grid, backends=("frozenset",), **options
+                "muddy_children", grid, **options
             )
             resumed = ExperimentRunner(store=store)
             again = resumed.sweep(
-                "muddy_children", grid, backends=("frozenset",), **options
+                "muddy_children", grid, **options
             )
         outcomes[name] = (
             comparable(reports),

@@ -264,31 +264,23 @@ def test_parallel_poison_point_is_bisected_out_of_its_chunk(monkeypatch, tmp_pat
     set_chaos(
         monkeypatch,
         tmp_path,
-        [{"kind": "raise", "params": {"n": 5}, "backend": "bitset"}],
+        [{"kind": "raise", "params": {"n": 5, "k": 2}}],
     )
-    grid = {"n": [2, 3, 4, 5, 6, 7]}
+    grid = {"k": [1, 2], "n": [2, 3, 4, 5, 6, 7]}
     runner = ExperimentRunner()
-    reports = runner.sweep(
-        "muddy_children",
-        grid,
-        backends=("frozenset", "bitset"),
-        jobs=2,
-        policy=SKIP_FAST,
-    )
+    reports = runner.sweep("muddy_children", grid, jobs=2, policy=SKIP_FAST)
     assert len(reports) == 12
     bad = [report for report in reports if report.error is not None]
     assert len(bad) == 1 and runner.quarantined == 1
-    assert bad[0].params["n"] == 5 and bad[0].backend == "bitset"
+    assert bad[0].params["n"] == 5 and bad[0].params["k"] == 2
     assert "ChaosInjectedError" in bad[0].error["message"]
 
     monkeypatch.delenv(ENV_VAR)
-    clean = ExperimentRunner().sweep(
-        "muddy_children", grid, backends=("frozenset", "bitset")
-    )
+    clean = ExperimentRunner().sweep("muddy_children", grid)
     healthy_expected = [
         entry
         for report, entry in zip(clean, comparable(clean))
-        if not (report.params["n"] == 5 and report.backend == "bitset")
+        if not (report.params["n"] == 5 and report.params["k"] == 2)
     ]
     healthy = [r for r in reports if r.error is None]
     assert comparable(healthy) == healthy_expected
