@@ -12,8 +12,8 @@ evaluates each round's ``Knows`` batch exactly once.
 ``test_fast_path_speedup_over_seed_rebuild`` pins the acceptance claim: the
 derived-structure chain is at least **3x** faster than the seed rebuild loop on
 the n=10 full chain with the bitset backend.  The pytest-benchmark timings
-measure both paths on both backends (plus the fast path at n=12) so the
-ablation is tracked by ``tools/bench_report.py``.
+measure both paths on both backends (plus the fast path at n=12) for the
+ablation.
 """
 
 import time
@@ -125,9 +125,9 @@ def test_fast_path_speedup_over_seed_rebuild(request):
     """The acceptance claim: >= 3x on the n=10 bitset chain, warm.
 
     Both paths agree answer-for-answer before anything is timed.  The
-    wall-clock comparison is skipped in smoke runs (``--benchmark-disable``,
-    used by ``tools/bench_report.py --quick``) so the quick gate stays
-    timing-independent; the answer-equivalence check always runs.
+    wall-clock comparison is skipped under ``--benchmark-disable``, as CI
+    runs this module, so that run stays timing-independent; the
+    answer-equivalence check always runs.
     """
     assert fast_chain(N, "bitset") == seed_rebuild_chain(N, "bitset")
     if request.config.getoption("--benchmark-disable"):

@@ -12,8 +12,8 @@ The redundant workload is an "inflated" muddy-children model: every world is
 duplicated into ``COPIES`` indistinguishable clones, which the quotient must
 fold back together (a stand-in for the duplicated points that runs-and-systems
 translations produce).  The ablation checks the same formula batch on the full
-model and on its quotient and asserts the answers agree; the timings land in
-``BENCH_results.json`` via ``tools/bench_report.py``.
+model and on its quotient and asserts the answers agree; the pytest-benchmark
+timings measure both sides.
 """
 
 import pytest

@@ -14,10 +14,6 @@ the same request and pins it:
   cache lookup);
 * the served response is the same report the CLI prints (timing fields
   excepted) — speed without fidelity would be worthless.
-
-The benchmark rows land in BENCH_results.json via ``tools/bench_report.py``
-like every other module, giving the regression gate a served-latency
-baseline.
 """
 
 import http.client

@@ -15,7 +15,7 @@ systems, the bitset mask path is at least **3x** faster than the frozenset
 reference, end-to-end (interpretation construction + cold-memo batch
 evaluation; ~6-9x measured on the larger grid points alone).  Both paths agree
 extension-for-extension before anything is timed.  The pytest-benchmark timings
-track each path separately so ``tools/bench_report.py`` records the ablation.
+track each path separately for the ablation.
 """
 
 import time
@@ -126,9 +126,9 @@ def test_mask_path_speedup_over_reference(workload, request):
     """The acceptance claim: >= 3x on the temporal sweep, bitset vs frozenset.
 
     Both paths agree extension-for-extension before anything is timed.  The
-    wall-clock comparison is skipped in smoke runs (``--benchmark-disable``,
-    used by ``tools/bench_report.py --quick``) so the quick gate stays
-    timing-independent; the equivalence check always runs.
+    wall-clock comparison is skipped under ``--benchmark-disable``, as CI
+    runs this module, so that run stays timing-independent; the equivalence
+    check always runs.
     """
     assert evaluate_sweep(workload, "bitset") == evaluate_sweep(workload, "frozenset")
     if request.config.getoption("--benchmark-disable"):

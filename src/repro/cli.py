@@ -1,8 +1,8 @@
 """The ``repro`` command line interface (also ``python -m repro``).
 
-Eight subcommands expose the scenario registry, the static checker, the
-experiment runner, the persistent result store, the benchmark regression
-gate and the long-lived evaluation service from the shell::
+Seven subcommands expose the scenario registry, the static checker, the
+experiment runner, the persistent result store and the long-lived evaluation
+service from the shell::
 
     repro list                                  # every registered scenario
     repro describe muddy_children               # schema, defaults, formula set
@@ -16,7 +16,6 @@ gate and the long-lived evaluation service from the shell::
     repro sweep gossip -g n=3..6 --store results.sqlite --resume
     repro store stats results.sqlite            # rows, slices, provenance
     repro store gc results.sqlite --stale       # prune orphaned rows
-    repro bench compare --current /tmp/bench.json
     repro serve --port 8750 --store results.sqlite   # long-lived HTTP service
 
 Every subcommand takes ``--json`` for machine-readable output.  ``run`` and
@@ -534,68 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
             "cpu-based default)"
         ),
     )
-
-    bench = subparsers.add_parser(
-        "bench", help="benchmark regression tracking (BENCH_results.json)"
-    )
-    bench_commands = bench.add_subparsers(dest="bench_command", required=True)
-    compare = bench_commands.add_parser(
-        "compare",
-        help=(
-            "diff a benchmark report against the committed baseline; exits 1 "
-            "on regression"
-        ),
-    )
-    compare.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline report (default: the repo's committed BENCH_results.json)",
-    )
-    compare.add_argument(
-        "--current",
-        default=None,
-        metavar="PATH",
-        help=(
-            "report to compare against the baseline; omitted = run the "
-            "benchmark suite now via tools/bench_report.py"
-        ),
-    )
-    compare.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help=(
-            "allowed mean slowdown as a fraction (default 0.5 = 50%%; means "
-            "are noisy, keep this generous)"
-        ),
-    )
-    compare.add_argument(
-        "--tolerance-for",
-        action="append",
-        default=[],
-        metavar="GLOB=FRACTION",
-        type=_parse_assignment,
-        help=(
-            "per-benchmark tolerance override; GLOB matches the benchmark "
-            "name or file::name (repeatable, last match wins)"
-        ),
-    )
-    compare.add_argument(
-        "--quick",
-        action="store_true",
-        help=(
-            "coverage-only comparison (for --quick smoke reports, which "
-            "carry no timings): every baseline module must still be present"
-        ),
-    )
-    compare.add_argument(
-        "--allow-missing",
-        action="store_true",
-        help="benchmarks missing from the current report are not failures",
-    )
-    compare.add_argument("--json", action="store_true", help="emit JSON")
     return parser
 
 
@@ -1054,44 +991,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
     raise ReproError(f"unknown store command {args.store_command!r}")
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro import benchcompare
-
-    baseline_path = args.baseline
-    if baseline_path is None:
-        baseline_path = benchcompare.default_baseline_path()
-    baseline = benchcompare.load_report(baseline_path)
-    if args.current is not None:
-        current = benchcompare.load_report(args.current)
-    else:
-        current = benchcompare.generate_current(quick=args.quick)
-    overrides = []
-    for name, value in args.tolerance_for:
-        try:
-            overrides.append((name, float(value)))
-        except ValueError:
-            raise ReproError(
-                f"--tolerance-for {name}={value!r}: expected a number"
-            ) from None
-    result = benchcompare.compare_reports(
-        baseline,
-        current,
-        tolerance=(
-            benchcompare.DEFAULT_TOLERANCE
-            if args.tolerance is None
-            else args.tolerance
-        ),
-        overrides=overrides,
-        quick=args.quick,
-        allow_missing=args.allow_missing,
-    )
-    if args.json:
-        print(json.dumps(result, indent=2))
-    else:
-        print(benchcompare.render_comparison(result))
-    return 0 if result["ok"] else 1
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import run_server
 
@@ -1118,7 +1017,6 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "store": _cmd_store,
     "serve": _cmd_serve,
-    "bench": _cmd_bench,
 }
 
 

@@ -113,9 +113,9 @@ _GIT_SHA_CACHE: Optional[str] = None
 def current_git_sha() -> Optional[str]:
     """The repository HEAD commit, or ``None`` outside a git checkout.
 
-    Recorded in new stores' meta table (and by ``tools/bench_report.py``) so
-    stored results stay attributable to the code that produced them.  Cached:
-    the answer cannot change within one process run.
+    Recorded in new stores' meta table so stored results stay attributable
+    to the code that produced them.  Cached: the answer cannot change within
+    one process run.
     """
     global _GIT_SHA_CACHE
     if _GIT_SHA_CACHE is None:

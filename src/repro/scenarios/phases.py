@@ -144,7 +144,10 @@ def _registry_signature(params) -> ScenarioSignature:
     section="Section 12",
     parameters=(
         Parameter("phase_end", int, default=2, minimum=0, description="the clock reading T at which each processor decides"),
-        Parameter("skew", int, default=1, minimum=0, description="maximum clock skew in ticks (one run per lag)"),
+        Parameter(
+            "skew", int, default=1, minimum=0, maximum=128,
+            description="maximum clock skew in ticks (one run per lag)",
+        ),
     ),
     formulas=_registry_formulas,
     signature=_registry_signature,

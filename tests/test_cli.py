@@ -107,6 +107,13 @@ def test_backend_choice_flags_are_gone(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_bench_verb_is_gone(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "compare"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
 def test_run_with_explicit_formula_json(capsys):
     code, out, _ = run_cli(
         capsys,

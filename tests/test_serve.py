@@ -244,6 +244,20 @@ def test_bad_parameter_is_400(server):
     assert "fractional" in json.loads(body)["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "scenario,name,value",
+    [("muddy_children", "n", 15), ("cheating_husbands", "n", 15), ("phases", "skew", 129)],
+)
+def test_over_maximum_parameter_is_refused_before_any_build(server, capsys, scenario, name, value):
+    code, _, err = run_cli(capsys, "run", scenario, "-p", f"{name}={value}")
+    assert code == 2
+    assert "must be <=" in err
+    status, body = post(server, "/run", {"scenario": scenario, "params": {name: value}})
+    assert status == 400
+    assert "must be <=" in json.loads(body)["error"]["message"]
+    assert server.app.state.runner.cached_instances == 0
+
+
 def test_invalid_json_body_is_400(server):
     conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
     try:
