@@ -13,7 +13,9 @@ bitset backend is measurably faster on this sweep — independently of the
 pytest-benchmark timings.  ``test_bitset_common_knowledge_is_no_slower_at_n12``
 pins the linear G-reachability component search: a merge of each block
 against every component found so far makes cold ``C_G`` at n = 12 about 15x
-slower than the frozenset oracle.
+slower than the frozenset oracle.  ``test_class_id_construction_is_3x_faster_at_n12``
+pins class-id model construction against the seed's per-world observation
+tuples.
 """
 
 import time
@@ -21,7 +23,9 @@ import time
 import pytest
 
 from repro.experiments import ExperimentRunner, get_scenario
+from repro.kripke.builders import others_attribute_model
 from repro.kripke.checker import ModelChecker
+from repro.kripke.reference import others_attribute_rebuild
 from repro.logic import C, prop
 
 GRID = {"n": range(2, 11)}
@@ -111,4 +115,28 @@ def test_bitset_common_knowledge_is_no_slower_at_n12():
     assert bitset_time <= frozenset_time, (
         f"bitset C_G ({bitset_time * 1e3:.1f} ms) should not be slower than "
         f"frozenset ({frozenset_time * 1e3:.1f} ms)"
+    )
+
+
+def test_class_id_construction_is_3x_faster_at_n12():
+    """Muddy children n=12 (4096 worlds), built with every agent's class masks.
+
+    ``others_attribute_model`` computes class ids arithmetically and groups them
+    into masks in one pass; the seed grouped per-world observation tuples into
+    frozenset blocks and hashed each block into a mask afterwards
+    (:func:`repro.kripke.reference.others_attribute_rebuild`).  About 6x apart on
+    CPython 3.11; 3x is the gate.
+    """
+    children = [f"child_{i}" for i in range(12)]
+
+    def build(builder):
+        model = builder(children)
+        for child in children:
+            model.class_masks_in_order(child)
+
+    class_ids_time = _best_of(lambda: build(others_attribute_model), repetitions=5)
+    seed_time = _best_of(lambda: build(others_attribute_rebuild), repetitions=5)
+    assert class_ids_time * 3 <= seed_time, (
+        f"class-id construction ({class_ids_time * 1e3:.1f} ms) should be at least 3x "
+        f"faster than the seed construction ({seed_time * 1e3:.1f} ms)"
     )

@@ -46,6 +46,7 @@ re-attempts exactly the quarantined points.
 
 from __future__ import annotations
 
+import gc
 import queue
 import time
 from collections import deque
@@ -269,6 +270,11 @@ def _init_worker(max_cached_instances: int, backend: str) -> None:
     same backend as the parent whatever the process start method.
     """
     global _WORKER_RUNNER
+    # A forked worker inherits the parent's heap.  Frozen, it is left out of
+    # the worker's full collections, which would otherwise traverse (and so
+    # copy) every inherited page, as often as the parent's object count lets
+    # the collector's long-lived threshold trip.
+    gc.freeze()
     set_default_backend(backend)
     load_builtin_scenarios()
     _WORKER_RUNNER = ExperimentRunner(max_cached_instances=max_cached_instances)

@@ -5,8 +5,8 @@ holds some local attribute, each world is an assignment of attributes to agents,
 an agent considers two worlds indistinguishable when everything it *observes* agrees.
 The builders here capture that pattern once so the scenario modules stay small:
 
-* :func:`from_worlds` — the fully general builder: give an indistinguishability
-  predicate per agent and the partitions are computed for you.
+* :func:`from_worlds` — the fully general builder: give an observation function
+  and the partitions are computed for you.
 * :func:`observed_variable_model` — worlds are assignments of values to variables;
   each agent observes a stated subset of the variables.
 * :func:`others_attribute_model` — the "muddy children" shape: every agent has a
@@ -15,6 +15,11 @@ The builders here capture that pattern once so the scenario modules stay small:
   hierarchy collapses (Section 3's common-memory example).
 * :func:`blind_model` — no agent observes anything; every fact valid in the model is
   common knowledge (the single-view interpretation discussed in Section 6).
+
+Every builder ends in :meth:`KripkeStructure._from_class_ids`: per agent, one small
+integer per world naming what the agent observes there.  The four shaped builders
+compute those ids by arithmetic on the world's index, so no per-world observation
+value is built; :func:`from_worlds` interns its callable's observations into ids.
 """
 
 from __future__ import annotations
@@ -60,20 +65,35 @@ def from_worlds(
     two worlds are indistinguishable to the agent exactly when the observations are
     equal.  This mirrors the paper's view functions: "a processor is said to know a
     fact at a given point exactly if the fact holds at all of the points that the
-    processor cannot distinguish from the given one".
+    processor cannot distinguish from the given one".  Each agent's observations
+    are interned into class ids in order of first appearance.
     """
-    world_list = list(worlds)
+    world_list = _distinct(worlds)
     agent_list = list(agents)
+    class_ids: Dict[Agent, List[int]] = {}
+    for agent in agent_list:
+        seen: Dict[Hashable, int] = {}
+        class_ids[agent] = [
+            seen.setdefault(observation(agent, world), len(seen)) for world in world_list
+        ]
+    return _build(world_list, agent_list, valuation, class_ids)
+
+
+def _distinct(worlds: Iterable[World]) -> List[World]:
+    world_list = list(dict.fromkeys(worlds))
     if not world_list:
         raise ModelError("from_worlds requires at least one world")
-    partitions: Dict[Agent, List[AbstractSet[World]]] = {}
-    for agent in agent_list:
-        blocks: Dict[Hashable, set] = {}
-        for world in world_list:
-            blocks.setdefault(observation(agent, world), set()).add(world)
-        partitions[agent] = list(blocks.values())
+    return world_list
+
+
+def _build(
+    world_list: List[World],
+    agents: List[Agent],
+    valuation: Callable[[World], AbstractSet[str]],
+    class_ids: Mapping[Agent, Sequence[int]],
+) -> KripkeStructure:
     valuation_map = {world: frozenset(valuation(world)) for world in world_list}
-    return KripkeStructure(world_list, agent_list, valuation_map, partitions)
+    return KripkeStructure._from_class_ids(world_list, agents, valuation_map, class_ids)
 
 
 def observed_variable_model(
@@ -89,19 +109,36 @@ def observed_variable_model(
     variables:
         Maps each variable name to its domain of possible values.
     observes:
-        Maps each agent to the set of variable names it can see.
+        Maps each agent to the set of variable names it can see.  Naming a
+        variable or an agent that does not exist raises
+        :class:`~repro.errors.ModelError`; agents without an entry see nothing.
     valuation:
         Maps an assignment to the set of proposition names true in it.  By default,
         the proposition ``"{var}={value}"`` holds for every variable.
 
     The worlds are tuples of ``(variable, value)`` pairs sorted by variable name, so
-    they are hashable and deterministic.
+    they are hashable and deterministic.  An agent's class id is the mixed-radix
+    number formed by the value indices of the variables it sees.
     """
+    agent_list = list(agents)
     names = sorted(variables)
-    domains = [list(variables[name]) for name in names]
+    domains = [list(dict.fromkeys(variables[name])) for name in names]
+    unknown_agents = set(observes) - set(agent_list)
+    if unknown_agents:
+        raise ModelError(
+            f"observes mentions unknown agents: {sorted(map(repr, unknown_agents))}"
+        )
+    for agent, visible in observes.items():
+        unknown = set(visible) - set(names)
+        if unknown:
+            raise ModelError(
+                f"agent {agent!r} observes unknown variables: {sorted(map(repr, unknown))}"
+            )
     assignments = [
         tuple(zip(names, combo)) for combo in itertools.product(*domains)
     ]
+    if not assignments:
+        raise ModelError("from_worlds requires at least one world")
 
     def default_valuation(assignment: Mapping[str, Hashable]) -> AbstractSet[str]:
         return {f"{var}={value}" for var, value in assignment.items()}
@@ -111,11 +148,20 @@ def observed_variable_model(
     def world_valuation(world: Tuple[Tuple[str, Hashable], ...]) -> AbstractSet[str]:
         return value_fn(dict(world))
 
-    def observation(agent: Agent, world: Tuple[Tuple[str, Hashable], ...]) -> Hashable:
+    class_ids: Dict[Agent, List[int]] = {}
+    for agent in agent_list:
         visible = observes.get(agent, frozenset())
-        return tuple((var, value) for var, value in world if var in visible)
-
-    return from_worlds(assignments, agents, world_valuation, observation)
+        # Expand in product order (the last variable varies fastest); a hidden
+        # variable repeats the ids, a visible one appends its value index.
+        ids = [0]
+        for name, domain in zip(names, domains):
+            size = len(domain)
+            if name in visible:
+                ids = [i * size + d for i in ids for d in range(size)]
+            else:
+                ids = [i for i in ids for _ in range(size)]
+        class_ids[agent] = ids
+    return _build(assignments, agent_list, world_valuation, class_ids)
 
 
 def muddy_children_worlds(n: int) -> List[Tuple[bool, ...]]:
@@ -133,29 +179,38 @@ def others_attribute_model(
     """The muddy-children-shaped model: each agent has a boolean attribute, observes
     everyone else's attribute, but not its own (Section 2).
 
-    Worlds are tuples of booleans, one per agent in the order given.  Propositions:
+    Worlds are tuples of booleans, one per agent in the order given; the agents
+    must be distinct.  Propositions:
 
     * ``"{attribute_name}_{agent}"`` — agent's attribute is set,
     * ``"at_least_one"`` — some agent's attribute is set (the father's announcement m),
       included when ``include_at_least_one_prop`` is true.
+
+    World ``w`` is the ``w``-th tuple of :func:`muddy_children_worlds`, whose bit
+    ``n - 1 - i`` is agent ``i``'s attribute.  Agent ``i`` cannot tell ``w`` from
+    ``w ^ e_i``, so its class id is ``w`` with that bit cleared.
     """
     agent_list = list(agents)
+    if len(set(agent_list)) != len(agent_list):
+        raise ModelError(
+            f"others_attribute_model needs distinct agents, got {agent_list!r}"
+        )
     n = len(agent_list)
     worlds = muddy_children_worlds(n)
+    names = [f"{attribute_name}_{agent}" for agent in agent_list]
 
     def valuation(world: Tuple[bool, ...]) -> AbstractSet[str]:
-        facts = {
-            f"{attribute_name}_{agent_list[i]}" for i in range(n) if world[i]
-        }
-        if include_at_least_one_prop and any(world):
+        facts = set(itertools.compress(names, world))
+        if include_at_least_one_prop and facts:
             facts.add("at_least_one")
         return facts
 
-    def observation(agent: Agent, world: Tuple[bool, ...]) -> Hashable:
-        index = agent_list.index(agent)
-        return tuple(world[i] for i in range(n) if i != index)
-
-    return from_worlds(worlds, agent_list, valuation, observation)
+    indices = range(len(worlds))
+    class_ids = {
+        agent: [w & ~(1 << (n - 1 - i)) for w in indices]
+        for i, agent in enumerate(agent_list)
+    }
+    return _build(worlds, agent_list, valuation, class_ids)
 
 
 def shared_memory_model(
@@ -167,9 +222,13 @@ def shared_memory_model(
 
     In this model the hierarchy of Section 3 collapses:
     ``C phi == E^k phi == E phi == S phi == D phi`` for every ``phi``, because each
-    agent's equivalence classes are singletons.
+    agent's equivalence classes are singletons.  Each world's position is its
+    class id.
     """
-    return from_worlds(worlds, agents, valuation, lambda agent, world: world)
+    world_list = _distinct(worlds)
+    agent_list = list(agents)
+    ids = range(len(world_list))
+    return _build(world_list, agent_list, valuation, dict.fromkeys(agent_list, ids))
 
 
 def blind_model(
@@ -180,6 +239,10 @@ def blind_model(
     """No agent observes anything (the single-view interpretation of Section 6).
 
     Every agent considers every world possible, so an agent knows exactly the facts
-    that are valid in the model — and all of those are common knowledge.
+    that are valid in the model — and all of those are common knowledge.  Every
+    world has class id 0.
     """
-    return from_worlds(worlds, agents, valuation, lambda agent, world: None)
+    world_list = _distinct(worlds)
+    agent_list = list(agents)
+    ids = [0] * len(world_list)
+    return _build(world_list, agent_list, valuation, dict.fromkeys(agent_list, ids))

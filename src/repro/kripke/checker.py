@@ -124,9 +124,17 @@ class ModelChecker:
 
     Examples
     --------
+    Agent ``a`` sees the variable ``p``, agent ``b`` sees nothing:
+
     >>> from repro.kripke.builders import observed_variable_model
     >>> from repro.logic import K, C, prop
-    >>> model = observed_variable_model(["a", "b"], ["p"])  # doctest: +SKIP
+    >>> model = observed_variable_model(["a", "b"], {"p": [0, 1]}, {"a": {"p"}})
+    >>> checker = ModelChecker(model)
+    >>> world = (("p", 1),)
+    >>> checker.holds(K("a", prop("p=1")), world), checker.holds(K("b", prop("p=1")), world)
+    (True, False)
+    >>> checker.holds(C(["a", "b"], prop("p=1")), world)
+    False
     """
 
     def __init__(

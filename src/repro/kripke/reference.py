@@ -1,14 +1,17 @@
 """Naive reference implementations of the model-update operations.
 
 These are transcriptions of the pre-fast-path ("seed") code: from-scratch
-``KripkeStructure`` rebuilds through the validating public constructor, and the
-fixed-point bisimulation refinement that preceded the worklist algorithm.  They
-are deliberately slow and obviously correct, and exist for exactly two
-consumers — the differential tests (``tests/test_derived_structures.py``),
-which pin the derived-structure fast path to be observably identical to these
-rebuilds, and the benchmarks (``benchmarks/bench_announcement_chain.py``),
-which use them as the measured baseline.  Keeping the single copy here keeps
-the test oracle and the benchmark baseline the same code.
+``KripkeStructure`` rebuilds through the validating public constructor, the
+fixed-point bisimulation refinement that preceded the worklist algorithm, and
+the frozenset-block construction that preceded class ids
+(:func:`from_worlds_rebuild`).  They are deliberately slow and obviously
+correct, and exist for exactly two consumers — the differential tests
+(``tests/test_derived_structures.py``, ``tests/test_class_id_construction.py``),
+which pin the fast paths to be observably identical to these rebuilds, and the
+benchmarks (``benchmarks/bench_announcement_chain.py``,
+``benchmarks/bench_scenario_sweep.py``), which use them as the measured
+baseline.  Keeping the single copy here keeps the test oracle and the
+benchmark baseline the same code.
 
 Do not "optimise" these: their value is that they do not share machinery with
 the fast path they check.
@@ -16,15 +19,152 @@ the fast path they check.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Callable, Dict, FrozenSet, Hashable, Set
+import itertools
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Set,
+)
 
+from repro.engine.universe import IndexedUniverse
+from repro.errors import ModelError, UnknownAgentError, UnknownWorldError
 from repro.kripke.structure import KripkeStructure, World
+from repro.logic.agents import Agent
 
 __all__ = [
+    "constructor_rebuild",
+    "from_worlds_rebuild",
+    "others_attribute_rebuild",
     "restrict_rebuild",
     "refine_agent_rebuild",
     "bisimulation_classes_fixpoint",
 ]
+
+
+def from_worlds_rebuild(
+    worlds: Iterable[World],
+    agents: Iterable[Agent],
+    valuation: Callable[[World], AbstractSet[str]],
+    observation: Callable[[Agent, World], Hashable],
+) -> KripkeStructure:
+    """``builders.from_worlds`` as the seed built it, frozenset blocks throughout.
+
+    The observations group the worlds into blocks, which then go through
+    :func:`constructor_rebuild`.
+    """
+    world_list = list(worlds)
+    agent_list = list(agents)
+    if not world_list:
+        raise ModelError("from_worlds requires at least one world")
+    partitions: Dict[Agent, List[AbstractSet[World]]] = {}
+    for agent in agent_list:
+        blocks: Dict[Hashable, set] = {}
+        for world in world_list:
+            blocks.setdefault(observation(agent, world), set()).add(world)
+        partitions[agent] = list(blocks.values())
+    valuation_map = {world: frozenset(valuation(world)) for world in world_list}
+    return constructor_rebuild(world_list, agent_list, valuation_map, partitions)
+
+
+def others_attribute_rebuild(agents: Iterable[Agent]) -> KripkeStructure:
+    """``builders.others_attribute_model`` as the seed built it: a per-world
+    observation tuple of everyone else's attribute."""
+    agent_list = list(agents)
+    n = len(agent_list)
+    worlds = [tuple(bits) for bits in itertools.product([False, True], repeat=n)]
+
+    def valuation(world):
+        facts = {f"muddy_{agent_list[i]}" for i in range(n) if world[i]}
+        if any(world):
+            facts.add("at_least_one")
+        return facts
+
+    def observation(agent, world):
+        index = agent_list.index(agent)
+        return tuple(world[i] for i in range(n) if i != index)
+
+    return from_worlds_rebuild(worlds, agent_list, valuation, observation)
+
+
+def constructor_rebuild(
+    worlds: Iterable[World],
+    agents: Iterable[Agent],
+    valuation: Mapping[World, AbstractSet[str]],
+    partitions: Mapping[Agent, Iterable[AbstractSet[World]]],
+) -> KripkeStructure:
+    """The seed's validating ``KripkeStructure`` constructor.
+
+    It builds every agent's ``class_of`` map eagerly and hashes every block into
+    a partition mask; the per-world class masks are left to
+    :meth:`KripkeStructure.class_masks_in_order`, which derives them from those
+    partition masks.
+    """
+    world_set = frozenset(worlds)
+    if not world_set:
+        raise ModelError("a Kripke structure needs at least one world")
+    agent_set = frozenset(agents)
+    if not agent_set:
+        raise ModelError("a Kripke structure needs at least one agent")
+    valuation_map: Dict[World, FrozenSet[str]] = {}
+    for world, facts in valuation.items():
+        if world not in world_set:
+            raise UnknownWorldError(f"valuation mentions unknown world {world!r}")
+        valuation_map[world] = frozenset(facts)
+    classes = {}
+    class_of = {}
+    for agent in agent_set:
+        seen: Set[World] = set()
+        class_map: Dict[World, FrozenSet[World]] = {}
+        all_classes: List[FrozenSet[World]] = []
+        for block in (frozenset(block) for block in partitions.get(agent, [])):
+            if not block:
+                continue
+            stray = block - world_set
+            if stray:
+                raise UnknownWorldError(
+                    f"partition for agent {agent!r} mentions unknown worlds {sorted(map(repr, stray))}"
+                )
+            overlap = block & seen
+            if overlap:
+                raise ModelError(
+                    f"partition for agent {agent!r} is not disjoint: "
+                    f"worlds {sorted(map(repr, overlap))} appear twice"
+                )
+            seen.update(block)
+            all_classes.append(block)
+            for world in block:
+                class_map[world] = block
+        for world in world_set - seen:
+            singleton = frozenset({world})
+            all_classes.append(singleton)
+            class_map[world] = singleton
+        class_of[agent] = class_map
+        classes[agent] = tuple(all_classes)
+    unknown_agents = set(partitions) - set(agent_set)
+    if unknown_agents:
+        raise UnknownAgentError(
+            f"partitions mention unknown agents: {sorted(map(repr, unknown_agents))}"
+        )
+    universe = IndexedUniverse(sorted(world_set, key=repr))
+    partition_masks = {
+        agent: tuple(universe.mask_of(block) for block in blocks)
+        for agent, blocks in classes.items()
+    }
+    return KripkeStructure._derived(
+        world_set,
+        agent_set,
+        valuation_map,
+        universe,
+        partition_masks,
+        classes=classes,
+        class_of=class_of,
+    )
 
 
 def restrict_rebuild(

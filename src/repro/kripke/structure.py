@@ -12,6 +12,18 @@ Relations are stored as partitions (lists of equivalence classes), which keeps t
 S5 property true by construction and makes the common-knowledge reachability
 computation a cheap union-find style pass.
 
+Construction
+------------
+Every structure is built from *class ids*: per agent, one small integer per world,
+equal exactly for the worlds the agent cannot tell apart.
+:mod:`repro.kripke.builders` compute them arithmetically and hand them to
+:meth:`KripkeStructure._from_class_ids`; the public constructor validates its
+partition blocks and interns them into ids.  Either way one pass per
+agent groups the ids into the partition masks and the per-world class masks the
+bitset engine backend consumes, under the ``repr``-sorted world numbering.  The
+frozenset view of the partitions is materialised only when a frozenset-level
+accessor asks for it.
+
 Derived structures
 ------------------
 Model *updates* — a public announcement restricting the worlds, an agent privately
@@ -22,12 +34,12 @@ bitmask space: a restriction is an AND of every parent partition block against t
 survivor mask (remapped through a :class:`~repro.engine.universe.MaskCompressor`),
 a refinement splits blocks in place under the unchanged world numbering, and
 proposition extensions are remapped rather than rescanned.  Derived structures skip
-the constructor's validation (their invariants hold by construction) and only
-materialise the frozenset view of their partitions when a frozenset-level accessor
-is actually used, so a chain of updates evaluated on the bitset engine backend
-never leaves bitmask space.  The differential tests in
-``tests/test_derived_structures.py`` pin derived structures to be observably
-identical to from-scratch rebuilds.
+the constructor's validation (their invariants hold by construction), so a chain of
+updates evaluated on the bitset engine backend never leaves bitmask space.  The
+differential tests in ``tests/test_derived_structures.py`` and
+``tests/test_class_id_construction.py`` pin derived and class-id-built structures
+to be observably identical to the seed's from-scratch rebuilds
+(:mod:`repro.kripke.reference`).
 """
 
 from __future__ import annotations
@@ -101,37 +113,42 @@ class KripkeStructure:
         valuation: Mapping[World, AbstractSet[str]],
         partitions: Mapping[Agent, Iterable[AbstractSet[World]]],
     ):
-        self._worlds: FrozenSet[World] = frozenset(worlds)
-        if not self._worlds:
-            raise ModelError("a Kripke structure needs at least one world")
-        self._agents: FrozenSet[Agent] = frozenset(agents)
-        if not self._agents:
-            raise ModelError("a Kripke structure needs at least one agent")
-
-        self._valuation: Dict[World, FrozenSet[str]] = {}
-        for world, facts in valuation.items():
-            if world not in self._worlds:
-                raise UnknownWorldError(f"valuation mentions unknown world {world!r}")
-            self._valuation[world] = frozenset(facts)
-
-        self._class_of: Optional[Dict[Agent, Dict[World, FrozenSet[World]]]] = {}
-        self._classes: Optional[Dict[Agent, Tuple[FrozenSet[World], ...]]] = {}
-        for agent in self._agents:
-            classes = [frozenset(block) for block in partitions.get(agent, [])]
-            self._install_partition(agent, classes)
+        self._set_worlds_agents_valuation(worlds, agents, valuation)
+        world_list = list(self._worlds)
+        class_ids = {
+            agent: self._intern_blocks(agent, partitions.get(agent, []), world_list)
+            for agent in self._agents
+        }
         unknown_agents = set(partitions) - set(self._agents)
         if unknown_agents:
             raise UnknownAgentError(
                 f"partitions mention unknown agents: {sorted(map(repr, unknown_agents))}"
             )
+        self._install_class_ids(world_list, class_ids)
 
-        # Lazily built bitmask view of the structure (see the indexing section
-        # below).  Structures are immutable, so the caches never go stale.
-        self._indexed: Optional[IndexedUniverse] = None
-        self._partition_mask_cache: Dict[Agent, Tuple[int, ...]] = {}
-        self._class_mask_order_cache: Dict[Agent, Tuple[int, ...]] = {}
-        self._component_mask_cache: Dict[Tuple[Agent, ...], Tuple[int, ...]] = {}
-        self._prop_mask_cache: Dict[str, int] = {}
+    @classmethod
+    def _from_class_ids(
+        cls,
+        worlds: Sequence[World],
+        agents: Iterable[Agent],
+        valuation: Mapping[World, AbstractSet[str]],
+        class_ids: Mapping[Agent, Sequence[int]],
+    ) -> "KripkeStructure":
+        """Trusted constructor for the builders of :mod:`repro.kripke.builders`.
+
+        ``class_ids[agent][k]`` is a small integer naming ``agent``'s view at
+        ``worlds[k]``: two worlds are indistinguishable to the agent exactly when
+        their ids are equal.  The builders compute the ids by arithmetic on the
+        world's index (child ``i`` of the muddy children cannot tell ``w`` from
+        ``w ^ e_i``, so its id is the index with the child's bit cleared).  The
+        caller guarantees distinct ``worlds`` and one id per world for every
+        agent; the worlds may come in any order, and the bit numbering is still
+        the ``repr``-sorted :meth:`indexed_universe`.
+        """
+        self = cls.__new__(cls)
+        self._set_worlds_agents_valuation(worlds, agents, valuation)
+        self._install_class_ids(worlds, class_ids)
+        return self
 
     @classmethod
     def _derived(
@@ -176,13 +193,39 @@ class KripkeStructure:
         self._prop_mask_cache = prop_masks if prop_masks is not None else {}
         return self
 
-    def _install_partition(
-        self, agent: Agent, classes: Sequence[FrozenSet[World]]
+    def _set_worlds_agents_valuation(
+        self,
+        worlds: Iterable[World],
+        agents: Iterable[Agent],
+        valuation: Mapping[World, AbstractSet[str]],
     ) -> None:
-        seen: Set[World] = set()
-        class_map: Dict[World, FrozenSet[World]] = {}
-        all_classes: List[FrozenSet[World]] = []
-        for block in classes:
+        self._worlds: FrozenSet[World] = frozenset(worlds)
+        if not self._worlds:
+            raise ModelError("a Kripke structure needs at least one world")
+        self._agents: FrozenSet[Agent] = frozenset(agents)
+        if not self._agents:
+            raise ModelError("a Kripke structure needs at least one agent")
+        self._valuation: Dict[World, FrozenSet[str]] = {}
+        for world, facts in valuation.items():
+            if world not in self._worlds:
+                raise UnknownWorldError(f"valuation mentions unknown world {world!r}")
+            self._valuation[world] = frozenset(facts)
+
+    def _intern_blocks(
+        self,
+        agent: Agent,
+        blocks: Iterable[AbstractSet[World]],
+        world_list: Sequence[World],
+    ) -> List[int]:
+        """Validate ``agent``'s blocks and number them, aligned with ``world_list``.
+
+        Block ``j`` (empty blocks skipped) gets id ``j``; worlds no block mentions
+        get fresh ids of their own, so the agent distinguishes them.
+        """
+        class_id: Dict[World, int] = {}
+        next_id = 0
+        for block in blocks:
+            block = frozenset(block)
             if not block:
                 continue
             stray = block - self._worlds
@@ -190,30 +233,64 @@ class KripkeStructure:
                 raise UnknownWorldError(
                     f"partition for agent {agent!r} mentions unknown worlds {sorted(map(repr, stray))}"
                 )
-            overlap = block & seen
+            overlap = [world for world in block if world in class_id]
             if overlap:
                 raise ModelError(
                     f"partition for agent {agent!r} is not disjoint: "
                     f"worlds {sorted(map(repr, overlap))} appear twice"
                 )
-            seen.update(block)
-            all_classes.append(block)
-            for world in block:
-                class_map[world] = block
-        # Unmentioned worlds become singleton classes: the agent distinguishes them.
-        for world in self._worlds - seen:
-            singleton = frozenset({world})
-            all_classes.append(singleton)
-            class_map[world] = singleton
-        self._class_of[agent] = class_map
-        self._classes[agent] = tuple(all_classes)
+            class_id.update(dict.fromkeys(block, next_id))
+            next_id += 1
+        ids: List[int] = []
+        for world in world_list:
+            found = class_id.get(world)
+            if found is None:
+                found = next_id
+                next_id += 1
+            ids.append(found)
+        return ids
+
+    def _install_class_ids(
+        self, world_list: Sequence[World], class_ids: Mapping[Agent, Sequence[int]]
+    ) -> None:
+        """Number the worlds and group every agent's class ids into masks.
+
+        One pass per agent ORs each world's bit into its class's mask, then reads
+        the per-world class masks (the layout
+        :meth:`class_masks_in_order` serves) off the same table.  Blocks are
+        ordered by class id.  The frozenset view of the partitions is left to
+        :meth:`_ensure_partitions`.
+        """
+        keys = [repr(world) for world in world_list]
+        order = sorted(range(len(world_list)), key=keys.__getitem__)
+        positions = [0] * len(order)
+        for position, k in enumerate(order):
+            positions[k] = position
+        self._indexed = IndexedUniverse([world_list[k] for k in order])
+        self._classes = None
+        self._class_of = None
+        self._partition_mask_cache = {}
+        self._class_mask_order_cache = {}
+        self._component_mask_cache = {}
+        self._prop_mask_cache = {}
+        for agent in self._agents:
+            ids = class_ids[agent]
+            masks: Dict[int, int] = {}
+            get = masks.get
+            for class_id, position in zip(ids, positions):
+                masks[class_id] = get(class_id, 0) | 1 << position
+            blocks = tuple(map(masks.__getitem__, sorted(masks)))
+            self._partition_mask_cache[agent] = blocks
+            self._class_mask_order_cache[agent] = tuple(
+                map(masks.__getitem__, map(ids.__getitem__, order))
+            )
 
     def _ensure_partitions(self) -> None:
         """Materialise the frozenset view of the partitions from the masks.
 
-        Derived structures carry only bitmasks until a frozenset-level accessor
+        Structures carry only bitmasks until a frozenset-level accessor
         (``partition``, ``equivalence_class``, ``partition_map``, ``__eq__``...)
-        is used; evaluation chains that stay on the bitset backend never pay for
+        is used; evaluation that stays on the bitset backend never pays for
         this conversion.
         """
         if self._classes is not None:
@@ -351,15 +428,14 @@ class KripkeStructure:
     # -- indexing and bitmask views ----------------------------------------------
     # These accessors expose the structure to the bitset evaluation backend of
     # :mod:`repro.engine`: worlds get stable bit positions, and partitions / group
-    # reachability closures become integer masks.  Everything is computed lazily
-    # and cached, which is sound because structures are immutable.  Derived
+    # reachability closures become integer masks.  The numbering and the
+    # partition masks exist from construction; the rest is computed lazily and
+    # cached, which is sound because structures are immutable.  Derived
     # structures (restrictions / refinements) arrive with these caches already
     # populated by remapping from their parent.
 
     def indexed_universe(self) -> IndexedUniverse:
         """The world <-> bit-position numbering (worlds ordered by ``repr``)."""
-        if self._indexed is None:
-            self._indexed = IndexedUniverse(sorted(self._worlds, key=repr))
         return self._indexed
 
     def world_order(self) -> Tuple[World, ...]:
@@ -387,12 +463,7 @@ class KripkeStructure:
     def partition_masks(self, agent: Agent) -> Tuple[int, ...]:
         """``agent``'s indistinguishability classes as bitmasks (a disjoint cover)."""
         self._require_agent(agent)
-        cached = self._partition_mask_cache.get(agent)
-        if cached is None:
-            universe = self.indexed_universe()
-            cached = tuple(universe.mask_of(block) for block in self._classes[agent])
-            self._partition_mask_cache[agent] = cached
-        return cached
+        return self._partition_mask_cache[agent]
 
     def class_mask(self, agent: Agent, world: World) -> int:
         """The bitmask of ``agent``'s equivalence class of ``world``."""

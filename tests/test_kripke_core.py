@@ -148,6 +148,15 @@ class TestBuilders:
         checker = ModelChecker(model)
         assert checker.is_valid(C(["a", "b"], prop("p")))
 
+    def test_docstring_examples_run(self):
+        import doctest
+
+        from repro.kripke import builders, checker, structure
+
+        for module in (builders, checker, structure):
+            failed, _ = doctest.testmod(module)
+            assert not failed, module.__name__
+
 
 class TestChecker:
     def test_muddy_children_everyone_levels(self, checker):

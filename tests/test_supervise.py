@@ -26,6 +26,7 @@ from repro.errors import ScenarioError, StoreError, SweepFaultError
 from repro.experiments import ExperimentRunner, FaultPolicy, ResultStore
 from repro.experiments.chaos import ENV_VAR
 from repro.experiments.supervise import (
+    SweepSupervisor,
     attempt_record,
     quarantine_report,
     sweep_fault,
@@ -256,6 +257,18 @@ def test_parallel_supervised_clean_sweep_matches_serial(monkeypatch):
     )
     serial = ExperimentRunner().sweep("muddy_children", grid)
     assert comparable(supervised) == comparable(serial)
+
+
+def test_pool_workers_freeze_the_heap_they_inherit():
+    """Full collections in a forked worker must not walk the parent's heap."""
+    import gc
+
+    supervisor = SweepSupervisor([], jobs=1, policy=SKIP_FAST)
+    try:
+        frozen = supervisor._ensure_pool().submit(gc.get_freeze_count).result(timeout=60)
+    finally:
+        supervisor._discard_pool()
+    assert frozen > 0
 
 
 def test_parallel_poison_point_is_bisected_out_of_its_chunk(monkeypatch, tmp_path):
