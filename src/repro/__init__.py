@@ -1,7 +1,7 @@
 """repro — an executable reproduction of Halpern & Moses, "Knowledge and Common
 Knowledge in a Distributed Environment" (PODC 1984 / JACM 1990).
 
-The library is organised in layers (see DESIGN.md):
+The library is organised in layers (see the layer map in ``docs/architecture.md``):
 
 * :mod:`repro.logic` — the epistemic language: ``K_i``, ``S_G``, ``E_G``, ``D_G``,
   ``C_G``, the temporal variants ``C^eps`` / ``C^<>`` / ``C^T``, and the fixpoint

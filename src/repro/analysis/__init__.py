@@ -1,4 +1,4 @@
-"""Analysis layer (system S12 of DESIGN.md).
+"""Analysis layer (see the layer map in ``docs/architecture.md``).
 
 Executable forms of the paper's theorems and analyses: the knowledge hierarchy of
 Section 3, the attainability results of Section 8 / Appendix B, the coordination ↔

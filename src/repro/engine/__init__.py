@@ -12,8 +12,13 @@ two set representations:
   literally), reachable only through an evaluator's ``backend=`` argument or
   the process-wide default the test suite sets.
 
-The differential tests in ``tests/test_engine_equivalence.py`` keep the two backends
-in lock-step on every operator.
+Partitions enter the engine in one format: per-agent block masks and per-element
+class masks over an :class:`IndexedUniverse`, grouped from small-int class ids by
+:func:`~repro.engine.universe.partition_from_class_ids`.  Both hosts produce them
+that way (Kripke builders from arithmetic ids, systems from interned views), and
+both backends are built from them.  The differential tests in
+``tests/test_engine_equivalence.py`` keep the two backends in lock-step on every
+operator.
 """
 
 from repro.engine.backends import (

@@ -15,18 +15,19 @@ represented and supplies the epistemic primitives over that representation:
   partition is precomputed as a tuple of block masks, so ``K_i`` is one ``AND`` plus
   one compare per equivalence class, and the Boolean connectives are single bitwise
   operations.  Group joint partitions (for ``D_G``) and G-reachability components
-  (for ``C_G``, via :func:`~repro.engine.universe.reachability_components`) are
-  computed once per group and memoised on the backend.
+  (for ``C_G``, via :func:`~repro.engine.universe.reachability_components`, or the
+  host's cached closures) are computed once per group and memoised on the backend.
 
-Both backends are constructed from the same inputs — a deterministic element order
-and one ``element -> equivalence class`` map per agent — so they are guaranteed to
-describe the same model; the differential tests check that they also agree on every
-formula.
+Both backends have one constructor and take the same inputs: an indexed universe,
+each agent's partition as block masks, and each agent's per-element class masks in
+bit-position order (the layouts :func:`~repro.engine.universe.partition_from_class_ids`
+groups out of class ids).  So they are guaranteed to describe the same model; the
+differential tests check that they also agree on every formula.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError
 from repro.engine.universe import IndexedUniverse, reachability_components
@@ -43,7 +44,7 @@ __all__ = [
 
 Element = Hashable
 Agent = Hashable
-ClassMaps = Mapping[Agent, Mapping[Element, FrozenSet[Element]]]
+ComponentSource = Callable[[Tuple[Agent, ...]], Sequence[int]]
 
 
 class EngineBackend:
@@ -58,8 +59,27 @@ class EngineBackend:
 
     name: str = "?"
 
-    def __init__(self, elements: Sequence[Element], class_maps: ClassMaps):
+    def __init__(
+        self,
+        universe: IndexedUniverse,
+        blocks: Mapping[Agent, Sequence[int]],
+        class_at: Mapping[Agent, Sequence[int]],
+        component_source: Optional[ComponentSource] = None,
+    ):
+        """Build the backend over ``universe`` from per-agent partition masks.
+
+        ``blocks[agent]`` is the agent's partition as disjoint block masks;
+        ``class_at[agent][p]`` is the mask of the agent's class of the element
+        at bit position ``p``.  ``component_source`` (members-tuple ->
+        G-reachability component masks), when given, lets a host share its
+        cached closures.
+        """
         raise NotImplementedError
+
+    @property
+    def universe(self) -> IndexedUniverse:
+        """The element <-> bit-position numbering this backend evaluates over."""
+        return self._universe
 
     # -- conversions -----------------------------------------------------------
     def from_frozenset(self, members):
@@ -140,14 +160,20 @@ class FrozensetBackend(EngineBackend):
 
     name = "frozenset"
 
-    def __init__(self, elements: Sequence[Element], class_maps: ClassMaps):
-        self._elements: Tuple[Element, ...] = tuple(elements)
+    def __init__(self, universe, blocks, class_at, component_source=None):
+        # The oracle reads only the block masks: it derives its naive
+        # element -> class maps from them and computes its own closures, so it
+        # shares none of the bitset backend's precomputation.
+        self._universe = universe
+        self._elements: Tuple[Element, ...] = universe.elements
         self._full: FrozenSet[Element] = frozenset(self._elements)
-        # Inner maps are stored by reference: both hosts hand over effectively
-        # immutable mappings (KripkeStructure exposes a read-only view over frozen
-        # storage; ViewBasedInterpretation's class maps are never mutated after
-        # construction), so copying them per evaluator would be pure waste.
-        self._class_maps = dict(class_maps)
+        self._class_of: Dict[Agent, Dict[Element, FrozenSet[Element]]] = {}
+        for agent, masks in blocks.items():
+            class_of: Dict[Element, FrozenSet[Element]] = {}
+            for mask in masks:
+                block = universe.to_frozenset(mask)
+                class_of.update(dict.fromkeys(block, block))
+            self._class_of[agent] = class_of
         self._components: Dict[Tuple[Agent, ...], Dict[Element, FrozenSet[Element]]] = {}
 
     # -- conversions -----------------------------------------------------------
@@ -182,15 +208,15 @@ class FrozensetBackend(EngineBackend):
         return not value
 
     def has_agent(self, agent: Agent) -> bool:
-        return agent in self._class_maps
+        return agent in self._class_of
 
     # -- epistemic primitives ---------------------------------------------------
     def knowledge(self, agent: Agent, body):
-        class_of = self._class_maps[agent]
+        class_of = self._class_of[agent]
         return frozenset(w for w in self._elements if class_of[w] <= body)
 
     def distributed(self, members: Tuple[Agent, ...], body):
-        maps = [self._class_maps[agent] for agent in members]
+        maps = [self._class_of[agent] for agent in members]
         result = []
         for w in self._elements:
             joint = maps[0][w]
@@ -219,7 +245,7 @@ class FrozensetBackend(EngineBackend):
             while frontier:
                 current = frontier.pop()
                 for agent in members:
-                    for neighbour in self._class_maps[agent][current]:
+                    for neighbour in self._class_of[agent][current]:
                         if neighbour not in visited:
                             visited.add(neighbour)
                             frontier.append(neighbour)
@@ -234,61 +260,16 @@ class BitsetBackend(EngineBackend):
 
     name = "bitset"
 
-    @classmethod
-    def from_precomputed(
-        cls,
-        universe: IndexedUniverse,
-        blocks: Mapping[Agent, Sequence[int]],
-        class_at: Mapping[Agent, Sequence[int]],
-        component_source=None,
-    ) -> "BitsetBackend":
-        """Build a backend from masks that already exist.
-
-        :class:`repro.kripke.structure.KripkeStructure` caches its indexed universe,
-        partition masks and per-world class masks, so evaluators over the same
-        structure can share one precomputation instead of re-deriving the masks on
-        every construction.  ``component_source`` (members-tuple -> component
-        masks), when given, likewise shares the host's cached G-reachability
-        closures instead of re-merging blocks per backend instance.
-        """
-        self = cls.__new__(cls)
+    def __init__(self, universe, blocks, class_at, component_source=None):
+        # Stored by reference: hosts hand over mask tuples they never mutate
+        # (the structure's caches, the interpretation's grouped views).
         self._universe = universe
         self._full_mask = universe.full_mask
-        self._blocks = {agent: tuple(masks) for agent, masks in blocks.items()}
-        self._class_at = {agent: list(masks) for agent, masks in class_at.items()}
-        self._joint_blocks = {}
-        self._component_masks = {}
-        self._component_source = component_source
-        return self
-
-    def __init__(self, elements: Sequence[Element], class_maps: ClassMaps):
-        self._universe = universe = IndexedUniverse(elements)
-        self._full_mask = universe.full_mask
-        # Per agent: the distinct partition blocks as masks, and the per-element
-        # class mask in bit-position order (for joint-partition refinement).
-        # Members of a block share its class, so each distinct block is
-        # converted to a mask once, not once per member.
-        self._blocks: Dict[Agent, Tuple[int, ...]] = {}
-        self._class_at: Dict[Agent, List[int]] = {}
-        for agent, class_of in class_maps.items():
-            block_masks: Dict[FrozenSet[Element], int] = {}
-            class_at: List[int] = []
-            for element in universe.elements:
-                block = class_of[element]
-                mask = block_masks.get(block)
-                if mask is None:
-                    mask = block_masks[block] = universe.mask_of(block)
-                class_at.append(mask)
-            self._blocks[agent] = tuple(block_masks.values())
-            self._class_at[agent] = class_at
+        self._blocks: Mapping[Agent, Sequence[int]] = blocks
+        self._class_at: Mapping[Agent, Sequence[int]] = class_at
         self._joint_blocks: Dict[Tuple[Agent, ...], Tuple[int, ...]] = {}
         self._component_masks: Dict[Tuple[Agent, ...], Tuple[int, ...]] = {}
-        self._component_source = None
-
-    @property
-    def universe(self) -> IndexedUniverse:
-        """The element <-> bit-position numbering this backend evaluates over."""
-        return self._universe
+        self._component_source = component_source
 
     # -- conversions -----------------------------------------------------------
     def from_frozenset(self, members) -> int:

@@ -36,11 +36,16 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.errors import EvaluationError
-from repro.engine.backends import BACKENDS, EngineBackend, resolve_backend_name
+from repro.engine.backends import (
+    BACKENDS,
+    ComponentSource,
+    EngineBackend,
+    resolve_backend_name,
+)
+from repro.engine.universe import IndexedUniverse
 from repro.logic.syntax import (
     And,
     Common,
@@ -85,10 +90,12 @@ class EvaluationEngine:
 
     Parameters
     ----------
-    elements:
-        The universe (worlds or points), in a deterministic order.
-    class_maps:
-        One ``element -> equivalence class`` map per agent.
+    universe:
+        The worlds or points, numbered by bit position.
+    blocks:
+        Each agent's partition as block masks over ``universe``.
+    class_at:
+        Each agent's per-element class masks, in bit-position order.
     prop_extension:
         Returns the extension (a set of elements) of a primitive proposition name.
     require_agent:
@@ -111,10 +118,12 @@ class EvaluationEngine:
         path on the bitset backend while keeping the frozenset transcription as
         the reference semantics.
     backend:
-        ``"frozenset"``, ``"bitset"``, ``None`` for the process-wide default
-        (:func:`repro.engine.backends.get_default_backend`), or an already-built
-        :class:`~repro.engine.backends.EngineBackend` instance (hosts use this to
-        share precomputed masks across evaluators of the same model).
+        ``"frozenset"``, ``"bitset"`` or ``None`` for the process-wide default
+        (:func:`repro.engine.backends.get_default_backend`).  Both are built
+        from the same masks.
+    component_source:
+        Optional members-tuple -> G-reachability component masks, for hosts
+        that cache their closures; the bitset backend reuses them.
     common_strategy:
         How ``C_G`` is evaluated: ``"reachability"`` (Section 6's graph
         characterisation) or ``"fixpoint"`` (Appendix A's greatest fixed point).
@@ -122,15 +131,17 @@ class EvaluationEngine:
 
     def __init__(
         self,
-        elements: Sequence[Element],
-        class_maps: Mapping[Agent, Mapping[Element, FrozenSet[Element]]],
+        universe: IndexedUniverse,
+        blocks: Mapping[Agent, Sequence[int]],
+        class_at: Mapping[Agent, Sequence[int]],
         prop_extension: Callable[[str], Iterable[Element]],
         *,
         require_agent: Callable[[Agent], None],
         require_group: Callable[[object], Tuple[Agent, ...]],
         special: Optional[SpecialHandler] = None,
         special_native: Optional[SpecialNativeHandler] = None,
-        backend: "Union[str, EngineBackend, None]" = None,
+        backend: Optional[str] = None,
+        component_source: Optional[ComponentSource] = None,
         common_strategy: str = COMMON_REACHABILITY,
     ):
         if common_strategy not in _COMMON_STRATEGIES:
@@ -138,15 +149,9 @@ class EvaluationEngine:
                 f"unknown common-knowledge strategy {common_strategy!r}; "
                 f"expected one of {_COMMON_STRATEGIES}"
             )
-        if isinstance(backend, EngineBackend):
-            self._backend: EngineBackend = backend
-        else:
-            backend_name = resolve_backend_name(backend)
-            self._backend = BACKENDS[backend_name](elements, class_maps)
-        # Environment extensions handed in by callers are clipped to this set, so
-        # both backends see identical inputs (the bitset backend cannot even
-        # represent foreign elements).
-        self._universe_set: FrozenSet[Element] = frozenset(elements)
+        self._backend: EngineBackend = BACKENDS[resolve_backend_name(backend)](
+            universe, blocks, class_at, component_source
+        )
         self._prop_extension = prop_extension
         self._require_agent = require_agent
         self._require_group = require_group
@@ -234,10 +239,12 @@ class EvaluationEngine:
     def _convert_environment(
         self, environment: Optional[Mapping[str, FrozenSet[Element]]]
     ) -> Dict[str, object]:
+        # Values are clipped to the universe, so both backends see identical
+        # inputs (the bitset backend cannot even represent foreign elements).
         backend = self._backend
-        universe = self._universe_set
+        universe = backend.universe
         return {
-            name: backend.from_frozenset(universe & frozenset(value))
+            name: backend.from_frozenset(e for e in value if e in universe)
             for name, value in (environment or {}).items()
         }
 

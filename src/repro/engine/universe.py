@@ -24,7 +24,13 @@ from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Sequence
 
 from repro.errors import ModelError
 
-__all__ = ["IndexedUniverse", "MaskCompressor", "Segmentation", "reachability_components"]
+__all__ = [
+    "IndexedUniverse",
+    "MaskCompressor",
+    "Segmentation",
+    "partition_from_class_ids",
+    "reachability_components",
+]
 
 Element = Hashable
 
@@ -117,6 +123,27 @@ class IndexedUniverse:
         """
         compressor = MaskCompressor(survivor_mask)
         return IndexedUniverse(self.elements_of(survivor_mask)), compressor
+
+
+def partition_from_class_ids(
+    class_ids: Sequence[int],
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Group one agent's class ids into its partition, as masks.
+
+    ``class_ids[p]`` is a small integer naming the agent's view at the element
+    of bit position ``p``: two elements are indistinguishable to the agent
+    exactly when their ids are equal (Section 6: a processor's relation is
+    "has the same view").  One pass ORs each element's bit into its class's
+    mask.  Returns the block masks, ordered by class id, and the per-element
+    class masks in bit-position order -- the two layouts every evaluation
+    backend is built from.
+    """
+    masks: Dict[int, int] = {}
+    get = masks.get
+    for position, class_id in enumerate(class_ids):
+        masks[class_id] = get(class_id, 0) | 1 << position
+    blocks = tuple(map(masks.__getitem__, sorted(masks)))
+    return blocks, tuple(map(masks.__getitem__, class_ids))
 
 
 def reachability_components(class_ats: Sequence[Sequence[int]]) -> Tuple[int, ...]:

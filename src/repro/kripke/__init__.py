@@ -1,4 +1,4 @@
-"""Finite Kripke-structure substrate (system S3 of DESIGN.md).
+"""Finite Kripke-structure substrate (the Kripke layer of ``docs/architecture.md``).
 
 Provides S5 Kripke structures, a model checker for the full static epistemic language
 (including distributed and common knowledge and the fixpoint operators of Appendix A),

@@ -11,23 +11,23 @@ Section 6 of the paper:
 * ``E_G phi`` is the conjunction of ``K_i phi`` over the group.
 * ``C_G phi`` holds at ``w`` iff ``phi`` holds at every world G-reachable from ``w``;
   equivalently it is the greatest fixed point of ``X == E_G(phi & X)`` (Appendix A).
-  Both evaluation strategies are implemented; they agree on finite structures and the
-  benchmark ``bench_fixpoint`` compares their cost.
+  Both evaluation strategies are implemented; they agree on finite structures and
+  ``benchmarks/bench_model_checking.py`` compares their cost.
 
 Backend architecture
 --------------------
-Since the bitset-engine refactor, :class:`ModelChecker` no longer evaluates formulas
-itself: it instantiates a shared :class:`repro.engine.EvaluationEngine` over the
-structure's worlds and delegates every query to it.  The engine is generic over a
-set-representation backend (the ``backend`` constructor argument):
+:class:`ModelChecker` does not evaluate formulas itself: it instantiates a shared
+:class:`repro.engine.EvaluationEngine` and delegates every query to it.  It hands
+the engine the structure's own masks — :meth:`KripkeStructure.indexed_universe`,
+the per-agent partition masks and per-world class masks, and the cached
+reachability closures — the one partition format both backends are built from.
+The ``backend`` constructor argument picks the set representation:
 
 * ``"bitset"`` (default) — the production backend: extensions as integer bitmasks
-  over :meth:`KripkeStructure.indexed_universe`, with per-agent partition masks and
-  per-group reachability components precomputed, which is substantially faster on
-  the fixpoint-heavy common-knowledge queries (see
-  ``benchmarks/bench_model_checking.py``);
+  that share the structure's masks and closures, so a second checker over the
+  same structure costs ``O(agents)`` to build;
 * ``"frozenset"`` — the test oracle, a literal transcription of the paper's clauses
-  over ``frozenset`` extensions.
+  over ``frozenset`` extensions, which derives its classes from the block masks.
 
 The two backends are kept observably identical by the differential harness in
 ``tests/test_engine_equivalence.py``.  Results are memoised per formula structure
@@ -52,13 +52,7 @@ from typing import (
     Optional,
 )
 
-from repro.engine import (
-    COMMON_FIXPOINT,
-    COMMON_REACHABILITY,
-    BitsetBackend,
-    EvaluationEngine,
-    resolve_backend_name,
-)
+from repro.engine import COMMON_FIXPOINT, COMMON_REACHABILITY, EvaluationEngine
 from repro.errors import EvaluationError
 from repro.logic.syntax import (
     Always,
@@ -90,7 +84,7 @@ _TEMPORAL_NODES = (
 
 
 class CommonKnowledgeStrategy:
-    """Evaluation strategies for ``C_G phi`` (an ablation knob, see DESIGN.md §5).
+    """Evaluation strategies for ``C_G phi`` (an ablation knob).
 
     The names alias the engine's own constants so the two modules cannot drift.
     """
@@ -152,33 +146,19 @@ class ModelChecker:
                 f"expected one of {CommonKnowledgeStrategy.ALL}"
             )
         self._structure = structure
-        engine_backend = backend
-        if resolve_backend_name(backend) == BitsetBackend.name:
-            # Share the structure's cached masks: the world <-> bit numbering, the
-            # per-agent partition masks and the per-group reachability closures are
-            # computed once per structure, so a second checker over the same
-            # structure constructs in O(agents) and reuses the closures.
-            engine_backend = BitsetBackend.from_precomputed(
-                structure.indexed_universe(),
-                {a: structure.partition_masks(a) for a in structure.agents},
-                {a: structure.class_masks_in_order(a) for a in structure.agents},
-                component_source=structure.component_masks,
-            )
-        # A prebuilt backend ignores the class maps, so only materialise them for
-        # the from-scratch (frozenset) construction path.
-        class_maps = (
-            {}
-            if isinstance(engine_backend, BitsetBackend)
-            else {a: structure.partition_map(a) for a in structure.agents}
-        )
+        agents = structure.agents
+        # The structure caches its world numbering, partition masks and
+        # reachability closures, so every checker over it shares them.
         self._engine = EvaluationEngine(
-            structure.world_order(),
-            class_maps,
+            structure.indexed_universe(),
+            {a: structure.partition_masks(a) for a in agents},
+            {a: structure.class_masks_in_order(a) for a in agents},
             self._prop_extension,
             require_agent=self._require_agent,
             require_group=structure.group_members,
             special=self._reject_temporal,
-            backend=engine_backend,
+            backend=backend,
+            component_source=structure.component_masks,
             common_strategy=common_strategy,
         )
 

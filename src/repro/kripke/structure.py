@@ -44,10 +44,8 @@ to be observably identical to the seed's from-scratch rebuilds
 
 from __future__ import annotations
 
-from types import MappingProxyType
 from typing import (
     AbstractSet,
-    Any,
     Callable,
     Dict,
     FrozenSet,
@@ -62,7 +60,11 @@ from typing import (
     Tuple,
 )
 
-from repro.engine.universe import IndexedUniverse, reachability_components
+from repro.engine.universe import (
+    IndexedUniverse,
+    partition_from_class_ids,
+    reachability_components,
+)
 from repro.errors import ModelError, UnknownAgentError, UnknownWorldError
 from repro.logic.agents import Agent, Group, GroupLike, as_group
 
@@ -255,17 +257,14 @@ class KripkeStructure:
     ) -> None:
         """Number the worlds and group every agent's class ids into masks.
 
-        One pass per agent ORs each world's bit into its class's mask, then reads
-        the per-world class masks (the layout
-        :meth:`class_masks_in_order` serves) off the same table.  Blocks are
-        ordered by class id.  The frozenset view of the partitions is left to
-        :meth:`_ensure_partitions`.
+        The ids are permuted into bit-position order and grouped by
+        :func:`~repro.engine.universe.partition_from_class_ids`, which yields
+        the partition masks (ordered by class id) and the per-world class
+        masks :meth:`class_masks_in_order` serves.  The frozenset view of the
+        partitions is left to :meth:`_ensure_partitions`.
         """
         keys = [repr(world) for world in world_list]
         order = sorted(range(len(world_list)), key=keys.__getitem__)
-        positions = [0] * len(order)
-        for position, k in enumerate(order):
-            positions[k] = position
         self._indexed = IndexedUniverse([world_list[k] for k in order])
         self._classes = None
         self._class_of = None
@@ -274,22 +273,17 @@ class KripkeStructure:
         self._component_mask_cache = {}
         self._prop_mask_cache = {}
         for agent in self._agents:
-            ids = class_ids[agent]
-            masks: Dict[int, int] = {}
-            get = masks.get
-            for class_id, position in zip(ids, positions):
-                masks[class_id] = get(class_id, 0) | 1 << position
-            blocks = tuple(map(masks.__getitem__, sorted(masks)))
-            self._partition_mask_cache[agent] = blocks
-            self._class_mask_order_cache[agent] = tuple(
-                map(masks.__getitem__, map(ids.__getitem__, order))
+            blocks, class_at = partition_from_class_ids(
+                list(map(class_ids[agent].__getitem__, order))
             )
+            self._partition_mask_cache[agent] = blocks
+            self._class_mask_order_cache[agent] = class_at
 
     def _ensure_partitions(self) -> None:
         """Materialise the frozenset view of the partitions from the masks.
 
         Structures carry only bitmasks until a frozenset-level accessor
-        (``partition``, ``equivalence_class``, ``partition_map``, ``__eq__``...)
+        (``partition``, ``equivalence_class``, ``__eq__``...)
         is used; evaluation that stays on the bitset backend never pays for
         this conversion.
         """
@@ -536,17 +530,6 @@ class KripkeStructure:
     def prop_worlds(self, name: str) -> FrozenSet[World]:
         """The set of worlds at which the primitive proposition ``name`` holds."""
         return self.indexed_universe().to_frozenset(self.prop_mask(name))
-
-    def partition_map(self, agent: Agent) -> Mapping[World, FrozenSet[World]]:
-        """The ``world -> equivalence class`` map of ``agent`` (a read-only view).
-
-        The view is backed by the structure's own storage — no copy is made, so
-        consumers that need ownership (e.g. the engine's frozenset backend) copy
-        exactly once on their side.
-        """
-        self._require_agent(agent)
-        self._ensure_partitions()
-        return MappingProxyType(self._class_of[agent])
 
     def group_members(self, group: GroupLike) -> Tuple[Agent, ...]:
         """Validate ``group`` against this structure and return its sorted members."""

@@ -1,4 +1,5 @@
-"""Scenario library (system S11 of DESIGN.md): the paper's worked examples.
+"""Scenario library (the Scenarios layer of ``docs/architecture.md``): the paper's
+worked examples.
 
 Each module builds the relevant model (a Kripke structure or a system of runs) through
 the public API of :mod:`repro.kripke`, :mod:`repro.systems` and

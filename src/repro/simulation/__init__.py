@@ -1,4 +1,4 @@
-"""Protocol/simulation substrate (system S10 of DESIGN.md).
+"""Protocol/simulation substrate (the Simulation layer of ``docs/architecture.md``).
 
 Deterministic protocols, message-delivery models, and exhaustive run enumeration that
 turns "protocol + environment" into the systems of runs analysed by

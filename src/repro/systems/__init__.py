@@ -1,4 +1,4 @@
-"""Runs-and-systems substrate (systems S5–S9 of DESIGN.md).
+"""Runs-and-systems substrate (the Systems layer of ``docs/architecture.md``).
 
 Implements the paper's general model of a distributed system (Section 5), view-based
 and general epistemic knowledge interpretations (Sections 6 and 13), the temporal

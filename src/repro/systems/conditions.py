@@ -15,7 +15,7 @@ discrete time grid, these conditions become decidable properties that this modul
 checks by brute force.  The continuous-time quantifier "there exists delta > 0 such
 that for all delta' in [0, delta)" of the temporal-imprecision definition is
 reproduced with a grid shift of one tick (``shift=1``), the smallest non-trivial
-discrete shift; DESIGN.md records this substitution.
+discrete shift.
 """
 
 from __future__ import annotations

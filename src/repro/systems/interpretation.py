@@ -13,28 +13,31 @@ evaluates the full language of :mod:`repro.logic` at points ``(r, t)``:
   greatest fixed points, following the paper's definitions.
 
 The indistinguishability relation induced by the view function is computed once per
-processor and cached; common knowledge uses G-reachability over the resulting graph of
-points, which is exactly the graph construction of Section 6.
+processor: each point's view is interned into a small int (one dict per processor),
+and the ids are grouped into partition masks over the points' bit numbering
+(:func:`~repro.engine.universe.partition_from_class_ids`).  Classes, joint classes
+and G-reachability (the graph construction of Section 6) are read off those masks.
 
 Backend architecture
 --------------------
 The static fragment of the language (Boolean connectives, ``K``/``S``/``E``/``D``/
 ``C`` and the plain fixpoint binders) is evaluated by the shared
-:class:`repro.engine.EvaluationEngine`, instantiated over the system's points.  The
-``backend`` constructor argument selects the set representation: ``"bitset"``
-(the production default: integer bitmasks with precomputed per-processor
-partition masks) or ``"frozenset"`` (the reference semantics, kept as the test
-oracle).  The
-temporal and temporal-epistemic operators are host-specific — they need the run/time
-shape of points — so this class feeds them to the engine through its ``special``
-hooks; their extensions are still memoised in the engine's cache, and both backends
-remain observably identical (``tests/test_engine_equivalence.py`` and
-``tests/test_temporal_masks.py``).
+:class:`repro.engine.EvaluationEngine`, built from the same per-processor masks on
+either backend.  The ``backend`` constructor argument selects the set
+representation: ``"bitset"`` (the production default: integer bitmasks) or
+``"frozenset"`` (the reference semantics, kept as the test oracle, which derives
+its classes from the masks).  The temporal and temporal-epistemic operators are
+host-specific — they need the run/time shape of points — so this class feeds them
+to the engine through its ``special`` hooks; their extensions are still memoised in
+the engine's cache, and both backends remain observably identical
+(``tests/test_engine_equivalence.py`` and ``tests/test_temporal_masks.py``);
+``tests/test_view_partitions.py`` pins the grouping itself against the definition.
 
 The temporal fragment has *two* implementations:
 
 * the frozenset transcription of the paper's clauses (``_evaluate_temporal``, the
-  reference semantics — per-run Python loops with ``O(T^2)`` suffix scans); and
+  reference semantics — per-run Python loops with ``O(T^2)`` suffix scans, whose
+  ``K_i`` is the frozenset backend's; it runs only on that backend); and
 * a mask-space fast path (``_evaluate_temporal_masks``, used automatically on the
   bitset backend).  Points are laid out run-major, so each run occupies one
   contiguous bit range of the engine's universe (a
@@ -50,9 +53,10 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.engine import EvaluationEngine, Segmentation
+from repro.engine import EvaluationEngine, IndexedUniverse, Segmentation
 from repro.engine.backends import BitsetBackend
-from repro.errors import EvaluationError, UnknownAgentError
+from repro.engine.universe import partition_from_class_ids
+from repro.errors import EvaluationError, ModelError, UnknownAgentError
 from repro.logic.agents import Agent, GroupLike, as_group
 from repro.logic.fixpoint import greatest_fixpoint
 from repro.logic.syntax import (
@@ -138,20 +142,21 @@ class ViewBasedInterpretation:
         self._valuation = valuation if valuation is not None else RunFactsValuation()
         self._view = view if view is not None else CompleteHistoryView()
         self._points: Tuple[Point, ...] = tuple(system.points())
-        self._point_set: PointSet = frozenset(self._points)
-        self._classes: Dict[Agent, Dict[Point, PointSet]] = {}
+        self._universe = IndexedUniverse(self._points)
+        self._blocks: Dict[Agent, Tuple[int, ...]] = {}
+        self._class_at: Dict[Agent, Tuple[int, ...]] = {}
         self._build_indistinguishability()
         # Mask-path state (bitset backend only), built lazily on the first
         # temporal query: the run-major segment layout, the per-(agent, body)
         # knowledge masks reused across fixpoint iterations, and the
         # per-(agent, timestamp) clock-reading masks (pure model data).
         self._segments: Optional[Segmentation] = None
-        self._mask_ready: Optional[bool] = None
         self._mask_knowledge_cache: Dict[Tuple[Agent, int], int] = {}
         self._reading_masks: Dict[Tuple[Agent, float], int] = {}
         self._engine = EvaluationEngine(
-            self._points,
-            self._classes,
+            self._universe,
+            self._blocks,
+            self._class_at,
             self._prop_extension,
             require_agent=self._require_processor,
             require_group=self._group_members,
@@ -161,18 +166,24 @@ class ViewBasedInterpretation:
         )
 
     def _build_indistinguishability(self) -> None:
+        """Group the points into each processor's classes of equal views.
+
+        Each processor's views are interned into small ints (one dict per
+        processor, ids in order of first appearance), so the one ``view()``
+        call per (processor, point) is hashed once and
+        :func:`~repro.engine.universe.partition_from_class_ids` groups ints.
+        """
+        view = self._view.view
         for processor in sorted(self._system.processors, key=repr):
-            by_view: Dict[object, Set[Point]] = {}
-            for point in self._points:
-                run, time = point
-                key = self._view.view(processor, run, time)
-                by_view.setdefault(key, set()).add(point)
-            class_of: Dict[Point, PointSet] = {}
-            for members in by_view.values():
-                block = frozenset(members)
-                for point in block:
-                    class_of[point] = block
-            self._classes[processor] = class_of
+            ids: Dict[object, int] = {}
+            intern = ids.setdefault
+            class_ids = [
+                intern(view(processor, run, time), len(ids))
+                for run, time in self._points
+            ]
+            self._blocks[processor], self._class_at[processor] = (
+                partition_from_class_ids(class_ids)
+            )
 
     # -- basic accessors --------------------------------------------------------
     @property
@@ -207,11 +218,11 @@ class ViewBasedInterpretation:
 
     def equivalence_class(self, processor: Agent, point: Point) -> PointSet:
         """The points ``processor`` cannot distinguish from ``point``."""
-        classes = self._classes.get(processor)
-        if classes is None:
+        class_at = self._class_at.get(processor)
+        if class_at is None:
             raise UnknownAgentError(f"unknown processor {processor!r}")
         self._system.require_point(point)
-        return classes[point]
+        return self._universe.to_frozenset(class_at[self._universe.index_of(point)])
 
     def indistinguishable(self, processor: Agent, point_a: Point, point_b: Point) -> bool:
         """Whether ``processor`` has the same view at both points."""
@@ -219,13 +230,13 @@ class ViewBasedInterpretation:
 
     def joint_class(self, group: GroupLike, point: Point) -> PointSet:
         """The intersection of the members' classes (the group's joint view)."""
-        members = as_group(group).sorted_members()
-        result: Optional[PointSet] = None
+        members = self._group_members(group)
+        self._system.require_point(point)
+        position = self._universe.index_of(point)
+        result = self._universe.full_mask
         for processor in members:
-            block = self.equivalence_class(processor, point)
-            result = block if result is None else result & block
-        assert result is not None
-        return result
+            result &= self._class_at[processor][position]
+        return self._universe.to_frozenset(result)
 
     def reachable(self, group: GroupLike, point: Point, max_steps: Optional[int] = None) -> PointSet:
         """Points G-reachable from ``point`` (in at most ``max_steps`` steps if given).
@@ -233,22 +244,24 @@ class ViewBasedInterpretation:
         Common knowledge of ``phi`` holds at ``point`` exactly when ``phi`` holds at
         every G-reachable point (Section 6).
         """
-        members = as_group(group).sorted_members()
+        if max_steps is not None and max_steps < 0:
+            raise ModelError("steps must be non-negative")
+        class_ats = [self._class_at[processor] for processor in self._group_members(group)]
         self._system.require_point(point)
-        visited: Set[Point] = {point}
-        frontier: List[Point] = [point]
+        reached = frontier = self._universe.bit(point)
         steps = 0
         while frontier and (max_steps is None or steps < max_steps):
-            next_frontier: List[Point] = []
-            for current in frontier:
-                for processor in members:
-                    for neighbour in self._classes[processor][current]:
-                        if neighbour not in visited:
-                            visited.add(neighbour)
-                            next_frontier.append(neighbour)
-            frontier = next_frontier
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                position = low.bit_length() - 1
+                for class_at in class_ats:
+                    grown |= class_at[position]
+            frontier = grown & ~reached
+            reached |= frontier
             steps += 1
-        return frozenset(visited)
+        return self._universe.to_frozenset(reached)
 
     # -- formula evaluation --------------------------------------------------------
     def extension(
@@ -281,7 +294,8 @@ class ViewBasedInterpretation:
 
     def is_valid(self, formula: Formula) -> bool:
         """Whether ``formula`` holds at every point of the system (validity)."""
-        return self.extension(formula) == self._point_set
+        # Extensions are subsets of the points, so equal size means equal sets.
+        return len(self.extension(formula)) == len(self._points)
 
     def is_satisfiable(self, formula: Formula) -> bool:
         """Whether ``formula`` holds at some point of the system."""
@@ -310,23 +324,18 @@ class ViewBasedInterpretation:
         """
         from repro.kripke.structure import KripkeStructure
 
-        label = {point: (point.run.name, point.time) for point in self._points}
-        worlds = set(label.values())
+        labels = IndexedUniverse((point.run.name, point.time) for point in self._points)
         valuation = {
-            label[point]: self._valuation.facts_at(point) for point in self._points
+            label: self._valuation.facts_at(point)
+            for label, point in zip(labels, self._points)
         }
-        partitions = {}
-        for processor in self._system.processors:
-            seen: Set[Point] = set()
-            blocks = []
-            for point in self._points:
-                if point in seen:
-                    continue
-                block = self._classes[processor][point]
-                seen.update(block)
-                blocks.append({label[member] for member in block})
-            partitions[processor] = blocks
-        return KripkeStructure(worlds, self._system.processors, valuation, partitions)
+        # The labels share the points' bit positions, so each block mask
+        # reads off directly as a set of labels.
+        partitions = {
+            processor: [labels.to_frozenset(mask) for mask in self._blocks[processor]]
+            for processor in self._system.processors
+        }
+        return KripkeStructure(labels, self._system.processors, valuation, partitions)
 
     # -- engine adapters -----------------------------------------------------------
     def _prop_extension(self, name: str) -> PointSet:
@@ -403,23 +412,16 @@ class ViewBasedInterpretation:
     def _mask_segments(self, backend) -> Optional[Segmentation]:
         """The run-segment layout of the engine's bit numbering, or ``None``.
 
-        ``None`` means the mask path does not apply (non-bitset backend, or a
-        caller-supplied backend whose universe is not this interpretation's
-        point order) and the engine must fall back to the frozenset reference.
+        ``None`` means the mask path does not apply (the frozenset backend) and
+        the engine must fall back to the frozenset reference.
         """
-        if self._mask_ready is None:
-            ready = (
-                isinstance(backend, BitsetBackend)
-                and backend.universe.elements == self._points
-            )
-            if ready:
-                # System.points() yields runs sorted by name, each contributing
-                # its contiguous 0..duration block, so segment i is run i.
-                self._segments = Segmentation(
-                    run.duration + 1 for run in self._system.runs
-                )
-            self._mask_ready = ready
-        return self._segments if self._mask_ready else None
+        if not isinstance(backend, BitsetBackend):
+            return None
+        if self._segments is None:
+            # System.points() yields runs sorted by name, each contributing
+            # its contiguous 0..duration block, so segment i is run i.
+            self._segments = Segmentation(run.duration + 1 for run in self._system.runs)
+        return self._segments
 
     def _evaluate_temporal_masks(
         self, formula: Formula, evaluate: Callable[[Formula], int], backend
@@ -537,7 +539,7 @@ class ViewBasedInterpretation:
                 return 0
         return result
 
-    def _reading_mask(self, agent: Agent, timestamp: float, backend) -> int:
+    def _reading_mask(self, agent: Agent, timestamp: float) -> int:
         """The points at which ``agent``'s clock reads ``timestamp`` (cached).
 
         Pure model data — computed once per ``(agent, timestamp)`` and kept for
@@ -546,7 +548,7 @@ class ViewBasedInterpretation:
         key = (agent, timestamp)
         cached = self._reading_masks.get(key)
         if cached is None:
-            universe = backend.universe
+            universe = self._universe
             cached = 0
             for run in self._system.runs:
                 for time in run.times():
@@ -566,7 +568,7 @@ class ViewBasedInterpretation:
         """
         if agent not in self._system.processors:
             raise UnknownAgentError(f"unknown processor {agent!r}")
-        reading = self._reading_mask(agent, timestamp, backend)
+        reading = self._reading_mask(agent, timestamp)
         if not reading:
             return 0
         knowledge = self._mask_knowledge(backend, agent, body)
@@ -593,15 +595,11 @@ class ViewBasedInterpretation:
             )
         return members
 
-    def _knowledge_extension(self, agent: Agent, body: PointSet) -> PointSet:
-        classes = self._classes[agent]
-        return frozenset(p for p in self._points if classes[p] <= body)
-
     def _everyone_eps(self, group, body: PointSet, eps: float) -> PointSet:
         """Appendix A clause (h): there is an interval ``[t0, t0+eps]`` containing the
         current time in which every member of the group knows the body at some time."""
         members = self._group_members(group)
-        knowledge = {agent: self._knowledge_extension(agent, body) for agent in members}
+        knowledge = {agent: self._engine.backend.knowledge(agent, body) for agent in members}
         eps_steps = _eps_steps(eps)
         satisfied: Set[Point] = set()
         for run in self._system.runs:
@@ -629,7 +627,7 @@ class ViewBasedInterpretation:
         """Appendix A clause (i): every member of the group knows the body at some
         time (any time) of the run."""
         members = self._group_members(group)
-        knowledge = {agent: self._knowledge_extension(agent, body) for agent in members}
+        knowledge = {agent: self._engine.backend.knowledge(agent, body) for agent in members}
         satisfied: Set[Point] = set()
         for run in self._system.runs:
             if all(
@@ -648,7 +646,7 @@ class ViewBasedInterpretation:
         """
         if agent not in self._system.processors:
             raise UnknownAgentError(f"unknown processor {agent!r}")
-        knowledge = self._knowledge_extension(agent, body)
+        knowledge = self._engine.backend.knowledge(agent, body)
         satisfied: Set[Point] = set()
         for run in self._system.runs:
             reading_times = [
@@ -679,4 +677,4 @@ class ViewBasedInterpretation:
         def transformer(current: PointSet) -> PointSet:
             return everyone_operator(body & current)
 
-        return greatest_fixpoint(transformer, self._point_set).result
+        return greatest_fixpoint(transformer, self._engine.backend.full).result

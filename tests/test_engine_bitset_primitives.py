@@ -6,8 +6,8 @@ Three invariants the bitset backend's correctness rests on:
 * each agent's partition masks form a disjoint cover of the universe;
 * the G-reachability component masks agree with :meth:`KripkeStructure.reachable`.
 
-Plus a cost regression: a bitset backend built from class maps converts each
-distinct block to a mask once.
+Plus a cost regression: indexing a system's views on the bitset backend makes
+one ``view()`` call per (processor, point) and converts no set to a mask.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.errors import ModelError
 from repro.experiments import get_scenario
 from repro.logic.agents import Group
 from repro.systems.interpretation import ViewBasedInterpretation
+from repro.systems.views import CompleteHistoryView
 
 _SETTINGS = {"max_examples": 60, "deadline": None}
 
@@ -171,7 +172,7 @@ def test_component_masks_match_reachable(seed, n_worlds, n_agents, data):
     data=st.data(),
 )
 def test_backend_components_match_structure_reachable(seed, n_worlds, data):
-    """The BitsetBackend's own closure (block merging) agrees with BFS reachability."""
+    """The BitsetBackend's own closure agrees with the structure's reachability."""
     structure = random_structure(seed, n_worlds=n_worlds)
     agents = sorted(structure.agents, key=repr)
     members = tuple(
@@ -180,9 +181,11 @@ def test_backend_components_match_structure_reachable(seed, n_worlds, data):
             key=repr,
         )
     )
+    # No component_source: the backend computes its own closure.
     backend = BitsetBackend(
-        structure.world_order(),
-        {agent: structure.partition_map(agent) for agent in structure.agents},
+        structure.indexed_universe(),
+        {agent: structure.partition_masks(agent) for agent in structure.agents},
+        {agent: structure.class_masks_in_order(agent) for agent in structure.agents},
     )
     body = data.draw(st.sets(st.sampled_from(structure.world_order())))
     body_mask = backend.from_frozenset(body)
@@ -199,27 +202,35 @@ def test_backend_components_match_structure_reachable(seed, n_worlds, data):
 # ---------------------------------------------------------------------------
 
 
-def test_bitset_interpretation_converts_each_distinct_block_once(monkeypatch):
-    """One ``mask_of`` call per distinct class, not one per point.
+def test_bitset_interpretation_indexes_views_without_set_conversions(monkeypatch):
+    """Indexing calls ``view()`` once per (processor, point) and never ``mask_of``.
 
-    Members of a class share one frozenset; a conversion per member would
-    re-hash every point of the class once per member.
+    The views are interned into class ids and grouped straight into masks, so
+    no frozenset block is built or converted.
     """
     spec = get_scenario("sequence_transmission")
     system = spec.build(spec.validate_params({"n_bits": 3, "horizon": 4})).model
-    calls = []
+    mask_of_calls = []
+    view_calls = []
     mask_of = IndexedUniverse.mask_of
+    view = CompleteHistoryView.view
 
     def counting_mask_of(universe, elements):
-        calls.append(None)
+        mask_of_calls.append(None)
         return mask_of(universe, elements)
 
+    def counting_view(self, processor, run, time):
+        view_calls.append((processor, run.name, time))
+        return view(self, processor, run, time)
+
     monkeypatch.setattr(IndexedUniverse, "mask_of", counting_mask_of)
+    monkeypatch.setattr(CompleteHistoryView, "view", counting_view)
     interpretation = ViewBasedInterpretation(system, backend="bitset")
     monkeypatch.undo()
-    distinct_blocks = sum(
-        len({interpretation.equivalence_class(agent, point) for point in interpretation.points})
-        for agent in system.processors
-    )
-    assert distinct_blocks < len(interpretation.points)
-    assert len(calls) == distinct_blocks
+    assert mask_of_calls == []
+    expected = [
+        (processor, point.run.name, point.time)
+        for processor in system.processors
+        for point in interpretation.points
+    ]
+    assert sorted(view_calls, key=repr) == sorted(expected, key=repr)

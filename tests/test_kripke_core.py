@@ -149,13 +149,25 @@ class TestBuilders:
         assert checker.is_valid(C(["a", "b"], prop("p")))
 
     def test_docstring_examples_run(self):
+        """Every ``repro`` module with docstring examples runs them cleanly."""
         import doctest
+        import importlib
 
-        from repro.kripke import builders, checker, structure
-
-        for module in (builders, checker, structure):
+        for name in (
+            "repro.kripke.builders",
+            "repro.kripke.checker",
+            "repro.kripke.structure",
+            "repro.logic.agents",
+            "repro.logic.parser",
+            "repro.logic.pretty",
+            "repro.logic.syntax",
+            "repro.logic.transform",
+            "repro.scenarios.muddy_children",
+            "repro.systems.runs",
+        ):
+            module = importlib.import_module(name)
             failed, _ = doctest.testmod(module)
-            assert not failed, module.__name__
+            assert not failed, name
 
 
 class TestChecker:
