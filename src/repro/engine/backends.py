@@ -125,6 +125,11 @@ class EngineBackend:
         """Whether this backend carries a partition for ``agent``."""
         raise NotImplementedError
 
+    def summary(self, value, element) -> Tuple[int, Optional[bool]]:
+        """How many elements ``value`` holds, and whether ``element`` is one of
+        them (``None`` when ``element`` is ``None``)."""
+        raise NotImplementedError
+
     # -- epistemic primitives ---------------------------------------------------
     def knowledge(self, agent: Agent, body):
         """``K_i``: the elements whose ``agent``-class is contained in ``body``."""
@@ -209,6 +214,9 @@ class FrozensetBackend(EngineBackend):
 
     def has_agent(self, agent: Agent) -> bool:
         return agent in self._class_of
+
+    def summary(self, value, element):
+        return len(value), None if element is None else element in value
 
     # -- epistemic primitives ---------------------------------------------------
     def knowledge(self, agent: Agent, body):
@@ -304,6 +312,12 @@ class BitsetBackend(EngineBackend):
 
     def has_agent(self, agent: Agent) -> bool:
         return agent in self._blocks
+
+    def summary(self, value, element):
+        universe = self._universe
+        if element is None:
+            return universe.count(value), None
+        return universe.count(value), element in universe and bool(value & universe.bit(element))
 
     # -- epistemic primitives ---------------------------------------------------
     def knowledge(self, agent: Agent, body):

@@ -236,6 +236,18 @@ class EvaluationEngine:
         env = self._convert_environment(environment)
         return [backend.to_frozenset(self._evaluate(f, env)) for f in formulas]
 
+    def summaries(
+        self, formulas: Iterable[Formula], focus: Optional[Element] = None
+    ) -> List[Tuple[int, Optional[bool]]]:
+        """Batch evaluation without set conversion: per formula, the size of
+        its extension and whether ``focus`` is in it (``None`` without a focus).
+
+        Shares the memo with :meth:`extensions`; each answer is read off the
+        backend's own value (a popcount and one bit test on bitset).
+        """
+        summary = self._backend.summary
+        return [summary(self._evaluate(f, {}), focus) for f in formulas]
+
     def _convert_environment(
         self, environment: Optional[Mapping[str, FrozenSet[Element]]]
     ) -> Dict[str, object]:

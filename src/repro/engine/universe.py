@@ -111,7 +111,8 @@ class IndexedUniverse:
     @staticmethod
     def count(mask: int) -> int:
         """How many elements ``mask`` contains (popcount)."""
-        return mask.bit_count()
+        # Not int.bit_count: it needs Python 3.10, and the package supports 3.9.
+        return bin(mask).count("1")
 
     def subuniverse(self, survivor_mask: int) -> "Tuple[IndexedUniverse, MaskCompressor]":
         """The universe of the elements in ``survivor_mask``, plus its remapper.

@@ -7,7 +7,8 @@ grid point never rebuilds the model), wraps it in the right evaluator
 (:class:`~repro.kripke.checker.ModelChecker` for Kripke structures,
 :class:`~repro.systems.interpretation.ViewBasedInterpretation` for systems), and
 evaluates whole formula batches through the engine's shared-memo
-``extensions()`` API.
+``summaries()`` API, which reads each row's count and focus verdict off the
+backend's own values.
 
 Typical use::
 
@@ -116,7 +117,7 @@ class ScenarioInstance:
 
         Evaluators and the built model share mutable caches (engine memos,
         structure-level partition masks) that were written single-threaded;
-        holding this lock around ``extensions()`` keeps concurrent
+        holding this lock around ``summaries()`` keeps concurrent
         :meth:`ExperimentRunner.run` calls on the *same* grid point safe while
         different grid points still evaluate in parallel.
         """
@@ -700,15 +701,6 @@ class ExperimentRunner:
         maybe_inject(spec.name, validated, run.backend, run.minimize)
 
         instance = self._instance(spec, validated)
-        # Evaluation is serialised per instance: evaluators and the built
-        # model carry mutable caches written single-threaded.
-        with instance.eval_lock:
-            evaluator = instance.evaluator(minimize=run.minimize)
-
-            start = time.perf_counter()
-            extensions = evaluator.extensions([formula for _, formula in batch])
-            eval_seconds = time.perf_counter() - start
-
         focus = instance.focus
         if run.minimize:
             reduced, _ = instance.minimized()
@@ -716,17 +708,26 @@ class ExperimentRunner:
             focus = instance.focus_class(focus)
         else:
             universe = instance.universe_size
+        # Evaluation is serialised per instance: evaluators and the built
+        # model carry mutable caches written single-threaded.
+        with instance.eval_lock:
+            evaluator = instance.evaluator(minimize=run.minimize)
+
+            start = time.perf_counter()
+            summaries = evaluator.engine.summaries([formula for _, formula in batch], focus)
+            eval_seconds = time.perf_counter() - start
+
         rows = [
             FormulaOutcome(
                 label=label,
                 formula=str(formula),
-                count=len(extension),
+                count=count,
                 universe=universe,
-                satisfiable=bool(extension),
-                valid=len(extension) == universe,
-                holds_at_focus=None if focus is None else focus in extension,
+                satisfiable=count > 0,
+                valid=count == universe,
+                holds_at_focus=holds_at_focus,
             )
-            for (label, formula), extension in zip(batch, extensions)
+            for (label, formula), (count, holds_at_focus) in zip(batch, summaries)
         ]
         return ExperimentReport(
             scenario=instance.spec.name,
@@ -752,7 +753,7 @@ class ExperimentRunner:
         """Evaluate a formula batch on one scenario instance.
 
         ``formulas`` defaults to the scenario's registered formula set.  The
-        whole batch goes through the engine's ``extensions()`` API, so formulas
+        whole batch goes through the engine's ``summaries()`` API, so formulas
         sharing subterms (e.g. a ``E^k`` hierarchy) share one memo.
 
         With ``minimize=True`` evaluation runs on the bisimulation quotient:

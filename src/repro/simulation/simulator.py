@@ -298,33 +298,21 @@ class Simulator:
         env = self._environment
         suffix = ".".join(choices) if choices else "quiet"
         name = f"{self._name_prefix}{config_index}-{suffix}"
-        frozen_events = {
-            p: {t: tuple(evs) for t, evs in per.items()} for p, per in events.items()
-        }
         run = Run(
             name=name,
             processors=env.processors,
             duration=env.duration,
             initial_states=initial_states,
             wake_times=wake_times,
-            events=frozen_events,
+            events=events,
             clocks=clocks,
         )
+        # The rules read the finished run; their facts join it in one step.
         facts: Dict[int, set] = {}
         for rule in self._fact_rules:
             for time, names in rule(run).items():
                 facts.setdefault(time, set()).update(names)
-        if facts:
-            run = Run(
-                name=name,
-                processors=env.processors,
-                duration=env.duration,
-                initial_states=initial_states,
-                wake_times=wake_times,
-                events=frozen_events,
-                clocks=clocks,
-                facts={t: frozenset(v) for t, v in facts.items()},
-            )
+        run._attach_facts(facts)
         finished.append(run)
 
 

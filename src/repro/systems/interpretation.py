@@ -13,7 +13,8 @@ evaluates the full language of :mod:`repro.logic` at points ``(r, t)``:
   greatest fixed points, following the paper's definitions.
 
 The indistinguishability relation induced by the view function is computed once per
-processor: each point's view is interned into a small int (one dict per processor),
+processor: the view function numbers the points by view (equal ids exactly where the
+views are equal; the complete-history view interns histories without building them),
 and the ids are grouped into partition masks over the points' bit numbering
 (:func:`~repro.engine.universe.partition_from_class_ids`).  Classes, joint classes
 and G-reachability (the graph construction of Section 6) are read off those masks.
@@ -168,21 +169,14 @@ class ViewBasedInterpretation:
     def _build_indistinguishability(self) -> None:
         """Group the points into each processor's classes of equal views.
 
-        Each processor's views are interned into small ints (one dict per
-        processor, ids in order of first appearance), so the one ``view()``
-        call per (processor, point) is hashed once and
-        :func:`~repro.engine.universe.partition_from_class_ids` groups ints.
+        The view function numbers each processor's views in point order
+        (:meth:`~repro.systems.views.ViewFunction.class_ids`), and
+        :func:`~repro.engine.universe.partition_from_class_ids` groups the ids
+        into masks.
         """
-        view = self._view.view
         for processor in sorted(self._system.processors, key=repr):
-            ids: Dict[object, int] = {}
-            intern = ids.setdefault
-            class_ids = [
-                intern(view(processor, run, time), len(ids))
-                for run, time in self._points
-            ]
             self._blocks[processor], self._class_at[processor] = (
-                partition_from_class_ids(class_ids)
+                partition_from_class_ids(self._view.class_ids(self._system, processor))
             )
 
     # -- basic accessors --------------------------------------------------------

@@ -22,6 +22,7 @@ clocks) and produces hashable structures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import (
     AbstractSet,
     Any,
@@ -203,12 +204,20 @@ class Run:
             self._clocks[p] = clock
 
         self._facts: Dict[int, FrozenSet[str]] = {}
-        for time, names in (facts or {}).items():
-            if not 0 <= time <= duration:
-                raise ModelError(f"facts at time {time} are outside 0..{duration}")
-            self._facts[time] = frozenset(names)
+        self._attach_facts(facts or {})
 
         self._history_cache: Dict[Tuple[Agent, int], LocalHistory] = {}
+
+    def _attach_facts(self, facts: Mapping[int, AbstractSet[str]]) -> None:
+        """Record ``facts[t]`` as true at time ``t``, checking ``0 <= t <= duration``.
+
+        Part of construction: the simulator attaches the facts its fact rules
+        read off the finished run before it hands the run out.
+        """
+        for time, names in facts.items():
+            if not 0 <= time <= self._duration:
+                raise ModelError(f"facts at time {time} are outside 0..{self._duration}")
+            self._facts[time] = frozenset(names)
 
     # -- basic accessors --------------------------------------------------------
     @property
@@ -272,6 +281,12 @@ class Run:
         self._require_processor(processor)
         self._require_time(time)
         return self._events[processor].get(time, ())
+
+    def events_by_time(self, processor: Agent) -> Mapping[int, Tuple[Event, ...]]:
+        """A read-only ``time -> events`` map of what ``processor`` observes;
+        times at which it observes nothing are absent."""
+        self._require_processor(processor)
+        return MappingProxyType(self._events[processor])
 
     def facts_at(self, time: int) -> FrozenSet[str]:
         """The ground facts recorded as true at ``(self, time)``."""

@@ -6,8 +6,10 @@ Three invariants the bitset backend's correctness rests on:
 * each agent's partition masks form a disjoint cover of the universe;
 * the G-reachability component masks agree with :meth:`KripkeStructure.reachable`.
 
-Plus a cost regression: indexing a system's views on the bitset backend makes
-one ``view()`` call per (processor, point) and converts no set to a mask.
+Plus a cost regression on indexing a system's views: the complete-history view
+is indexed from interned history ids, with no ``view()`` call, no
+``Run.history`` and no set converted to a mask; any other view makes exactly
+one ``view()`` call per (processor, point).
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from repro.errors import ModelError
 from repro.experiments import get_scenario
 from repro.logic.agents import Group
 from repro.systems.interpretation import ViewBasedInterpretation
-from repro.systems.views import CompleteHistoryView
+from repro.systems.runs import Run
+from repro.systems.views import CompleteHistoryView, LocalStateView
 
 _SETTINGS = {"max_examples": 60, "deadline": None}
 
@@ -202,35 +205,52 @@ def test_backend_components_match_structure_reachable(seed, n_worlds, data):
 # ---------------------------------------------------------------------------
 
 
-def test_bitset_interpretation_indexes_views_without_set_conversions(monkeypatch):
-    """Indexing calls ``view()`` once per (processor, point) and never ``mask_of``.
-
-    The views are interned into class ids and grouped straight into masks, so
-    no frozenset block is built or converted.
-    """
+def _sequence_transmission():
     spec = get_scenario("sequence_transmission")
-    system = spec.build(spec.validate_params({"n_bits": 3, "horizon": 4})).model
-    mask_of_calls = []
-    view_calls = []
-    mask_of = IndexedUniverse.mask_of
-    view = CompleteHistoryView.view
+    return spec.build(spec.validate_params({"n_bits": 3, "horizon": 4})).model
 
-    def counting_mask_of(universe, elements):
-        mask_of_calls.append(None)
-        return mask_of(universe, elements)
 
-    def counting_view(self, processor, run, time):
-        view_calls.append((processor, run.name, time))
-        return view(self, processor, run, time)
+def _counting(monkeypatch, owner, name, calls):
+    """Replace ``owner.name`` by a wrapper that records each call's arguments."""
+    original = getattr(owner, name)
 
-    monkeypatch.setattr(IndexedUniverse, "mask_of", counting_mask_of)
-    monkeypatch.setattr(CompleteHistoryView, "view", counting_view)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_bitset_interpretation_indexes_views_without_set_conversions(monkeypatch):
+    """Complete-history indexing builds no view, no history and no mask_of.
+
+    The histories are numbered from interned event and reading sequences
+    (``CompleteHistoryView.class_ids``) and the ids are grouped straight into
+    masks, so no ``LocalHistory`` and no frozenset block is built or converted.
+    """
+    system = _sequence_transmission()
+    calls = {"mask_of": [], "view": [], "history": []}
+    _counting(monkeypatch, IndexedUniverse, "mask_of", calls["mask_of"])
+    _counting(monkeypatch, CompleteHistoryView, "view", calls["view"])
+    _counting(monkeypatch, Run, "history", calls["history"])
     interpretation = ViewBasedInterpretation(system, backend="bitset")
     monkeypatch.undo()
-    assert mask_of_calls == []
+    assert calls == {"mask_of": [], "view": [], "history": []}
+    assert len(interpretation.points) == system.point_count()
+
+
+def test_other_views_are_indexed_with_one_view_call_per_point(monkeypatch):
+    """A view without its own ``class_ids`` is called once per (processor, point)."""
+    system = _sequence_transmission()
+    view = LocalStateView(lambda processor, history: len(history.events))
+    calls = []
+    _counting(monkeypatch, LocalStateView, "view", calls)
+    interpretation = ViewBasedInterpretation(system, view=view, backend="bitset")
+    monkeypatch.undo()
     expected = [
         (processor, point.run.name, point.time)
         for processor in system.processors
         for point in interpretation.points
     ]
-    assert sorted(view_calls, key=repr) == sorted(expected, key=repr)
+    seen = [(processor, run.name, time) for _, processor, run, time in calls]
+    assert sorted(seen, key=repr) == sorted(expected, key=repr)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.engine import BACKENDS, set_default_backend
@@ -17,6 +19,8 @@ from repro.experiments import (
     unregister_scenario,
 )
 from repro.kripke.builders import others_attribute_model
+from repro.logic.parser import parse
+from repro.systems.interpretation import ViewBasedInterpretation
 
 ALL_SCENARIOS = (
     "broadcast",
@@ -327,6 +331,68 @@ def test_sweep_backends_agree():
             )
     for key, outcomes in by_backend.items():
         assert outcomes[0] == outcomes[1], f"backends disagree at {key}"
+
+
+STATIC_ATTACK_FORMULAS = [
+    ("intend", "intend_attack"),
+    ("K_B intend", "K_B intend_attack"),
+    ("C intend", "C_{A,B} intend_attack"),
+]
+
+
+@pytest.mark.parametrize("minimize", [False, True])
+@pytest.mark.parametrize("scenario,params,formulas", [
+    ("muddy_children", {"n": 4, "k": 2}, None),
+    ("coordinated_attack", {"depth": 2, "horizon": 4}, STATIC_ATTACK_FORMULAS),
+])
+def test_rows_read_from_native_values_match_set_extensions(scenario, params, formulas, minimize):
+    """The runner reads count and focus membership off the engine's own
+    values; its rows serialise byte for byte like rows computed from
+    frozenset extensions, on both backends, with and without ``minimize``."""
+    for backend in BACKENDS:
+        set_default_backend(backend)
+        runner = ExperimentRunner()
+        report = runner.run(scenario, params, formulas=formulas, minimize=minimize)
+        instance = runner.instance(scenario, params)
+        focus, universe = instance.focus, instance.universe_size
+        if minimize:
+            focus = instance.focus_class(focus)
+            universe = len(instance.minimized()[0].worlds)
+        batch = (
+            list(get_scenario(scenario).default_formulas(params).items())
+            if formulas is None
+            else ExperimentRunner.normalise_formulas(formulas)
+        )
+        extensions = instance.evaluator(minimize=minimize).extensions([f for _, f in batch])
+        expected = [
+            {
+                "label": label,
+                "formula": str(formula),
+                "count": len(extension),
+                "universe": universe,
+                "satisfiable": bool(extension),
+                "valid": len(extension) == universe,
+                "holds_at_focus": None if focus is None else focus in extension,
+            }
+            for (label, formula), extension in zip(batch, extensions)
+        ]
+        assert json.dumps([row.to_dict() for row in report.rows]) == json.dumps(expected)
+
+
+def test_engine_summaries_match_extensions_at_any_focus():
+    runner = ExperimentRunner()
+    system = runner.instance("coordinated_attack", {"depth": 2, "horizon": 4}).model
+    formulas = [parse(text) for _, text in STATIC_ATTACK_FORMULAS] + [parse("true")]
+    points = list(system.points())
+    foreign = next(iter(ExperimentRunner().instance("commit", {}).model.points()))
+    for backend in BACKENDS:
+        interpretation = ViewBasedInterpretation(system, backend=backend)
+        extensions = interpretation.extensions(formulas)
+        for focus in (None, points[0], points[-1], foreign):
+            assert interpretation.engine.summaries(formulas, focus) == [
+                (len(extension), None if focus is None else focus in extension)
+                for extension in extensions
+            ]
 
 
 def test_sweep_rejects_unknown_axis_and_empty_axis():

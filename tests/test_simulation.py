@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import ProtocolError, SimulationError
+from repro.errors import ModelError, ProtocolError, SimulationError
+from repro.experiments.registry import get_scenario
 from repro.simulation.network import (
     Asynchronous,
     BoundedUncertain,
@@ -18,6 +19,7 @@ from repro.simulation.protocol import (
 )
 from repro.simulation.simulator import Environment, Simulator, simulate
 from repro.systems.events import Message
+from repro.systems.runs import Run
 
 
 class TestActions:
@@ -189,6 +191,58 @@ class TestSimulator:
         run = system.runs[0]
         assert "pong_received" in run.facts_at(4)
         assert "pong_received" not in run.facts_at(0)
+
+    @pytest.mark.parametrize("time", [-1, 5])
+    def test_fact_rule_outside_the_run_is_an_error(self, time):
+        with pytest.raises(ModelError, match="outside 0..4"):
+            simulate(
+                self._wrap(),
+                ["A", "B"],
+                duration=4,
+                delivery=ReliableSynchronous(1),
+                fact_rules=[lambda run: {0: {"fine"}}, lambda run: {time: {"late"}}],
+            )
+
+    @pytest.mark.parametrize(
+        "scenario, params",
+        [
+            ("sequence_transmission", {"n_bits": 2, "horizon": 3}),
+            ("broadcast", {"variant": "sync", "latency": 1, "spread": 1}),
+            ("broadcast", {"variant": "async", "horizon": 3}),
+        ],
+    )
+    def test_runs_equal_the_two_step_construction(self, monkeypatch, scenario, params):
+        """Attaching the rule facts to the one built run gives the same runs as
+        building a fact-less run for the rules and then a second run with facts."""
+
+        def two_step_finish(
+            self, events, choices, config_index, initial_states, wake_times, clocks, finished
+        ):
+            env = self._environment
+            suffix = ".".join(choices) if choices else "quiet"
+            arguments = dict(
+                name=f"{self._name_prefix}{config_index}-{suffix}",
+                processors=env.processors,
+                duration=env.duration,
+                initial_states=initial_states,
+                wake_times=wake_times,
+                events={p: {t: tuple(evs) for t, evs in per.items()} for p, per in events.items()},
+                clocks=clocks,
+            )
+            facts = {}
+            for rule in self._fact_rules:
+                for time, names in rule(Run(**arguments)).items():
+                    facts.setdefault(time, set()).update(names)
+            finished.append(Run(**arguments, facts=facts))
+
+        spec = get_scenario(scenario)
+        params = spec.validate_params(params)
+        built = spec.build(params).model
+        monkeypatch.setattr(Simulator, "_finish", two_step_finish)
+        expected = spec.build(params).model
+        assert any(run.facts_at(run.duration) for run in expected.runs)
+        assert [run.name for run in built.runs] == [run.name for run in expected.runs]
+        assert built.runs == expected.runs
 
     def test_protocol_sending_to_unknown_processor_is_an_error(self):
         class Rogue:
