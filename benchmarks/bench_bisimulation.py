@@ -1,10 +1,14 @@
-"""E15 — worklist bisimulation and the minimisation on/off ablation.
+"""E15 — signature-refinement bisimulation and the minimisation on/off ablation.
 
-Two questions, one module:
+Three questions, one module:
 
-* how fast is the bitset worklist partition refinement
+* how fast is the class-id signature refinement
   (:func:`repro.kripke.bisimulation.bisimulation_classes`) on structures with
-  and without collapsible state, and
+  and without collapsible state,
+* is it never slower than the frozenset oracle
+  (:func:`repro.kripke.reference.bisimulation_classes_fixpoint`) — the
+  worklist refinement that preceded it took over a second on the minimal
+  muddy n=10 model, where the oracle takes about 50 ms, and
 * what does minimisation buy (or cost) for model checking — the on/off ablation
   the bisimulation module's docstring promises.
 
@@ -14,7 +18,19 @@ fold back together (a stand-in for the duplicated points that runs-and-systems
 translations produce).  The ablation checks the same formula batch on the full
 model and on its quotient and asserts the answers agree; the pytest-benchmark
 timings measure both sides.
+
+``test_refinement_no_slower_than_oracle`` is the cliff gate.  After checking
+that both computations give the same classes, it times them back to back
+:data:`PAIRS` times and asserts that the median per-pair ratio (oracle time /
+production time) is at least :data:`RATIO_FLOOR`.  It uses no benchmark
+fixture, so it also runs under ``--benchmark-disable``, which is how CI runs
+this directory.  Besides the minimal muddy n=10 model, whose valuation already
+separates every world, it covers a 200-world chain whose valuation separates only
+its two ends, so the refinement runs about a hundred rounds.
 """
+
+import statistics
+import time
 
 import pytest
 
@@ -22,11 +38,15 @@ from repro.experiments import ExperimentRunner
 from repro.kripke.bisimulation import bisimulation_classes, quotient
 from repro.kripke.builders import others_attribute_model
 from repro.kripke.checker import ModelChecker
+from repro.kripke.reference import bisimulation_classes_fixpoint
 from repro.kripke.structure import KripkeStructure
 from repro.logic.syntax import C, E, Prop
 
 CHILDREN = tuple(f"child_{i}" for i in range(7))
 COPIES = 4
+
+RATIO_FLOOR = 1.0
+PAIRS = 9
 
 
 def _inflated_muddy_model():
@@ -44,6 +64,22 @@ def _inflated_muddy_model():
     return KripkeStructure(worlds, base.agents, valuation, partitions)
 
 
+def _chain_model(length):
+    """Worlds ``0 .. length-1`` linked by alternating ``a``/``b`` pairs, with
+    ``p`` true at both ends: bisimilarity pairs world ``i`` with its mirror
+    ``length-1-i``, and only refinement from the ends inward can tell them."""
+    worlds = range(length)
+    return KripkeStructure(
+        worlds,
+        ["a", "b"],
+        {0: {"p"}, length - 1: {"p"}},
+        {
+            "a": [{i, i + 1} for i in range(0, length - 1, 2)],
+            "b": [{i, i + 1} for i in range(1, length - 1, 2)],
+        },
+    )
+
+
 def _formula_batch():
     m = Prop("at_least_one")
     return [E(CHILDREN, m, level) for level in range(1, 5)] + [C(CHILDREN, m)]
@@ -54,19 +90,51 @@ def inflated_model():
     return _inflated_muddy_model()
 
 
-def test_worklist_refinement_on_inflated_model(benchmark, inflated_model):
+def test_refinement_on_inflated_model(benchmark, inflated_model):
     """Partition refinement where every block must split down to the clones."""
     benchmark.extra_info["worlds"] = len(inflated_model)
     classes = benchmark(bisimulation_classes, inflated_model)
     assert len(classes) == 2 ** len(CHILDREN)
 
 
-def test_worklist_refinement_on_minimal_model(benchmark):
+def test_refinement_on_minimal_model(benchmark):
     """Partition refinement on an already-minimal model (the hard, no-win case)."""
     model = others_attribute_model(tuple(f"c{i}" for i in range(8)))
     benchmark.extra_info["worlds"] = len(model)
     classes = benchmark(bisimulation_classes, model)
     assert len(classes) == len(model)  # every world is its own class
+
+
+def _seconds(function, model):
+    start = time.perf_counter()
+    function(model)
+    return time.perf_counter() - start
+
+
+@pytest.mark.parametrize(
+    "model, expected",
+    [
+        pytest.param(
+            others_attribute_model(tuple(f"c{i}" for i in range(10))), 1024, id="muddy-n10"
+        ),
+        pytest.param(_chain_model(200), 100, id="chain-200"),
+    ],
+)
+def test_refinement_no_slower_than_oracle(model, expected):
+    """Same classes as the frozenset oracle, and no slower than it."""
+    classes = bisimulation_classes(model)
+    assert len(classes) == expected
+    assert set(classes) == bisimulation_classes_fixpoint(model)
+    ratios = []
+    for _ in range(PAIRS):
+        production = _seconds(bisimulation_classes, model)
+        oracle = _seconds(bisimulation_classes_fixpoint, model)
+        ratios.append(oracle / production)
+    ratio = statistics.median(ratios)
+    assert ratio >= RATIO_FLOOR, (
+        f"bisimulation_classes should be no slower than the frozenset oracle; "
+        f"median ratio {ratio:.2f} over {PAIRS} pairs"
+    )
 
 
 def test_checking_without_minimisation(benchmark, inflated_model):

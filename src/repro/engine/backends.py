@@ -90,6 +90,10 @@ class EngineBackend:
         """Convert a backend value back into a frozenset of elements."""
         raise NotImplementedError
 
+    def from_mask(self, mask: int):
+        """Convert a bitmask over :attr:`universe` into a backend value."""
+        raise NotImplementedError
+
     # -- set algebra -----------------------------------------------------------
     @property
     def full(self):
@@ -188,6 +192,9 @@ class FrozensetBackend(EngineBackend):
     def to_frozenset(self, value) -> FrozenSet[Element]:
         return value
 
+    def from_mask(self, mask: int) -> FrozenSet[Element]:
+        return self._universe.to_frozenset(mask)
+
     # -- set algebra -----------------------------------------------------------
     @property
     def full(self) -> FrozenSet[Element]:
@@ -285,6 +292,9 @@ class BitsetBackend(EngineBackend):
 
     def to_frozenset(self, value) -> FrozenSet[Element]:
         return self._universe.to_frozenset(value)
+
+    def from_mask(self, mask: int) -> int:
+        return mask
 
     # -- set algebra -----------------------------------------------------------
     @property

@@ -17,7 +17,10 @@ repeated ``C_G`` fixpoint iterations, whose iterates re-evaluate the same body u
 the same variable environment) hit the cache regardless of which formula object the
 caller built.
 
-Hosts keep their own error vocabulary by injecting callbacks: ``require_agent`` /
+Hosts hand over the model in mask form: partitions as block and per-element
+class masks, and atoms through ``prop_extension``, which returns a proposition's
+extension (the valuation's ``pi``) as a bitmask over the universe.  They keep
+their own error vocabulary by injecting callbacks: ``require_agent`` /
 ``require_group`` raise the host's unknown-agent errors, and ``special`` either
 evaluates host-specific operators (returning a frozenset) or returns ``None`` to make
 the engine raise its generic unsupported-node error.
@@ -97,7 +100,9 @@ class EvaluationEngine:
     class_at:
         Each agent's per-element class masks, in bit-position order.
     prop_extension:
-        Returns the extension (a set of elements) of a primitive proposition name.
+        Returns the extension of a primitive proposition name as a bitmask over
+        ``universe`` (``0`` for a name the valuation never mentions).  The
+        bitset backend uses it as is; the frozenset oracle converts it.
     require_agent:
         Called (and expected to raise the host's error) when a ``K_i`` names an
         agent with no class map.
@@ -134,7 +139,7 @@ class EvaluationEngine:
         universe: IndexedUniverse,
         blocks: Mapping[Agent, Sequence[int]],
         class_at: Mapping[Agent, Sequence[int]],
-        prop_extension: Callable[[str], Iterable[Element]],
+        prop_extension: Callable[[str], int],
         *,
         require_agent: Callable[[Agent], None],
         require_group: Callable[[object], Tuple[Agent, ...]],
@@ -285,7 +290,7 @@ class EvaluationEngine:
         if isinstance(formula, FalseFormula):
             return backend.empty
         if isinstance(formula, Prop):
-            return backend.from_frozenset(self._prop_extension(formula.name))
+            return backend.from_mask(self._prop_extension(formula.name))
         if isinstance(formula, Var):
             if formula.name not in env:
                 raise EvaluationError(

@@ -28,6 +28,7 @@ __all__ = [
     "IndexedUniverse",
     "MaskCompressor",
     "Segmentation",
+    "class_ids_from_blocks",
     "partition_from_class_ids",
     "reachability_components",
 ]
@@ -145,6 +146,23 @@ def partition_from_class_ids(
         masks[class_id] = get(class_id, 0) | 1 << position
     blocks = tuple(map(masks.__getitem__, sorted(masks)))
     return blocks, tuple(map(masks.__getitem__, class_ids))
+
+
+def class_ids_from_blocks(blocks: Sequence[int], size: int) -> List[int]:
+    """Number the elements of a universe of ``size`` by the block holding them.
+
+    The inverse of :func:`partition_from_class_ids`: ``blocks`` is a partition
+    of the bit positions ``0 .. size-1`` as disjoint masks, and the result
+    gives each position the index of its block in ``blocks``.  One pass over
+    the set bits of every block.
+    """
+    ids = [0] * size
+    for class_id, block in enumerate(blocks):
+        while block:
+            low = block & -block
+            ids[low.bit_length() - 1] = class_id
+            block ^= low
+    return ids
 
 
 def reachability_components(class_ats: Sequence[Sequence[int]]) -> Tuple[int, ...]:

@@ -7,25 +7,26 @@ same formulas of the epistemic language (including common knowledge and the fixp
 operators), so quotienting a structure by bisimilarity is a sound state-space
 reduction for model checking.
 
-The partition refinement here is the worklist (Paige–Tarjan style) algorithm over a
-*bitset* block representation: blocks of worlds are integer masks over the
-structure's :meth:`~repro.kripke.structure.KripkeStructure.indexed_universe`, and
-because every agent relation is an equivalence relation given by partition blocks,
-the predecessor set of a splitter is simply the union of the agent blocks that
-intersect it — one AND per agent block.  Splitting is then two ANDs per bisimulation
-block.  When a block splits, *both* halves are enqueued as future splitters:
-Hopcroft's "process only the smaller half" refinement is unsound here, because the
-relations are not functions — one agent class can intersect both halves, so
-stability with respect to the block and one half does not imply stability with
-respect to the other half.  The effect of minimisation on muddy-children-style
-model checking is measured by the on/off ablation in
-``benchmarks/bench_bisimulation.py``.
+The coarsest bisimulation is computed by *signature refinement* over class ids.
+Every world carries a block id, starting from its valuation.  Because each agent
+relation is an equivalence relation given by partition classes, a world's view of
+the current partition through agent ``a`` is the set of blocks its ``a``-class
+meets, and that set is the same for every member of the class.  So one round
+computes, per agent class, one int mask of the block ids the class meets, gives
+every world the signature (its block id, its classes' masks) and renumbers the
+blocks by signature.  A round can only split blocks, and the rounds stop when the
+block count stops growing.  Each round costs O(worlds x agents) mask operations.
+The frozenset transcription of the same refinement,
+:func:`repro.kripke.reference.bisimulation_classes_fixpoint`, is the test oracle.
+The effect of minimisation on muddy-children-style model checking is measured by
+the on/off ablation in ``benchmarks/bench_bisimulation.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, List, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Tuple
 
+from repro.engine.universe import class_ids_from_blocks, partition_from_class_ids
 from repro.kripke.structure import KripkeStructure, World
 
 __all__ = [
@@ -36,68 +37,58 @@ __all__ = [
 ]
 
 
-def _bisimulation_block_masks(structure: KripkeStructure) -> List[int]:
+def _bisimulation_block_masks(structure: KripkeStructure) -> Tuple[int, ...]:
     """The coarsest bisimulation-stable partition, as bitmasks.
 
-    Worklist partition refinement: start from the valuation partition, then
-    repeatedly pick a pending *splitter* block ``S`` and, for every agent ``a``,
-    split each block along ``pred_a(S)`` — the worlds with an ``a``-edge into
-    ``S``.  Since ``a``'s relation is an equivalence relation stored as
-    partition blocks, ``pred_a(S)`` is the union of ``a``-blocks meeting ``S``.
-    Both halves of every split are enqueued as splitters (a split pending block
-    is replaced by its halves); see the module docstring for why Hopcroft's
-    smaller-half shortcut cannot be used with relations.
+    Signature refinement in class-id space: start from the valuation
+    partition; in each round, OR one bit per world into its ``a``-class's
+    mask of block ids (for every agent ``a``), then renumber the worlds by
+    (block id, per-agent class mask).  A round that leaves the block count
+    unchanged leaves the partition unchanged, so it is stable.  Blocks are
+    returned in the order of their first world.
     """
     universe = structure.indexed_universe()
+    size = len(universe)
 
     # Initial partition: group worlds by their valuation.
     by_valuation: Dict[FrozenSet[str], int] = {}
-    bit = 1
-    for world in universe.elements:
-        facts = structure.facts_at(world)
-        by_valuation[facts] = by_valuation.get(facts, 0) | bit
-        bit <<= 1
-    blocks: List[int] = list(by_valuation.values())
+    block_of = [
+        by_valuation.setdefault(structure.facts_at(world), len(by_valuation))
+        for world in universe.elements
+    ]
+    count = len(by_valuation)
+    if count == size:  # a partition into singletons is stable
+        return partition_from_class_ids(block_of)[0]
 
-    agents = sorted(structure.agents, key=repr)
-    agent_blocks = [structure.partition_masks(agent) for agent in agents]
-
-    pending: List[int] = list(blocks)
-    on_worklist: Set[int] = set(blocks)
-    while pending:
-        splitter = pending.pop()
-        if splitter not in on_worklist:
-            continue  # replaced by its halves after a split
-        on_worklist.discard(splitter)
-        for relation in agent_blocks:
-            seen = 0
-            for block in relation:
-                if block & splitter:
-                    seen |= block
-            new_blocks: List[int] = []
-            for block in blocks:
-                inside = block & seen
-                if not inside or inside == block:
-                    new_blocks.append(block)
-                    continue
-                outside = block ^ inside
-                new_blocks.append(inside)
-                new_blocks.append(outside)
-                on_worklist.discard(block)
-                for half in (inside, outside):
-                    if half not in on_worklist:
-                        on_worklist.add(half)
-                        pending.append(half)
-            blocks = new_blocks
-    return blocks
+    partitions = [
+        structure.partition_masks(agent)
+        for agent in sorted(structure.agents, key=repr)
+    ]
+    class_ids = [class_ids_from_blocks(blocks, size) for blocks in partitions]
+    while True:
+        bits = [1 << block for block in block_of]
+        columns: List[List[int]] = [block_of]
+        for ids, blocks in zip(class_ids, partitions):
+            met = [0] * len(blocks)
+            for class_id, bit in zip(ids, bits):
+                met[class_id] |= bit
+            columns.append(list(map(met.__getitem__, ids)))
+        signatures: Dict[Tuple[int, ...], int] = {}
+        block_of = [
+            signatures.setdefault(signature, len(signatures))
+            for signature in zip(*columns)
+        ]
+        if len(signatures) in (count, size):
+            return partition_from_class_ids(block_of)[0]
+        count = len(signatures)
 
 
 def bisimulation_classes(structure: KripkeStructure) -> Tuple[FrozenSet[World], ...]:
     """The coarsest partition of the worlds into bisimilarity classes.
 
-    Computed by hash-free worklist partition refinement over bitset blocks (see
-    :func:`_bisimulation_block_masks`); the result is converted back to
-    frozensets at the boundary.
+    Computed by signature refinement over class ids and bitmasks (see
+    :func:`_bisimulation_block_masks`); the result is converted to frozensets
+    at the boundary.
     """
     universe = structure.indexed_universe()
     return tuple(
@@ -126,54 +117,48 @@ def quotient(structure: KripkeStructure) -> Tuple[KripkeStructure, Dict[World, F
     together with the mapping from original worlds to their class, so callers can
     translate query results back.
 
-    The agents' quotient partitions are computed in bitmask space: two quotient
-    worlds are indistinguishable to an agent iff some (equivalently, by
-    stability, every) pair of representatives is, so each quotient block is read
-    off one representative's class mask with one AND per bisimulation class.
+    Two quotient worlds are indistinguishable to an agent iff some pair of
+    their members is.  Per agent, one pass over the members of every class
+    maps each agent block to the classes it meets; by stability every class
+    meets the same group of classes through each of its members, and these
+    groups partition the classes.  Each group becomes one quotient class id,
+    and the structure is built from the ids by
+    :meth:`KripkeStructure._from_class_ids`.
     """
     universe = structure.indexed_universe()
+    size = len(universe)
     class_masks = _bisimulation_block_masks(structure)
+    block_of = class_ids_from_blocks(class_masks, size)
     classes = tuple(universe.to_frozenset(mask) for mask in class_masks)
     class_of: Dict[World, FrozenSet[World]] = {}
     for block in classes:
-        for world in block:
-            class_of[world] = block
+        class_of.update(dict.fromkeys(block, block))
 
-    representatives = [
-        universe.elements[(mask & -mask).bit_length() - 1] for mask in class_masks
-    ]
     valuation = {
-        block: structure.facts_at(representative)
-        for block, representative in zip(classes, representatives)
+        block: structure.facts_at(universe.elements[(mask & -mask).bit_length() - 1])
+        for block, mask in zip(classes, class_masks)
     }
 
-    partitions: Dict[object, List[Set[FrozenSet[World]]]] = {}
+    class_ids: Dict[Hashable, List[int]] = {}
     for agent in structure.agents:
-        class_order = structure.class_masks_in_order(agent)
-        # One pass over the worlds of every class builds the agent-block ->
-        # intersecting-class-indices map; each quotient block is then read off
-        # the representative's agent block in O(1) instead of rescanning every
-        # class mask per representative.
+        agent_of = class_ids_from_blocks(structure.partition_masks(agent), size)
+        # One pass over the worlds builds the agent class -> intersecting
+        # classes map (each (agent class, class) pair once).
         intersecting: Dict[int, List[int]] = {}
-        for index, mask in enumerate(class_masks):
-            remaining = mask
-            while remaining:
-                low = remaining & -remaining
-                agent_block = class_order[low.bit_length() - 1]
-                intersecting.setdefault(agent_block, []).append(index)
-                remaining &= ~agent_block  # co-members contribute nothing new
-        blocks: List[Set[FrozenSet[World]]] = []
-        assigned: Set[int] = set()
-        for index, mask in enumerate(class_masks):
-            if index in assigned:
-                continue
-            representative_block = class_order[(mask & -mask).bit_length() - 1]
-            group = intersecting[representative_block]
-            blocks.append({classes[j] for j in group})
-            assigned.update(group)
-        partitions[agent] = blocks
+        for agent_class, index in dict.fromkeys(zip(agent_of, block_of)):
+            intersecting.setdefault(agent_class, []).append(index)
+        ids = [-1] * len(class_masks)
+        group_id = 0
+        for group in intersecting.values():
+            if ids[group[0]] < 0:
+                for index in group:
+                    ids[index] = group_id
+                group_id += 1
+        class_ids[agent] = ids
 
-    quotient_structure = KripkeStructure(classes, structure.agents, valuation, partitions)
+    quotient_structure = KripkeStructure._from_class_ids(
+        classes, structure.agents, valuation, class_ids
+    )
     return quotient_structure, class_of
 
 

@@ -19,8 +19,10 @@ Backend architecture
 :class:`ModelChecker` does not evaluate formulas itself: it instantiates a shared
 :class:`repro.engine.EvaluationEngine` and delegates every query to it.  It hands
 the engine the structure's own masks — :meth:`KripkeStructure.indexed_universe`,
-the per-agent partition masks and per-world class masks, and the cached
-reachability closures — the one partition format both backends are built from.
+the per-agent partition masks and per-world class masks, the cached
+reachability closures and the proposition masks
+(:meth:`KripkeStructure.prop_mask`) — the one input format both backends are
+built from.
 The ``backend`` constructor argument picks the set representation:
 
 * ``"bitset"`` (default) — the production backend: extensions as integer bitmasks
@@ -147,13 +149,17 @@ class ModelChecker:
             )
         self._structure = structure
         agents = structure.agents
-        # The structure caches its world numbering, partition masks and
-        # reachability closures, so every checker over it shares them.
+        # The structure caches its world numbering, partition masks,
+        # reachability closures and proposition masks, so every checker over
+        # it shares them.  Derived structures (announcement restrictions /
+        # refinements) inherit proposition masks from their parent by
+        # remapping, so a checker over an update chain starts with its atomic
+        # extensions warm instead of rescanning the valuation.
         self._engine = EvaluationEngine(
             structure.indexed_universe(),
             {a: structure.partition_masks(a) for a in agents},
             {a: structure.class_masks_in_order(a) for a in agents},
-            self._prop_extension,
+            structure.prop_mask,
             require_agent=self._require_agent,
             require_group=structure.group_members,
             special=self._reject_temporal,
@@ -243,13 +249,6 @@ class ModelChecker:
         self._engine.clear_cache()
 
     # -- engine adapters ---------------------------------------------------------
-    def _prop_extension(self, name: str) -> FrozenSet[World]:
-        # The structure caches proposition extensions as bitmasks; derived
-        # structures (announcement restrictions / refinements) inherit them from
-        # their parent by remapping, so a checker over an update chain starts
-        # with its atomic extensions warm instead of rescanning the valuation.
-        return self._structure.prop_worlds(name)
-
     def _require_agent(self, agent) -> None:
         # Re-raise through the structure so the error message matches direct
         # structure queries ("unknown agent ...").

@@ -2,15 +2,16 @@
 
 These are transcriptions of the pre-fast-path ("seed") code: from-scratch
 ``KripkeStructure`` rebuilds through the validating public constructor, the
-fixed-point bisimulation refinement that preceded the worklist algorithm, and
+frozenset fixed-point bisimulation refinement (whose signatures
+:mod:`repro.kripke.bisimulation` now computes over class ids and masks), and
 the frozenset-block construction that preceded class ids
 (:func:`from_worlds_rebuild`).  They are deliberately slow and obviously
 correct, and exist for exactly two consumers — the differential tests
 (``tests/test_derived_structures.py``, ``tests/test_class_id_construction.py``),
 which pin the fast paths to be observably identical to these rebuilds, and the
 benchmarks (``benchmarks/bench_announcement_chain.py``,
-``benchmarks/bench_scenario_sweep.py``), which use them as the measured
-baseline.  Keeping the single copy here keeps the test oracle and the
+``benchmarks/bench_scenario_sweep.py``, ``benchmarks/bench_bisimulation.py``),
+which use them as the measured baseline.  Keeping the single copy here keeps the test oracle and the
 benchmark baseline the same code.
 
 Do not "optimise" these: their value is that they do not share machinery with

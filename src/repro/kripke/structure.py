@@ -17,7 +17,8 @@ Construction
 Every structure is built from *class ids*: per agent, one small integer per world,
 equal exactly for the worlds the agent cannot tell apart.
 :mod:`repro.kripke.builders` compute them arithmetically and hand them to
-:meth:`KripkeStructure._from_class_ids`; the public constructor validates its
+:meth:`KripkeStructure._from_class_ids`, as do the bisimulation quotient and the
+Kripke export of a system; the public constructor validates its
 partition blocks and interns them into ids.  Either way one pass per
 agent groups the ids into the partition masks and the per-world class masks the
 bitset engine backend consumes, under the ``repr``-sorted world numbering.  The
@@ -136,7 +137,11 @@ class KripkeStructure:
         valuation: Mapping[World, AbstractSet[str]],
         class_ids: Mapping[Agent, Sequence[int]],
     ) -> "KripkeStructure":
-        """Trusted constructor for the builders of :mod:`repro.kripke.builders`.
+        """Trusted constructor from per-agent class ids.
+
+        Used by the builders of :mod:`repro.kripke.builders`, by
+        :func:`repro.kripke.bisimulation.quotient` and by
+        :meth:`repro.systems.interpretation.ViewBasedInterpretation.to_kripke`.
 
         ``class_ids[agent][k]`` is a small integer naming ``agent``'s view at
         ``worlds[k]``: two worlds are indistinguishable to the agent exactly when

@@ -56,7 +56,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional,
 
 from repro.engine import EvaluationEngine, IndexedUniverse, Segmentation
 from repro.engine.backends import BitsetBackend
-from repro.engine.universe import partition_from_class_ids
+from repro.engine.universe import class_ids_from_blocks, partition_from_class_ids
 from repro.errors import EvaluationError, ModelError, UnknownAgentError
 from repro.logic.agents import Agent, GroupLike, as_group
 from repro.logic.fixpoint import greatest_fixpoint
@@ -147,6 +147,9 @@ class ViewBasedInterpretation:
         self._blocks: Dict[Agent, Tuple[int, ...]] = {}
         self._class_at: Dict[Agent, Tuple[int, ...]] = {}
         self._build_indistinguishability()
+        # Every fact's extension as a mask, built in one pass over the points
+        # on the first atom query (see _prop_extension).
+        self._prop_masks: Optional[Dict[str, int]] = None
         # Mask-path state (bitset backend only), built lazily on the first
         # temporal query: the run-major segment layout, the per-(agent, body)
         # knowledge masks reused across fixpoint iterations, and the
@@ -300,7 +303,7 @@ class ViewBasedInterpretation:
 
         Delegates to the engine, and additionally drops the mask path's
         body-dependent knowledge masks.  Structural model data (the segment
-        layout, clock-reading masks) survives — it depends only on the immutable
+        layout, clock-reading and atom masks) survives — it depends only on the immutable
         system, never on formulas.
         """
         self._engine.clear_cache()
@@ -318,26 +321,40 @@ class ViewBasedInterpretation:
         """
         from repro.kripke.structure import KripkeStructure
 
-        labels = IndexedUniverse((point.run.name, point.time) for point in self._points)
+        labels = [(point.run.name, point.time) for point in self._points]
         valuation = {
             label: self._valuation.facts_at(point)
             for label, point in zip(labels, self._points)
         }
-        # The labels share the points' bit positions, so each block mask
-        # reads off directly as a set of labels.
-        partitions = {
-            processor: [labels.to_frozenset(mask) for mask in self._blocks[processor]]
+        # The labels are listed in the points' bit order, so each processor's
+        # class ids are its block indices, read off the block masks.
+        size = len(labels)
+        class_ids = {
+            processor: class_ids_from_blocks(self._blocks[processor], size)
             for processor in self._system.processors
         }
-        return KripkeStructure(labels, self._system.processors, valuation, partitions)
+        return KripkeStructure._from_class_ids(
+            labels, self._system.processors, valuation, class_ids
+        )
 
     # -- engine adapters -----------------------------------------------------------
-    def _prop_extension(self, name: str) -> PointSet:
-        return frozenset(
-            point
-            for point in self._points
-            if name in self._valuation.facts_at(point)
-        )
+    def _prop_extension(self, name: str) -> int:
+        """The engine's atom hook: ``pi``'s extension of ``name`` as a mask.
+
+        The first query builds every fact's mask in one pass over the points;
+        a name the valuation never mentions has the empty extension.
+        """
+        masks = self._prop_masks
+        if masks is None:
+            masks = {}
+            facts_at = self._valuation.facts_at
+            bit = 1
+            for point in self._points:
+                for fact in facts_at(point):
+                    masks[fact] = masks.get(fact, 0) | bit
+                bit <<= 1
+            self._prop_masks = masks
+        return masks.get(name, 0)
 
     def _require_processor(self, processor: Agent) -> None:
         raise UnknownAgentError(f"unknown processor {processor!r}")

@@ -8,9 +8,10 @@ structure the seed code would have rebuilt from scratch.  This module enforces
 that, in the style of ``test_engine_equivalence.py``: naive from-scratch reference
 implementations (transcriptions of the pre-fast-path code) are compared against
 the derived results on seeded random structures, world-for-world and
-formula-for-formula, on both engine backends.  The worklist bisimulation and the
-mask-space quotient get the same treatment against the seed's fixed-point
-partition refinement.  The reference implementations live in
+formula-for-formula, on both engine backends.  The class-id bisimulation and
+quotient get the same treatment against the seed's fixed-point partition
+refinement (the ``test_worklist_*`` names date from the worklist refinement
+that came before; the fuzz sweeps stay as regression coverage).  The reference implementations live in
 :mod:`repro.kripke.reference`, shared with the announcement-chain benchmark so
 the test oracle and the measured baseline are the same code.
 """
@@ -282,14 +283,14 @@ def test_worklist_bisimulation_on_muddy_model():
 
 
 def test_worklist_bisimulation_fuzz_small_structures():
-    """Regression: enqueuing only the smaller half of a split is unsound here.
+    """Sweep many small random structures against the fixed-point oracle.
 
-    With relations (not functions), one agent class can meet both halves of a
-    split block, so Hopcroft's smaller-half rule produced a too-coarse
-    partition on rare small structures (~0.2% of random draws — e.g. the
-    5-world structure of seed 221 merged two worlds disagreeing on a nested
-    ``K``).  Sweep many small random structures so that failure class stays
-    covered.
+    Kept from the worklist refinement, where enqueuing only the smaller half
+    of a split (Hopcroft's rule) produced a too-coarse partition on rare small
+    structures (~0.2% of random draws — e.g. the 5-world structure of seed 221
+    merged two worlds disagreeing on a nested ``K``), because one agent class
+    can meet both halves of a split block.  Any refinement must still get
+    those draws right.
     """
     for seed in range(300):
         rng = random.Random(seed)
@@ -301,7 +302,7 @@ def test_worklist_bisimulation_fuzz_small_structures():
         )
         assert set(bisimulation_classes(structure)) == bisimulation_classes_fixpoint(
             structure
-        ), f"worklist refinement diverged from the fixed-point oracle at seed {seed}"
+        ), f"bisimulation refinement diverged from the fixed-point oracle at seed {seed}"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -323,6 +324,53 @@ def test_quotient_preserves_every_formula_on_both_backends(seed):
                 assert (world in extension) == (
                     class_of[world] in reduced_extension
                 ), f"{backend}: {formula!r} disagrees at {world!r}"
+
+
+def _quotient_by_definition(structure):
+    """The quotient over the oracle's classes, through the public constructor:
+    two classes are indistinguishable to an agent iff *some* pair of their
+    members is, closed transitively."""
+    classes = sorted(bisimulation_classes_fixpoint(structure), key=repr)
+    partitions = {}
+    for agent in structure.agents:
+        blocks = []
+        unplaced = list(classes)
+        while unplaced:
+            group = [unplaced.pop()]
+            for current in group:
+                related = [
+                    other
+                    for other in unplaced
+                    if any(
+                        structure.indistinguishable(agent, a, b)
+                        for a in current
+                        for b in other
+                    )
+                ]
+                for other in related:
+                    unplaced.remove(other)
+                group.extend(related)
+            blocks.append(set(group))
+        partitions[agent] = blocks
+    valuation = {block: structure.facts_at(next(iter(block))) for block in classes}
+    return KripkeStructure(classes, structure.agents, valuation, partitions)
+
+
+def test_quotient_matches_the_definition_on_small_structures():
+    """The class-id quotient equals the public-constructor quotient built from
+    the definition, world for world and partition for partition."""
+    for seed in range(150):
+        rng = random.Random(seed)
+        structure = random_structure(
+            seed,
+            n_worlds=rng.randint(2, 9),
+            n_agents=rng.randint(1, 3),
+            n_props=rng.randint(1, 2),
+        )
+        reduced, class_of = quotient(structure)
+        assert reduced == _quotient_by_definition(structure), f"seed {seed}"
+        for world in structure.worlds:
+            assert world in class_of[world] and class_of[world] in reduced
 
 
 def test_quotient_of_derived_structure_matches_quotient_of_rebuild():

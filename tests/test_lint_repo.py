@@ -41,6 +41,17 @@ def test_frozenset_flagged_only_in_mask_space_files():
     assert lint_source(HOT_PATH_SOURCE, "src/repro/engine/core.py") == []
 
 
+def test_frozenset_signature_flagged_in_bisimulation_refinement():
+    source = (
+        "def _bisimulation_block_masks(structure):\n"
+        "    met = frozenset(block_of[w] for w in structure.worlds)\n"
+        "    return [met]\n"
+    )
+    findings = lint_source(source, "src/repro/kripke/bisimulation.py")
+    assert rules(findings) == ["LNT001"]
+    assert findings[0].line == 2
+
+
 WALL_CLOCK_SOURCE = (
     "import time\n"
     "import datetime\n"

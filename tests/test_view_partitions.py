@@ -11,7 +11,8 @@ systems, on both backends, it compares
 * ``joint_class`` with the intersection of those sets,
 * ``reachable`` (with and without ``max_steps``) with a breadth-first search
   over them, and
-* ``to_kripke()`` with a transcription of the frozenset-block export.
+* ``to_kripke()`` with a transcription of the frozenset-block export, and
+  with the public-constructor export it was built by before class ids.
 
 The ``reachable`` argument-validation bugfixes are pinned here too.
 """
@@ -22,6 +23,7 @@ from itertools import combinations
 
 import pytest
 
+from repro.engine import IndexedUniverse
 from repro.errors import ModelError, UnknownAgentError
 from repro.experiments.registry import KIND_SYSTEM, ScenarioSpec, all_scenarios, get_scenario
 from repro.kripke.structure import KripkeStructure
@@ -142,22 +144,42 @@ def test_reachable_matches_bfs_over_equal_views(system, backend):
                 ) == _bfs(classes, group, point, max_steps)
 
 
+def _public_constructor_export(interpretation):
+    """``to_kripke()`` as it was built before class ids: each block mask read
+    off as a frozenset of labels, through the validating public constructor."""
+    labels = IndexedUniverse(
+        (point.run.name, point.time) for point in interpretation.points
+    )
+    valuation = {
+        label: interpretation.valuation.facts_at(point)
+        for label, point in zip(labels, interpretation.points)
+    }
+    partitions = {
+        processor: [labels.to_frozenset(mask) for mask in interpretation._blocks[processor]]
+        for processor in interpretation.system.processors
+    }
+    return KripkeStructure(labels, interpretation.system.processors, valuation, partitions)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("system", SYSTEM_CASES)
 def test_to_kripke_matches_frozenset_block_export(system, backend):
     interpretation = ViewBasedInterpretation(system, backend=backend)
     exported = interpretation.to_kripke()
-    expected = _frozenset_block_export(interpretation, _brute_force_classes(interpretation))
-    assert exported == expected
-    assert exported.world_order() == expected.world_order()
-    for processor in system.processors:
-        assert exported.partition(processor) == expected.partition(processor)
-        assert exported.partition_masks(processor) == expected.partition_masks(processor)
-        assert exported.class_masks_in_order(processor) == expected.class_masks_in_order(
-            processor
-        )
-    for world in expected.world_order():
-        assert exported.facts_at(world) == expected.facts_at(world)
+    for expected in (
+        _frozenset_block_export(interpretation, _brute_force_classes(interpretation)),
+        _public_constructor_export(interpretation),
+    ):
+        assert exported == expected
+        assert exported.world_order() == expected.world_order()
+        for processor in system.processors:
+            assert exported.partition(processor) == expected.partition(processor)
+            assert exported.partition_masks(processor) == expected.partition_masks(processor)
+            assert exported.class_masks_in_order(processor) == expected.class_masks_in_order(
+                processor
+            )
+        for world in expected.world_order():
+            assert exported.facts_at(world) == expected.facts_at(world)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -4,7 +4,9 @@
 Four rules, each scoped to where the pattern actually bites:
 
 ``LNT001`` — no ``frozenset(...)`` construction in the mask-space hot paths of
-``src/repro/engine/universe.py``.  The bitset backend's whole point is that
+``src/repro/engine/universe.py`` and ``src/repro/kripke/bisimulation.py``
+(whose refinement signatures are int masks of block ids).  The bitset
+backend's whole point is that
 set algebra stays on integer masks; materialising a ``frozenset`` mid-pipeline
 silently reintroduces the allocation cost the backend exists to avoid.  The
 explicit boundary converters (functions whose name contains ``frozenset``,
@@ -50,8 +52,11 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: The one file where frozenset construction is a hot-path smell (LNT001).
-MASK_SPACE_FILES = ("src/repro/engine/universe.py",)
+#: The files where frozenset construction is a hot-path smell (LNT001).
+MASK_SPACE_FILES = (
+    "src/repro/engine/universe.py",
+    "src/repro/kripke/bisimulation.py",
+)
 
 #: Modules that run (or drive) worker-side sweep code (LNT002).
 WORKER_SIDE_FILES = (
