@@ -12,11 +12,14 @@ two set representations:
   literally), reachable only through an evaluator's ``backend=`` argument or
   the process-wide default the test suite sets.
 
-Partitions enter the engine in one format: per-agent block masks and per-element
-class masks over an :class:`IndexedUniverse`, grouped from small-int class ids by
+Partitions enter the engine as per-agent block masks and per-element class masks
+over an :class:`IndexedUniverse`, grouped from small-int class ids by
 :func:`~repro.engine.universe.partition_from_class_ids`.  Both hosts produce them
 that way (Kripke builders from arithmetic ids, systems from interned views), and
-both backends are built from them.  The differential tests in
+both backends are built from them.  A muddy-children model also hands over a
+:class:`Hypercube`, the index bits each agent cannot see, and the mask of its
+surviving worlds; the bitset backend then evaluates ``K``, ``D`` and ``C`` by
+shift-and-mask closures and never reads the block masks.  The differential tests in
 ``tests/test_engine_equivalence.py`` keep the two backends in lock-step on every
 operator.
 """
@@ -35,13 +38,14 @@ from repro.engine.core import (
     COMMON_REACHABILITY,
     EvaluationEngine,
 )
-from repro.engine.universe import IndexedUniverse, Segmentation
+from repro.engine.universe import Hypercube, IndexedUniverse, Segmentation
 
 __all__ = [
     "BACKENDS",
     "BitsetBackend",
     "EngineBackend",
     "FrozensetBackend",
+    "Hypercube",
     "IndexedUniverse",
     "Segmentation",
     "EvaluationEngine",

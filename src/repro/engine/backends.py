@@ -11,17 +11,28 @@ represented and supplies the epistemic primitives over that representation:
   outside the tests and the benchmark's correctness oracle evaluates on it.
 * :class:`BitsetBackend` — the production backend and the process-wide
   default.  Extensions are Python ints
-  (bitmasks over an :class:`~repro.engine.universe.IndexedUniverse`); each agent's
-  partition is precomputed as a tuple of block masks, so ``K_i`` is one ``AND`` plus
-  one compare per equivalence class, and the Boolean connectives are single bitwise
-  operations.  Group joint partitions (for ``D_G``) and G-reachability components
-  (for ``C_G``, via :func:`~repro.engine.universe.reachability_components`, or the
-  host's cached closures) are computed once per group and memoised on the backend.
+  (bitmasks over an :class:`~repro.engine.universe.IndexedUniverse`), and the
+  Boolean connectives are single bitwise operations.  A partition reaches it in
+  one of two forms:
+
+  - *block masks* (the general case): ``K_i`` is one ``AND`` plus one compare
+    per equivalence class, and group joint partitions (for ``D_G``) and
+    G-reachability components (for ``C_G``, via
+    :func:`~repro.engine.universe.reachability_components`, or the host's cached
+    closures) are computed once per group and memoised on the backend;
+  - a *cube* (:class:`~repro.engine.universe.Hypercube`), when every agent's
+    classes are the subcubes spanned by its hidden index bits (the muddy
+    children): ``K_i``, ``D_G`` and ``C_G`` are shift-and-mask closures over the
+    hidden bits, and no block is built or scanned.
 
 Both backends have one constructor and take the same inputs: an indexed universe,
-each agent's partition as block masks, and each agent's per-element class masks in
+each agent's partition as block masks, each agent's per-element class masks in
 bit-position order (the layouts :func:`~repro.engine.universe.partition_from_class_ids`
-groups out of class ids).  So they are guaranteed to describe the same model; the
+groups out of class ids), the mask of the elements that make up the model
+(``full``; a public announcement on a cube keeps the parent's numbering and
+shrinks this mask instead) and the optional cube.  Hosts may hand the masks over
+as lazy mappings: the frozenset oracle reads the block masks, the bitset backend
+reads them only when there is no cube.  So both describe the same model; the
 differential tests check that they also agree on every formula.
 """
 
@@ -30,7 +41,7 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, Hashable, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError
-from repro.engine.universe import IndexedUniverse, reachability_components
+from repro.engine.universe import Hypercube, IndexedUniverse, reachability_components
 
 __all__ = [
     "EngineBackend",
@@ -65,14 +76,21 @@ class EngineBackend:
         blocks: Mapping[Agent, Sequence[int]],
         class_at: Mapping[Agent, Sequence[int]],
         component_source: Optional[ComponentSource] = None,
+        *,
+        full: Optional[int] = None,
+        cube: Optional[Hypercube] = None,
     ):
         """Build the backend over ``universe`` from per-agent partition masks.
 
         ``blocks[agent]`` is the agent's partition as disjoint block masks;
         ``class_at[agent][p]`` is the mask of the agent's class of the element
-        at bit position ``p``.  ``component_source`` (members-tuple ->
+        at bit position ``p``; both cover exactly the elements of ``full``
+        (default: the whole universe).  ``component_source`` (members-tuple ->
         G-reachability component masks), when given, lets a host share its
-        cached closures.
+        cached closures.  ``cube``, when given, describes the same partitions
+        as hidden index bits (the classes restricted to ``full``); ``class_at``
+        may then be empty, since only the bitset backend reads it, and only
+        without a cube.
         """
         raise NotImplementedError
 
@@ -92,6 +110,10 @@ class EngineBackend:
 
     def from_mask(self, mask: int):
         """Convert a bitmask over :attr:`universe` into a backend value."""
+        raise NotImplementedError
+
+    def to_mask(self, value) -> int:
+        """Convert a backend value into a bitmask over :attr:`universe`."""
         raise NotImplementedError
 
     # -- set algebra -----------------------------------------------------------
@@ -169,12 +191,16 @@ class FrozensetBackend(EngineBackend):
 
     name = "frozenset"
 
-    def __init__(self, universe, blocks, class_at, component_source=None):
+    def __init__(
+        self, universe, blocks, class_at, component_source=None, *, full=None, cube=None
+    ):
         # The oracle reads only the block masks: it derives its naive
         # element -> class maps from them and computes its own closures, so it
-        # shares none of the bitset backend's precomputation.
+        # shares none of the bitset backend's precomputation (nor the cube).
         self._universe = universe
-        self._elements: Tuple[Element, ...] = universe.elements
+        if full is None:
+            full = universe.full_mask
+        self._elements: Tuple[Element, ...] = tuple(universe.elements_of(full))
         self._full: FrozenSet[Element] = frozenset(self._elements)
         self._class_of: Dict[Agent, Dict[Element, FrozenSet[Element]]] = {}
         for agent, masks in blocks.items():
@@ -194,6 +220,9 @@ class FrozensetBackend(EngineBackend):
 
     def from_mask(self, mask: int) -> FrozenSet[Element]:
         return self._universe.to_frozenset(mask)
+
+    def to_mask(self, value) -> int:
+        return self._universe.mask_of(value)
 
     # -- set algebra -----------------------------------------------------------
     @property
@@ -275,11 +304,14 @@ class BitsetBackend(EngineBackend):
 
     name = "bitset"
 
-    def __init__(self, universe, blocks, class_at, component_source=None):
+    def __init__(
+        self, universe, blocks, class_at, component_source=None, *, full=None, cube=None
+    ):
         # Stored by reference: hosts hand over mask tuples they never mutate
         # (the structure's caches, the interpretation's grouped views).
         self._universe = universe
-        self._full_mask = universe.full_mask
+        self._full_mask = universe.full_mask if full is None else full
+        self._cube = cube
         self._blocks: Mapping[Agent, Sequence[int]] = blocks
         self._class_at: Mapping[Agent, Sequence[int]] = class_at
         self._joint_blocks: Dict[Tuple[Agent, ...], Tuple[int, ...]] = {}
@@ -295,6 +327,9 @@ class BitsetBackend(EngineBackend):
 
     def from_mask(self, mask: int) -> int:
         return mask
+
+    def to_mask(self, value) -> int:
+        return value
 
     # -- set algebra -----------------------------------------------------------
     @property
@@ -331,6 +366,8 @@ class BitsetBackend(EngineBackend):
 
     # -- epistemic primitives ---------------------------------------------------
     def knowledge(self, agent: Agent, body):
+        if self._cube is not None:
+            return self._cube_knowledge(self._cube.hidden[agent], body)
         result = 0
         for block in self._blocks[agent]:
             if block & body == block:
@@ -338,6 +375,12 @@ class BitsetBackend(EngineBackend):
         return result
 
     def distributed(self, members: Tuple[Agent, ...], body):
+        if self._cube is not None:
+            # The joint class is the subcube of the bits no member sees.
+            hidden = -1
+            for agent in members:
+                hidden &= self._cube.hidden[agent]
+            return self._cube_knowledge(hidden, body) if hidden else body & self._full_mask
         blocks = self._joint_blocks.get(members)
         if blocks is None:
             blocks = self._build_joint_blocks(members)
@@ -349,6 +392,8 @@ class BitsetBackend(EngineBackend):
         return result
 
     def common_reachability(self, members: Tuple[Agent, ...], body):
+        if self._cube is not None:
+            return self._cube_common(members, body)
         components = self._component_masks.get(members)
         if components is None:
             if self._component_source is not None:
@@ -363,6 +408,37 @@ class BitsetBackend(EngineBackend):
             if component & body == component:
                 result |= component
         return result
+
+    # -- cube kernels -------------------------------------------------------------
+    # On a cube, an agent's class of p is p's subcube over the agent's hidden
+    # bits, cut down to the model's elements.  K_i phi keeps the elements whose
+    # class misses every element outside phi: one closure of the complement.
+    def _cube_knowledge(self, hidden: int, body: int) -> int:
+        full = self._full_mask
+        return full & ~self._cube.close(full & ~body, hidden)
+
+    def _cube_common(self, members: Tuple[Agent, ...], body: int) -> int:
+        """``C_G``: the elements from which no element outside ``body`` is
+        G-reachable.  On the whole cube the components are the subcubes over
+        the union of the members' hidden bits, so one closure finds them;
+        inside a smaller ``full`` the paths must stay inside it, so the bad
+        set grows one member's class at a time until it is stable."""
+        cube = self._cube
+        full = self._full_mask
+        hidden = [cube.hidden[agent] for agent in members]
+        bad = full & ~body
+        if full == cube.full_mask:
+            union = 0
+            for bits in hidden:
+                union |= bits
+            return full & ~cube.close(bad, union)
+        while True:
+            grown = bad
+            for bits in hidden:
+                grown |= full & cube.close(grown, bits)
+            if grown == bad:
+                return full & ~bad
+            bad = grown
 
     # -- precomputation ---------------------------------------------------------
     def _build_joint_blocks(self, members: Tuple[Agent, ...]) -> Tuple[int, ...]:

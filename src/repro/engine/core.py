@@ -18,8 +18,10 @@ the same variable environment) hit the cache regardless of which formula object 
 caller built.
 
 Hosts hand over the model in mask form: partitions as block and per-element
-class masks, and atoms through ``prop_extension``, which returns a proposition's
-extension (the valuation's ``pi``) as a bitmask over the universe.  They keep
+class masks (plus, for hypercube-shaped models, the hidden index bits of each
+agent), the mask of the elements that make up the model, and atoms through
+``prop_extension``, which returns a proposition's extension (the valuation's
+``pi``) as a bitmask over the universe.  They keep
 their own error vocabulary by injecting callbacks: ``require_agent`` /
 ``require_group`` raise the host's unknown-agent errors, and ``special`` either
 evaluates host-specific operators (returning a frozenset) or returns ``None`` to make
@@ -48,7 +50,7 @@ from repro.engine.backends import (
     EngineBackend,
     resolve_backend_name,
 )
-from repro.engine.universe import IndexedUniverse
+from repro.engine.universe import Hypercube, IndexedUniverse
 from repro.logic.syntax import (
     And,
     Common,
@@ -129,6 +131,15 @@ class EvaluationEngine:
     component_source:
         Optional members-tuple -> G-reachability component masks, for hosts
         that cache their closures; the bitset backend reuses them.
+    full:
+        The mask of the elements that make up the model (default: the whole
+        universe).  A host whose model is a restriction of a larger
+        numbering passes the survivors here instead of renumbering them;
+        every extension, ``full`` included, stays inside this mask.
+    cube:
+        Optional :class:`~repro.engine.universe.Hypercube` describing the same
+        partitions as ``blocks`` by hidden index bits; the bitset backend
+        then evaluates ``K``, ``D`` and ``C`` without scanning blocks.
     common_strategy:
         How ``C_G`` is evaluated: ``"reachability"`` (Section 6's graph
         characterisation) or ``"fixpoint"`` (Appendix A's greatest fixed point).
@@ -147,6 +158,8 @@ class EvaluationEngine:
         special_native: Optional[SpecialNativeHandler] = None,
         backend: Optional[str] = None,
         component_source: Optional[ComponentSource] = None,
+        full: Optional[int] = None,
+        cube: Optional[Hypercube] = None,
         common_strategy: str = COMMON_REACHABILITY,
     ):
         if common_strategy not in _COMMON_STRATEGIES:
@@ -155,7 +168,7 @@ class EvaluationEngine:
                 f"expected one of {_COMMON_STRATEGIES}"
             )
         self._backend: EngineBackend = BACKENDS[resolve_backend_name(backend)](
-            universe, blocks, class_at, component_source
+            universe, blocks, class_at, component_source, full=full, cube=cube
         )
         self._prop_extension = prop_extension
         self._require_agent = require_agent
@@ -219,12 +232,20 @@ class EvaluationEngine:
     ) -> FrozenSet[Element]:
         """The set of elements at which ``formula`` holds, as a frozenset.
 
-        Environment values are restricted to the universe: elements that are not
-        worlds/points of the model are ignored, identically on every backend.
+        Environment values are restricted to the model: elements that are not
+        worlds/points of it are ignored, identically on every backend.
         """
         return self._backend.to_frozenset(
             self._evaluate(formula, self._convert_environment(environment))
         )
+
+    def extension_mask(self, formula: Formula) -> int:
+        """The extension of ``formula`` as a bitmask over the universe.
+
+        The mask-level counterpart of :meth:`extension`, for hosts that feed
+        the answer straight back into mask space (a public announcement).
+        """
+        return self._backend.to_mask(self._evaluate(formula, {}))
 
     def extensions(
         self,
@@ -256,12 +277,15 @@ class EvaluationEngine:
     def _convert_environment(
         self, environment: Optional[Mapping[str, FrozenSet[Element]]]
     ) -> Dict[str, object]:
-        # Values are clipped to the universe, so both backends see identical
-        # inputs (the bitset backend cannot even represent foreign elements).
+        # Values are clipped to the model's elements, so both backends see
+        # identical inputs (the bitset backend cannot even represent foreign
+        # elements).
         backend = self._backend
         universe = backend.universe
         return {
-            name: backend.from_frozenset(e for e in value if e in universe)
+            name: backend.intersect(
+                backend.from_frozenset(e for e in value if e in universe), backend.full
+            )
             for name, value in (environment or {}).items()
         }
 

@@ -20,20 +20,58 @@ at once.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Sequence, Tuple
+from itertools import chain, compress
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.errors import ModelError
 
 __all__ = [
+    "Hypercube",
     "IndexedUniverse",
     "MaskCompressor",
     "Segmentation",
+    "bit_flags",
     "class_ids_from_blocks",
     "partition_from_class_ids",
     "reachability_components",
+    "select_bits",
 ]
 
 Element = Hashable
+
+# Mask <-> position conversions.  Peeling one lowest bit at a time off a big
+# int costs a full-width operation per bit, so it is quadratic on dense masks;
+# one pass over the base-2 digit string is linear (and base-2 conversions are
+# exempt from the interpreter's int digit limit) but costs the full width even
+# for two bits.  So the first few bits are peeled, and a mask with more left
+# is finished by one digit pass.
+_PEEL_LIMIT = 8
+_FLAG_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bit_flags(mask: int) -> bytes:
+    """One byte per bit of ``mask``, lowest bit first: ``1`` if set, else ``0``.
+
+    The flags stop at the highest set bit, so they feed
+    :func:`itertools.compress` directly: ``compress(items, bit_flags(mask))``
+    yields ``items[p]`` for every set bit ``p`` in one C-level pass.
+    """
+    return bin(mask)[:1:-1].encode().translate(_FLAG_OF_DIGIT)
+
+
+def select_bits(items: Sequence, mask: int) -> Iterator:
+    """Yield ``items[p]`` for every set bit ``p`` of ``mask``, lowest first.
+
+    ``select_bits(range(mask.bit_length()), mask)`` yields the positions.
+    """
+    head = []
+    for _ in range(_PEEL_LIMIT):
+        if not mask:
+            return iter(head)
+        low = mask & -mask
+        head.append(items[low.bit_length() - 1])
+        mask ^= low
+    return chain(head, compress(items, bit_flags(mask)))
 
 
 class IndexedUniverse:
@@ -89,13 +127,20 @@ class IndexedUniverse:
         return 1 << self._index[element]
 
     # -- conversions -----------------------------------------------------------
+    # Linear in the universe size, whatever the density (see select_bits).
     def mask_of(self, elements: Iterable[Element]) -> int:
         """The mask whose set bits are exactly ``elements``."""
-        index = self._index
-        mask = 0
-        for element in elements:
-            mask |= 1 << index[element]
-        return mask
+        positions = list(map(self._index.__getitem__, elements))
+        if len(positions) <= _PEEL_LIMIT:
+            mask = 0
+            for position in positions:
+                mask |= 1 << position
+            return mask
+        top = len(self._elements) - 1
+        digits = bytearray(b"0") * (top + 1)
+        for position in positions:
+            digits[top - position] = 49  # ord("1")
+        return int(digits, 2)
 
     def to_frozenset(self, mask: int) -> FrozenSet[Element]:
         """The elements whose bits are set in ``mask``."""
@@ -103,11 +148,7 @@ class IndexedUniverse:
 
     def elements_of(self, mask: int) -> Iterator[Element]:
         """Yield the elements of ``mask`` in bit-position order."""
-        elements = self._elements
-        while mask:
-            low = mask & -mask
-            yield elements[low.bit_length() - 1]
-            mask ^= low
+        return select_bits(self._elements, mask)
 
     @staticmethod
     def count(mask: int) -> int:
@@ -154,14 +195,13 @@ def class_ids_from_blocks(blocks: Sequence[int], size: int) -> List[int]:
     The inverse of :func:`partition_from_class_ids`: ``blocks`` is a partition
     of the bit positions ``0 .. size-1`` as disjoint masks, and the result
     gives each position the index of its block in ``blocks``.  One pass over
-    the set bits of every block.
+    the set bits of every block (:func:`select_bits`).
     """
     ids = [0] * size
+    positions = range(size)
     for class_id, block in enumerate(blocks):
-        while block:
-            low = block & -block
-            ids[low.bit_length() - 1] = class_id
-            block ^= low
+        for position in select_bits(positions, block):
+            ids[position] = class_id
     return ids
 
 
@@ -194,6 +234,55 @@ def reachability_components(class_ats: Sequence[Sequence[int]]) -> Tuple[int, ..
         remaining &= ~component
         components.append(component)
     return tuple(components)
+
+
+class Hypercube:
+    """Partitions of the positions ``0 .. 2**bits - 1`` fixed by hidden index bits.
+
+    Agent ``a`` cannot tell position ``p`` from ``p ^ (1 << b)`` for any index
+    bit ``b`` set in ``hidden[a]``, so its class of ``p`` is the subcube of
+    positions that agree with ``p`` outside those bits.  This is the shape of
+    Section 2's model: child ``i`` sees every forehead but its own, so its
+    only hidden bit is its own attribute.
+
+    No block is ever stored.  The one kernel is :meth:`close`, which ORs
+    into a mask every position that differs from one of its positions only
+    in the given hidden bits (the union of the classes meeting the mask):
+    per hidden bit, two shifts and two ANDs against a periodic mask.
+    """
+
+    __slots__ = ("bits", "hidden", "full_mask", "_lows")
+
+    def __init__(self, bits: int, hidden: Mapping[Element, int]):
+        self.bits = bits
+        self.hidden: Dict[Element, int] = dict(hidden)
+        self.full_mask: int = (1 << (1 << bits)) - 1
+        self._lows: Dict[int, int] = {}
+
+    def low_mask(self, bit: int) -> int:
+        """The positions whose index bit ``bit`` is clear (built by doubling)."""
+        low = self._lows.get(bit)
+        if low is None:
+            stride = 1 << bit
+            low = (1 << stride) - 1
+            width = stride << 1
+            while width < 1 << self.bits:
+                low |= low << width
+                width <<= 1
+            self._lows[bit] = low
+        return low
+
+    def close(self, mask: int, hidden: int) -> int:
+        """``mask`` plus every position reached by flipping bits of ``hidden``."""
+        bit = 0
+        while hidden:
+            if hidden & 1:
+                low = self.low_mask(bit)
+                stride = 1 << bit
+                mask |= ((mask & low) << stride) | ((mask >> stride) & low)
+            hidden >>= 1
+            bit += 1
+        return mask
 
 
 class Segmentation:
@@ -367,37 +456,39 @@ class MaskCompressor:
     Restriction in bitmask space is an AND against the survivor mask followed by
     a *compression*: surviving bits are repacked contiguously, in order, so they
     line up with the restricted structure's own :class:`IndexedUniverse`.  The
-    compressor precomputes the parent-position -> child-position table once and
-    then remaps any number of masks in ``O(popcount)`` each.
+    compressor keeps the parent-position -> child-position table and the
+    survivor mask's digit flags, and remaps any mask in time linear in the
+    parent's width (see :func:`select_bits`).
     """
 
-    __slots__ = ("survivor_mask", "_child_bit")
+    __slots__ = ("survivor_mask", "_child_of", "_selectors", "_width")
 
     def __init__(self, survivor_mask: int):
         if survivor_mask < 0:
             raise ModelError("survivor mask must be non-negative")
         self.survivor_mask = survivor_mask
-        # _child_bit[parent position] = the child's single-bit mask.
-        child_bit: Dict[int, int] = {}
-        position = 0
-        remaining = survivor_mask
-        while remaining:
-            low = remaining & -remaining
-            child_bit[low.bit_length() - 1] = 1 << position
-            position += 1
-            remaining ^= low
-        self._child_bit = child_bit
+        self._width = survivor_mask.bit_length()
+        # _child_of[parent position] = the child position, for sparse masks;
+        # dense ones keep the digits of the positions flagged in _selectors.
+        self._child_of: Dict[int, int] = {
+            parent: child
+            for child, parent in enumerate(select_bits(range(self._width), survivor_mask))
+        }
+        self._selectors = bit_flags(survivor_mask)
 
     def __len__(self) -> int:
-        return len(self._child_bit)
+        return len(self._child_of)
 
     def compress(self, mask: int) -> int:
         """Remap a parent-numbered ``mask`` (clipped to the survivors) to child bits."""
-        child_bit = self._child_bit
-        result = 0
         mask &= self.survivor_mask
-        while mask:
+        child_of = self._child_of
+        result = 0
+        for _ in range(_PEEL_LIMIT):
+            if not mask:
+                return result
             low = mask & -mask
-            result |= child_bit[low.bit_length() - 1]
+            result |= 1 << child_of[low.bit_length() - 1]
             mask ^= low
-        return result
+        digits = bin(mask)[:1:-1].ljust(self._width, "0").encode()
+        return result | int(bytes(compress(digits, self._selectors))[::-1], 2)

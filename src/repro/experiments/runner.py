@@ -142,7 +142,7 @@ class ScenarioInstance:
         """
         if self._universe_size is None:
             if self.kind == KIND_KRIPKE:
-                self._universe_size = len(self.model.worlds)
+                self._universe_size = len(self.model)
             else:
                 self._universe_size = self.model.point_count()
         return self._universe_size

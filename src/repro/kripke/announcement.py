@@ -76,13 +76,16 @@ def public_announce(
 
     ``checker`` optionally reuses an existing evaluator *over the same structure*
     (and with it, its accumulated formula memo) instead of constructing a fresh
-    one; a checker bound to any other structure is rejected.
+    one; a checker bound to any other structure is rejected.  The survivors
+    stay a bitmask from the evaluator to the restriction, so a
+    hypercube-shaped structure keeps its cube and only shrinks its survivor
+    mask.
     """
     checker = _checker_for(structure, checker)
-    surviving = checker.extension(fact)
+    surviving = checker.extension_mask(fact)
     if not surviving:
         raise ModelError("cannot announce a fact that holds at no world")
-    return structure.restrict(surviving)
+    return structure.restrict_mask(surviving)
 
 
 def announce_sequence(

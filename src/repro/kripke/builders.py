@@ -16,14 +16,24 @@ The builders here capture that pattern once so the scenario modules stay small:
 * :func:`blind_model` — no agent observes anything; every fact valid in the model is
   common knowledge (the single-view interpretation discussed in Section 6).
 
-Every builder ends in :meth:`KripkeStructure._from_class_ids`: per agent, one small
-integer per world naming what the agent observes there.  The four shaped builders
-compute those ids by arithmetic on the world's index, so no per-world observation
-value is built; :func:`from_worlds` interns its callable's observations into ids.
+Partitions leave the builders in one of two forms:
+
+* a *cube* (:meth:`KripkeStructure._from_cube`), from
+  :func:`others_attribute_model`: world ``w`` is the ``w``-th boolean tuple, and
+  each agent's classes are fixed by the index bits it cannot see.  The bitset
+  backend evaluates knowledge on it with shift-and-mask closures, and the
+  worlds, the per-world valuation and the block masks are only built when an
+  accessor asks for them;
+* *class ids* (:meth:`KripkeStructure._from_class_ids`), from every other
+  builder: per agent, one small integer per world naming what the agent
+  observes there.  The three other shaped builders compute those ids by
+  arithmetic on the world's index, so no per-world observation value is built;
+  :func:`from_worlds` interns its callable's observations into ids.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import (
     AbstractSet,
@@ -39,6 +49,7 @@ from typing import (
     Tuple,
 )
 
+from repro.engine.universe import Hypercube
 from repro.errors import ModelError
 from repro.logic.agents import Agent
 from repro.kripke.structure import KripkeStructure, World
@@ -168,7 +179,7 @@ def muddy_children_worlds(n: int) -> List[Tuple[bool, ...]]:
     """All 2^n assignments of muddy/clean foreheads to ``n`` children."""
     if n < 1:
         raise ModelError("the muddy children puzzle needs at least one child")
-    return [tuple(bits) for bits in itertools.product([False, True], repeat=n)]
+    return list(itertools.product((False, True), repeat=n))
 
 
 def others_attribute_model(
@@ -188,7 +199,10 @@ def others_attribute_model(
 
     World ``w`` is the ``w``-th tuple of :func:`muddy_children_worlds`, whose bit
     ``n - 1 - i`` is agent ``i``'s attribute.  Agent ``i`` cannot tell ``w`` from
-    ``w ^ e_i``, so its class id is ``w`` with that bit cleared.
+    ``w ^ e_i``, so the model is a cube
+    (:class:`~repro.engine.universe.Hypercube`) in which bit ``n - 1 - i`` is
+    the one bit hidden from agent ``i``, and each proposition's extension is a
+    periodic mask over the world indices.
     """
     agent_list = list(agents)
     if len(set(agent_list)) != len(agent_list):
@@ -196,21 +210,41 @@ def others_attribute_model(
             f"others_attribute_model needs distinct agents, got {agent_list!r}"
         )
     n = len(agent_list)
-    worlds = muddy_children_worlds(n)
+    if n < 1:
+        raise ModelError("the muddy children puzzle needs at least one child")
+    cube = Hypercube(n, {agent: 1 << (n - 1 - i) for i, agent in enumerate(agent_list)})
     names = [f"{attribute_name}_{agent}" for agent in agent_list]
+    bits_of: Dict[str, List[int]] = {}
+    for i, name in enumerate(names):
+        bits_of.setdefault(name, []).append(n - 1 - i)
 
-    def valuation(world: Tuple[bool, ...]) -> AbstractSet[str]:
-        facts = set(itertools.compress(names, world))
-        if include_at_least_one_prop and facts:
-            facts.add("at_least_one")
-        return facts
+    def atom(name: str) -> int:
+        # Agent i's attribute is set exactly off the positions with bit
+        # n - 1 - i clear; some attribute is set everywhere but position 0.
+        mask = 0
+        for bit in bits_of.get(name, ()):
+            mask |= cube.full_mask ^ cube.low_mask(bit)
+        if include_at_least_one_prop and name == "at_least_one":
+            mask |= cube.full_mask ^ 1
+        return mask
 
-    indices = range(len(worlds))
-    class_ids = {
-        agent: [w & ~(1 << (n - 1 - i)) for w in indices]
-        for i, agent in enumerate(agent_list)
-    }
-    return _build(worlds, agent_list, valuation, class_ids)
+    return KripkeStructure._from_cube(
+        agent_list,
+        cube,
+        lambda: muddy_children_worlds(n),
+        functools.partial(_attribute_facts, names, include_at_least_one_prop),
+        atom,
+    )
+
+
+def _attribute_facts(
+    names: Sequence[str], include_at_least_one_prop: bool, world: Tuple[bool, ...]
+) -> AbstractSet[str]:
+    """The propositions :func:`others_attribute_model` makes true at ``world``."""
+    facts = set(itertools.compress(names, world))
+    if include_at_least_one_prop and facts:
+        facts.add("at_least_one")
+    return facts
 
 
 def shared_memory_model(

@@ -18,11 +18,12 @@ Backend architecture
 --------------------
 :class:`ModelChecker` does not evaluate formulas itself: it instantiates a shared
 :class:`repro.engine.EvaluationEngine` and delegates every query to it.  It hands
-the engine the structure's own masks — :meth:`KripkeStructure.indexed_universe`,
-the per-agent partition masks and per-world class masks, the cached
-reachability closures and the proposition masks
-(:meth:`KripkeStructure.prop_mask`) — the one input format both backends are
-built from.
+the engine the structure's own masks, as
+:meth:`KripkeStructure.evaluation_masks` lays them out: a world numbering, the
+mask of the structure's worlds in it, the per-agent partition masks and
+per-world class masks (computed on first lookup), the cube of hidden bits when
+the structure is hypercube-shaped, the cached reachability closures and the
+proposition masks — the one input format both backends are built from.
 The ``backend`` constructor argument picks the set representation:
 
 * ``"bitset"`` (default) — the production backend: extensions as integer bitmasks
@@ -148,23 +149,25 @@ class ModelChecker:
                 f"expected one of {CommonKnowledgeStrategy.ALL}"
             )
         self._structure = structure
-        agents = structure.agents
         # The structure caches its world numbering, partition masks,
         # reachability closures and proposition masks, so every checker over
         # it shares them.  Derived structures (announcement restrictions /
         # refinements) inherit proposition masks from their parent by
         # remapping, so a checker over an update chain starts with its atomic
         # extensions warm instead of rescanning the valuation.
+        masks = structure.evaluation_masks()
         self._engine = EvaluationEngine(
-            structure.indexed_universe(),
-            {a: structure.partition_masks(a) for a in agents},
-            {a: structure.class_masks_in_order(a) for a in agents},
-            structure.prop_mask,
+            masks.universe,
+            masks.blocks,
+            masks.class_at,
+            masks.prop_mask,
             require_agent=self._require_agent,
             require_group=structure.group_members,
             special=self._reject_temporal,
             backend=backend,
-            component_source=structure.component_masks,
+            component_source=masks.component_masks,
+            full=masks.full,
+            cube=masks.cube,
             common_strategy=common_strategy,
         )
 
@@ -218,6 +221,12 @@ class ModelChecker:
         than the deepest one.
         """
         return self._engine.extensions(formulas, environment)
+
+    def extension_mask(self, formula: Formula) -> int:
+        """The extension of ``formula`` as a bitmask, in the numbering of the
+        structure's :meth:`~repro.kripke.structure.KripkeStructure.evaluation_masks`
+        (what :meth:`~repro.kripke.structure.KripkeStructure.restrict_mask` takes)."""
+        return self._engine.extension_mask(formula)
 
     def holds(
         self,

@@ -3,15 +3,18 @@
 These are transcriptions of the pre-fast-path ("seed") code: from-scratch
 ``KripkeStructure`` rebuilds through the validating public constructor, the
 frozenset fixed-point bisimulation refinement (whose signatures
-:mod:`repro.kripke.bisimulation` now computes over class ids and masks), and
-the frozenset-block construction that preceded class ids
-(:func:`from_worlds_rebuild`).  They are deliberately slow and obviously
-correct, and exist for exactly two consumers — the differential tests
-(``tests/test_derived_structures.py``, ``tests/test_class_id_construction.py``),
-which pin the fast paths to be observably identical to these rebuilds, and the
+:mod:`repro.kripke.bisimulation` now computes over class ids and masks), the
+frozenset-block construction that preceded class ids
+(:func:`from_worlds_rebuild`), and the block-mask muddy-children model that
+preceded the hypercube one (:func:`others_attribute_class_ids`).  They are
+deliberately slow and obviously correct, and exist for exactly two consumers —
+the differential tests (``tests/test_derived_structures.py``,
+``tests/test_class_id_construction.py``, ``tests/test_hypercube.py``), which
+pin the fast paths to be observably identical to these rebuilds, and the
 benchmarks (``benchmarks/bench_announcement_chain.py``,
-``benchmarks/bench_scenario_sweep.py``, ``benchmarks/bench_bisimulation.py``),
-which use them as the measured baseline.  Keeping the single copy here keeps the test oracle and the
+``benchmarks/bench_scenario_sweep.py``, ``benchmarks/bench_bisimulation.py``,
+``benchmarks/bench_muddy_children.py``), which use them as the measured
+baseline.  Keeping the single copy here keeps the test oracle and the
 benchmark baseline the same code.
 
 Do not "optimise" these: their value is that they do not share machinery with
@@ -42,6 +45,7 @@ __all__ = [
     "constructor_rebuild",
     "from_worlds_rebuild",
     "others_attribute_rebuild",
+    "others_attribute_class_ids",
     "restrict_rebuild",
     "refine_agent_rebuild",
     "bisimulation_classes_fixpoint",
@@ -91,6 +95,32 @@ def others_attribute_rebuild(agents: Iterable[Agent]) -> KripkeStructure:
         return tuple(world[i] for i in range(n) if i != index)
 
     return from_worlds_rebuild(worlds, agent_list, valuation, observation)
+
+
+def others_attribute_class_ids(agents: Iterable[Agent]) -> KripkeStructure:
+    """``builders.others_attribute_model`` as the class-id builder made it,
+    before the cube: a generic structure with every agent's block masks.
+
+    Agent ``i``'s class id of world ``w`` is ``w`` with bit ``n - 1 - i``
+    cleared, grouped by :meth:`KripkeStructure._from_class_ids`, so its
+    evaluation scans blocks and reachability components, and its
+    restrictions compress masks.
+    """
+    agent_list = list(agents)
+    n = len(agent_list)
+    worlds = [tuple(bits) for bits in itertools.product([False, True], repeat=n)]
+    names = [f"muddy_{agent}" for agent in agent_list]
+    valuation = {}
+    for world in worlds:
+        facts = set(itertools.compress(names, world))
+        if facts:
+            facts.add("at_least_one")
+        valuation[world] = facts
+    class_ids = {
+        agent: [w & ~(1 << (n - 1 - i)) for w in range(len(worlds))]
+        for i, agent in enumerate(agent_list)
+    }
+    return KripkeStructure._from_class_ids(worlds, agent_list, valuation, class_ids)
 
 
 def constructor_rebuild(

@@ -14,16 +14,26 @@ computation a cheap union-find style pass.
 
 Construction
 ------------
-Every structure is built from *class ids*: per agent, one small integer per world,
-equal exactly for the worlds the agent cannot tell apart.
-:mod:`repro.kripke.builders` compute them arithmetically and hand them to
-:meth:`KripkeStructure._from_class_ids`, as do the bisimulation quotient and the
-Kripke export of a system; the public constructor validates its
-partition blocks and interns them into ids.  Either way one pass per
-agent groups the ids into the partition masks and the per-world class masks the
-bitset engine backend consumes, under the ``repr``-sorted world numbering.  The
-frozenset view of the partitions is materialised only when a frozenset-level
-accessor asks for it.
+A structure is built in one of two forms.
+
+* From *class ids*: per agent, one small integer per world, equal exactly for
+  the worlds the agent cannot tell apart.  Most of :mod:`repro.kripke.builders`
+  compute them arithmetically and hand them to
+  :meth:`KripkeStructure._from_class_ids`, as do the bisimulation quotient and
+  the Kripke export of a system; the public constructor validates its partition
+  blocks and interns them into ids.  Either way one pass per agent groups the
+  ids into the partition masks and the per-world class masks the bitset engine
+  backend consumes, under the ``repr``-sorted world numbering.
+* As a *cube* (:meth:`KripkeStructure._from_cube`, the muddy children): world
+  ``p`` is the ``p``-th boolean tuple, and each agent's classes are the
+  subcubes over the index bits it cannot see
+  (:class:`~repro.engine.universe.Hypercube`).  No block mask is stored; the
+  bitset backend evaluates knowledge with shift-and-mask closures, and the
+  worlds, the valuation and the masks the public accessors return are built
+  from the cube only when one of them is called.
+
+The frozenset view of the partitions is materialised only when a
+frozenset-level accessor asks for it.
 
 Derived structures
 ------------------
@@ -36,7 +46,9 @@ survivor mask (remapped through a :class:`~repro.engine.universe.MaskCompressor`
 a refinement splits blocks in place under the unchanged world numbering, and
 proposition extensions are remapped rather than rescanned.  Derived structures skip
 the constructor's validation (their invariants hold by construction), so a chain of
-updates evaluated on the bitset engine backend never leaves bitmask space.  The
+updates evaluated on the bitset engine backend never leaves bitmask space.  A
+cube structure restricts by shrinking its survivor mask ``S`` under the
+unchanged root numbering, with no remapping at all.  The
 differential tests in ``tests/test_derived_structures.py`` and
 ``tests/test_class_id_construction.py`` pin derived and class-id-built structures
 to be observably identical to the seed's from-scratch rebuilds
@@ -55,6 +67,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -62,17 +75,67 @@ from typing import (
 )
 
 from repro.engine.universe import (
+    Hypercube,
     IndexedUniverse,
+    MaskCompressor,
     partition_from_class_ids,
     reachability_components,
+    select_bits,
 )
 from repro.errors import ModelError, UnknownAgentError, UnknownWorldError
 from repro.logic.agents import Agent, Group, GroupLike, as_group
 
-__all__ = ["World", "KripkeStructure"]
+__all__ = ["World", "KripkeStructure", "EvaluationMasks"]
 
 World = Hashable
 """Worlds may be any hashable value (strings, tuples, frozensets...)."""
+
+
+class EvaluationMasks(NamedTuple):
+    """A structure in the form :class:`repro.engine.EvaluationEngine` takes.
+
+    ``universe`` numbers the worlds and ``full`` marks the structure's own
+    worlds in that numbering; every mask below is in it.  ``blocks`` and
+    ``class_at`` map each agent to its partition masks and per-position class
+    masks; they are computed on first lookup, so a backend that does not
+    read them costs nothing.  ``cube`` is the hidden-bit form of the same
+    partitions, when the structure has one; the class masks are then left
+    empty, since only the bitset backend reads them, and only without a cube.
+    """
+
+    universe: IndexedUniverse
+    full: int
+    blocks: Mapping[Agent, Tuple[int, ...]]
+    class_at: Mapping[Agent, Tuple[int, ...]]
+    cube: Optional[Hypercube]
+    prop_mask: Callable[[str], int]
+    component_masks: Optional[Callable[[Tuple[Agent, ...]], Tuple[int, ...]]]
+
+
+class _AgentMasks(Mapping):
+    """A read-only agent -> masks mapping that computes each entry on first use."""
+
+    def __init__(self, agents: FrozenSet[Agent], compute: Callable[[Agent], Tuple[int, ...]]):
+        self._agents = agents
+        self._compute = compute
+        self._cache: Dict[Agent, Tuple[int, ...]] = {}
+
+    def __getitem__(self, agent: Agent) -> Tuple[int, ...]:
+        masks = self._cache.get(agent)
+        if masks is None:
+            if agent not in self._agents:
+                raise KeyError(agent)
+            masks = self._cache[agent] = self._compute(agent)
+        return masks
+
+    def __contains__(self, agent: object) -> bool:
+        return agent in self._agents
+
+    def __iter__(self) -> Iterator[Agent]:
+        return iter(self._agents)
+
+    def __len__(self) -> int:
+        return len(self._agents)
 
 
 class KripkeStructure:
@@ -158,6 +221,29 @@ class KripkeStructure:
         return self
 
     @classmethod
+    def _from_cube(
+        cls,
+        agents: Iterable[Agent],
+        cube: Hypercube,
+        make_worlds: Callable[[], Sequence[World]],
+        facts: Callable[[World], AbstractSet[str]],
+        atom: Callable[[str], int],
+    ) -> "KripkeStructure":
+        """Trusted constructor for a hypercube-shaped structure.
+
+        Used by :func:`repro.kripke.builders.others_attribute_model`.  World
+        ``p`` is ``make_worlds()[p]``, and ``cube`` gives each agent the index
+        bits it cannot see.  ``make_worlds()`` must list the worlds in
+        ``repr`` order, so the public numbering is the cube's own.
+        ``atom(name)`` is a proposition's extension as a mask over all
+        ``2**cube.bits`` positions, and ``facts(world)`` the same valuation
+        per world; the worlds, the valuation, and the block masks are only
+        built when an accessor that returns them is called.
+        """
+        root = _CubeRoot(frozenset(agents), cube, make_worlds, facts, atom)
+        return _CubeStructure(root, cube.full_mask)
+
+    @classmethod
     def _derived(
         cls,
         worlds: FrozenSet[World],
@@ -171,6 +257,7 @@ class KripkeStructure:
         class_mask_orders: Optional[Dict[Agent, Tuple[int, ...]]] = None,
         component_masks: Optional[Dict[Tuple[Agent, ...], Tuple[int, ...]]] = None,
         prop_masks: Optional[Dict[str, int]] = None,
+        prop_masks_complete: bool = False,
     ) -> "KripkeStructure":
         """Trusted constructor for structures derived from an existing one.
 
@@ -185,7 +272,8 @@ class KripkeStructure:
         parent, because proposition extensions depend only on the universe and
         the valuation, both unchanged.  No reference to the parent structure
         itself is kept, so an update chain does not pin its intermediate models
-        in memory.
+        in memory.  ``prop_masks_complete`` says the cache already holds every
+        name the valuation mentions.
         """
         self = cls.__new__(cls)
         self._worlds = worlds
@@ -198,6 +286,7 @@ class KripkeStructure:
         self._class_mask_order_cache = dict(class_mask_orders) if class_mask_orders else {}
         self._component_mask_cache = dict(component_masks) if component_masks else {}
         self._prop_mask_cache = prop_masks if prop_masks is not None else {}
+        self._prop_masks_complete = prop_masks_complete
         return self
 
     def _set_worlds_agents_valuation(
@@ -277,6 +366,7 @@ class KripkeStructure:
         self._class_mask_order_cache = {}
         self._component_mask_cache = {}
         self._prop_mask_cache = {}
+        self._prop_masks_complete = False
         for agent in self._agents:
             blocks, class_at = partition_from_class_ids(
                 list(map(class_ids[agent].__getitem__, order))
@@ -299,8 +389,7 @@ class KripkeStructure:
         class_of: Dict[Agent, Dict[World, FrozenSet[World]]] = {}
         for agent in self._agents:
             blocks = tuple(
-                universe.to_frozenset(mask)
-                for mask in self._partition_mask_cache[agent]
+                universe.to_frozenset(mask) for mask in self.partition_masks(agent)
             )
             classes[agent] = blocks
             class_map: Dict[World, FrozenSet[World]] = {}
@@ -511,26 +600,34 @@ class KripkeStructure:
     def prop_mask(self, name: str) -> int:
         """The extension of the primitive proposition ``name`` as a bitmask.
 
-        Masks are cached.  Derived structures arrive with their parent's
+        The first query of a name not yet cached builds every name's mask in
+        one pass over the valuation; a name the valuation never mentions has
+        the empty extension.  Derived structures arrive with their parent's
         already-computed masks remapped into the cache (an AND against the
         survivor mask plus compression — see :meth:`restrict`) or share the
         parent's cache outright (refinements), so evaluators over an update
         chain get their atomic extensions for the price of a few bitwise
-        operations; only propositions never touched before the update are
-        scanned from the valuation.
+        operations.
         """
         cached = self._prop_mask_cache.get(name)
         if cached is None:
-            valuation = self._valuation
-            cached = 0
-            bit = 1
-            for world in self.indexed_universe().elements:
-                facts = valuation.get(world)
-                if facts and name in facts:
-                    cached |= bit
-                bit <<= 1
-            self._prop_mask_cache[name] = cached
+            if not self._prop_masks_complete:
+                self._scan_prop_masks()
+            cached = self._prop_mask_cache.get(name, 0)
         return cached
+
+    def _scan_prop_masks(self) -> None:
+        """Fill the proposition-mask cache with every name, in one pass."""
+        valuation = self._valuation
+        masks: Dict[str, int] = {}
+        get = masks.get
+        bit = 1
+        for world in self.indexed_universe().elements:
+            for name in valuation.get(world, ()):
+                masks[name] = get(name, 0) | bit
+            bit <<= 1
+        self._prop_mask_cache.update(masks)
+        self._prop_masks_complete = True
 
     def prop_worlds(self, name: str) -> FrozenSet[World]:
         """The set of worlds at which the primitive proposition ``name`` holds."""
@@ -540,6 +637,23 @@ class KripkeStructure:
         """Validate ``group`` against this structure and return its sorted members."""
         return self._require_group(group)
 
+    def evaluation_masks(self) -> EvaluationMasks:
+        """The structure in the form the evaluation engine takes.
+
+        Here that is the public numbering of :meth:`indexed_universe` with
+        the partition masks, the cached closures and :meth:`prop_mask`.
+        """
+        universe = self.indexed_universe()
+        return EvaluationMasks(
+            universe,
+            universe.full_mask,
+            _AgentMasks(self._agents, self.partition_masks),
+            _AgentMasks(self._agents, self.class_masks_in_order),
+            None,
+            self.prop_mask,
+            self.component_masks,
+        )
+
     # -- derived structures ------------------------------------------------------
     def restrict(self, worlds: AbstractSet[World]) -> "KripkeStructure":
         """The substructure induced by ``worlds``.
@@ -547,21 +661,30 @@ class KripkeStructure:
         This is the semantic effect of a truthful public announcement: all worlds
         where the announced fact fails are discarded, and the agents' relations are
         restricted accordingly (Section 2 / Section 10; see
-        :mod:`repro.kripke.announcement`).
-
-        The result is a *derived* structure built in bitmask space: every parent
-        partition block is ANDed against the survivor mask and remapped onto the
-        restricted world numbering, and proposition extensions are inherited from
-        the parent via the same remapping.  Restricting to the full world set
-        returns the structure itself (structures are immutable).
+        :mod:`repro.kripke.announcement`).  Worlds that are not in the
+        structure are ignored; see :meth:`restrict_mask` for the construction.
         """
-        kept = frozenset(worlds) & self._worlds
-        if not kept:
-            raise ModelError("cannot restrict a structure to an empty set of worlds")
-        if kept == self._worlds:
-            return self
+        universe = self.evaluation_masks().universe
+        return self.restrict_mask(universe.mask_of(w for w in worlds if w in universe))
+
+    def restrict_mask(self, mask: int) -> "KripkeStructure":
+        """The substructure induced by the worlds of ``mask``.
+
+        ``mask`` is in the numbering of :meth:`evaluation_masks` (an
+        evaluator's extension mask), and its bits outside the structure are
+        ignored.  The result is a *derived* structure built in bitmask space:
+        every parent partition block is ANDed against the survivor mask and
+        remapped onto the restricted world numbering, and proposition
+        extensions are inherited from the parent via the same remapping.
+        Restricting to the full world set returns the structure itself
+        (structures are immutable).
+        """
         parent_universe = self.indexed_universe()
-        survivor = parent_universe.mask_of(kept)
+        survivor = mask & parent_universe.full_mask
+        if not survivor:
+            raise ModelError("cannot restrict a structure to an empty set of worlds")
+        if survivor == parent_universe.full_mask:
+            return self
         child_universe, compressor = parent_universe.subuniverse(survivor)
         partition_masks: Dict[Agent, Tuple[int, ...]] = {}
         for agent in self._agents:
@@ -571,6 +694,7 @@ class KripkeStructure:
                 if alive:
                     blocks.append(compressor.compress(alive))
             partition_masks[agent] = tuple(blocks)
+        kept = frozenset(child_universe.elements)
         valuation = {
             world: facts for world, facts in self._valuation.items() if world in kept
         }
@@ -588,6 +712,7 @@ class KripkeStructure:
             child_universe,
             partition_masks,
             prop_masks=prop_masks,
+            prop_masks_complete=self._prop_masks_complete,
         )
 
     def refine_agent(
@@ -744,3 +869,167 @@ class KripkeStructure:
                 f"group mentions unknown agents: {sorted(map(repr, unknown))}"
             )
         return normalised.sorted_members()
+
+
+class _CubeRoot:
+    """What every structure restricted from one hypercube model shares."""
+
+    def __init__(
+        self,
+        agents: FrozenSet[Agent],
+        cube: Hypercube,
+        make_worlds: Callable[[], Sequence[World]],
+        facts: Callable[[World], AbstractSet[str]],
+        atom: Callable[[str], int],
+    ):
+        self.agents = agents
+        self.cube = cube
+        self.facts = facts
+        self.atom = atom
+        self._make_worlds = make_worlds
+        self._universe: Optional[IndexedUniverse] = None
+
+    def universe(self) -> IndexedUniverse:
+        """Every position's world, in cube order (built on first use)."""
+        if self._universe is None:
+            self._universe = IndexedUniverse(self._make_worlds())
+        return self._universe
+
+
+class _CubeStructure(KripkeStructure):
+    """A hypercube-shaped structure: the muddy children and their restrictions.
+
+    Worlds are numbered by cube position, and agent ``a``'s classes are the
+    subcubes over its hidden bits (:class:`~repro.engine.universe.Hypercube`),
+    cut down to the survivor mask ``S`` of the public announcements made so
+    far.  Evaluation runs on the root numbering with ``S`` as the universe's
+    full mask (:meth:`evaluation_masks`), and :meth:`restrict_mask` only
+    shrinks ``S``.
+
+    The public accessors answer exactly as a generic structure over the same
+    worlds would: the worlds, the valuation, the ``repr``-ordered universe of
+    the survivors, their block masks and proposition masks are built from
+    the cube on first use, and the inherited methods (``refine_agents``,
+    ``with_valuation``, ``__eq__``...) read them as usual.
+    """
+
+    def __init__(self, root: _CubeRoot, survivors: int):
+        self._root = root
+        self._survivors = survivors
+        self._agents = root.agents
+        self._classes = None
+        self._class_of = None
+        self._partition_mask_cache = {}
+        self._class_mask_order_cache = {}
+        self._component_mask_cache = {}
+        self._prop_mask_cache = {}
+        self._prop_masks_complete = False
+        self._lazy_worlds: Optional[FrozenSet[World]] = None
+        self._lazy_valuation: Optional[Dict[World, FrozenSet[str]]] = None
+        self._lazy_indexed: Optional[IndexedUniverse] = None
+        self._compressor: Optional[MaskCompressor] = None
+
+    # The generic fields the inherited methods read, built on first use.
+    @property
+    def _worlds(self) -> FrozenSet[World]:
+        if self._lazy_worlds is None:
+            self._lazy_worlds = frozenset(self.indexed_universe().elements)
+        return self._lazy_worlds
+
+    @property
+    def _valuation(self) -> Dict[World, FrozenSet[str]]:
+        if self._lazy_valuation is None:
+            facts = self._root.facts
+            self._lazy_valuation = {
+                world: frozenset(facts(world)) for world in self.indexed_universe()
+            }
+        return self._lazy_valuation
+
+    @property
+    def _indexed(self) -> IndexedUniverse:
+        if self._lazy_indexed is None:
+            root = self._root.universe()
+            if self._survivors == root.full_mask:
+                self._lazy_indexed = root
+            else:
+                self._lazy_indexed = IndexedUniverse(root.elements_of(self._survivors))
+        return self._lazy_indexed
+
+    def _survivor_positions(self) -> List[int]:
+        return list(select_bits(range(self._survivors.bit_length()), self._survivors))
+
+    def _compress(self, mask: int) -> int:
+        if self._survivors == self._root.cube.full_mask:
+            return mask
+        if self._compressor is None:
+            self._compressor = MaskCompressor(self._survivors)
+        return self._compressor.compress(mask)
+
+    def __len__(self) -> int:
+        return IndexedUniverse.count(self._survivors)
+
+    # -- public masks, in the numbering of indexed_universe() -------------------
+    def partition_masks(self, agent: Agent) -> Tuple[int, ...]:
+        """``agent``'s indistinguishability classes as bitmasks (a disjoint cover)."""
+        self._require_agent(agent)
+        cached = self._partition_mask_cache.get(agent)
+        if cached is None:
+            # A survivor's class id is its position with the hidden bits
+            # cleared; grouped in survivor order that is the public numbering.
+            kept = ~self._root.cube.hidden[agent]
+            cached, order = partition_from_class_ids(
+                [position & kept for position in self._survivor_positions()]
+            )
+            self._partition_mask_cache[agent] = cached
+            self._class_mask_order_cache[agent] = order
+        return cached
+
+    def prop_mask(self, name: str) -> int:
+        """The extension of the primitive proposition ``name`` as a bitmask."""
+        cached = self._prop_mask_cache.get(name)
+        if cached is None:
+            cached = self._prop_mask_cache[name] = self._compress(
+                self._root.atom(name) & self._survivors
+            )
+        return cached
+
+    # -- evaluation and announcements, in the cube numbering ------------------
+    def evaluation_masks(self) -> EvaluationMasks:
+        """The cube, the root numbering and the survivor mask ``S`` as ``full``.
+
+        The block masks handed over are in the root numbering too, restricted
+        to ``S``; only a backend that reads them (the frozenset oracle) builds
+        them.  No backend reads class masks next to a cube, so there are none.
+        """
+        return EvaluationMasks(
+            self._root.universe(),
+            self._survivors,
+            _AgentMasks(self._agents, self._root_blocks),
+            {},
+            self._root.cube,
+            self._root_prop_mask,
+            None,
+        )
+
+    def restrict_mask(self, mask: int) -> "KripkeStructure":
+        """The substructure induced by the worlds of ``mask`` (cube numbering).
+
+        It shares the cube and the root numbering: only ``S`` shrinks.
+        """
+        survivors = mask & self._survivors
+        if not survivors:
+            raise ModelError("cannot restrict a structure to an empty set of worlds")
+        if survivors == self._survivors:
+            return self
+        return _CubeStructure(self._root, survivors)
+
+    def _root_prop_mask(self, name: str) -> int:
+        return self._root.atom(name) & self._survivors
+
+    def _root_blocks(self, agent: Agent) -> Tuple[int, ...]:
+        kept = ~self._root.cube.hidden[agent]
+        blocks: Dict[int, int] = {}
+        for position in self._survivor_positions():
+            class_id = position & kept
+            blocks[class_id] = blocks.get(class_id, 0) | 1 << position
+        return tuple(blocks.values())

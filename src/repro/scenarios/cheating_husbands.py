@@ -73,7 +73,7 @@ def _registry_signature(params) -> ScenarioSignature:
     summary="n queens, k unfaithful husbands; the Queen Mother speaks (Kripke model)",
     section="Section 2 (the wise-men/cheating-wives family)",
     parameters=(
-        Parameter("n", int, default=3, minimum=1, maximum=14, description="number of queens"),
+        Parameter("n", int, default=3, minimum=1, maximum=16, description="number of queens"),
         Parameter(
             "k", int, default=2, minimum=0,
             description="how many husbands are unfaithful (the first k)",

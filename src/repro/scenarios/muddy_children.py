@@ -257,7 +257,7 @@ def _registry_signature(params) -> ScenarioSignature:
     summary="n children, k muddy foreheads; the father's announcement (Kripke model)",
     section="Sections 2 and 10",
     parameters=(
-        Parameter("n", int, default=3, minimum=1, maximum=14, description="number of children"),
+        Parameter("n", int, default=3, minimum=1, maximum=16, description="number of children"),
         Parameter("k", int, default=2, minimum=0, description="how many children are muddy (the first k)"),
         Parameter(
             "announced",

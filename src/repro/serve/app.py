@@ -311,6 +311,21 @@ class ServeApp:
                 keep_alive=keep_alive,
             )
             return True
+        except ConnectionError:
+            raise
+        except Exception as error:  # a bug, but the client still gets an answer
+            await self._write_json(
+                writer,
+                500,
+                {
+                    "error": {
+                        "type": "internal_error",
+                        "message": f"{type(error).__name__}: {error}",
+                    }
+                },
+                keep_alive=keep_alive,
+            )
+            return True
         await self._write_json(writer, 200, payload, keep_alive=keep_alive)
         return True
 

@@ -7,13 +7,19 @@ extension (the valuation's ``pi``) as a bitmask over the engine's universe:
 points.  Here each mask, and the extension the engine reads off it on each
 backend, is compared with the per-element scan of ``facts_at`` on every
 registered scenario, on a system with a custom valuation, and for a
-proposition no valuation mentions.
+proposition no valuation mentions.  ``KripkeStructure.prop_mask`` builds
+every name's mask in one pass on the first query; it is compared with the
+per-name scan on random structures, their restrictions and refinements, and
+every Kripke scenario.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from _engine_gen import random_structure
 from repro.experiments.registry import KIND_KRIPKE, ScenarioSpec, all_scenarios, get_scenario
 from repro.kripke.checker import ModelChecker
 from repro.logic.syntax import Prop
@@ -82,3 +88,63 @@ SYSTEM = get_scenario("coordinated_attack").build().model
 @pytest.mark.parametrize("valuation", _custom_valuations(SYSTEM))
 def test_system_with_custom_valuation(valuation, backend):
     _assert_atoms_match_scan(SYSTEM, backend, valuation)
+
+
+# -- KripkeStructure.prop_mask: one pass against the per-name scan --------------
+
+
+def _per_name_scan(structure, name):
+    mask = 0
+    for position, world in enumerate(structure.world_order()):
+        if name in structure.facts_at(world):
+            mask |= 1 << position
+    return mask
+
+
+def _assert_prop_masks_match_scan(structure, first):
+    structure.prop_mask(first)
+    for name in sorted(structure.propositions()) + [UNKNOWN, first]:
+        assert structure.prop_mask(name) == _per_name_scan(structure, name), name
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kripke_prop_masks_match_per_name_scan(seed):
+    rng = random.Random(seed)
+    structure = random_structure(
+        seed, n_worlds=rng.randint(1, 16), n_agents=rng.randint(1, 3), n_props=rng.randint(1, 5)
+    )
+    names = sorted(structure.propositions()) + [UNKNOWN]
+    structure.prop_mask(rng.choice(names))
+    if structure.propositions():
+        # The first query filled in every name the valuation mentions.
+        assert set(structure._prop_mask_cache) >= structure.propositions()
+    _assert_prop_masks_match_scan(structure, rng.choice(names))
+    kept = rng.sample(sorted(structure.worlds), rng.randint(1, len(structure)))
+    restricted = structure.restrict(kept)
+    _assert_prop_masks_match_scan(restricted, rng.choice(names))
+    labels = {world: rng.randrange(2) for world in restricted.worlds}
+    refined = restricted.refine_agents(restricted.agents, labels.__getitem__)
+    _assert_prop_masks_match_scan(refined, rng.choice(names))
+    fresh = random_structure(seed, n_worlds=len(structure), n_props=3)
+    _assert_prop_masks_match_scan(fresh.restrict(sorted(fresh.worlds)[::2]), UNKNOWN)
+
+
+def _kripke_model(scenario, params):
+    """The scenario's Kripke model, or a system's Kripke export (a generic structure)."""
+    spec = get_scenario(scenario)
+    model = spec.build(spec.validate_params(params)).model
+    if ScenarioSpec.kind_of(model) == KIND_KRIPKE:
+        return model
+    return ViewBasedInterpretation(model).to_kripke()
+
+
+_CASES = [pytest.param(spec.name, {}, id=spec.name) for spec in all_scenarios()] + [
+    pytest.param("muddy_children", {"n": 4, "k": 2, "announced": True}, id="muddy-announced")
+]
+
+
+@pytest.mark.parametrize("scenario,params", _CASES)
+def test_kripke_scenario_prop_masks_match_per_name_scan(scenario, params):
+    names = sorted(_kripke_model(scenario, params).propositions()) or [UNKNOWN]
+    for first in [UNKNOWN, names[0], names[-1]]:
+        _assert_prop_masks_match_scan(_kripke_model(scenario, params), first)

@@ -4,7 +4,9 @@ Three invariants the bitset backend's correctness rests on:
 
 * mask <-> frozenset conversions are mutually inverse bijections;
 * each agent's partition masks form a disjoint cover of the universe;
-* the G-reachability component masks agree with :meth:`KripkeStructure.reachable`.
+* the G-reachability component masks agree with :meth:`KripkeStructure.reachable`;
+* the one-pass digit-string conversions (mask <-> elements, compression,
+  class ids) and the hypercube closure agree with bit-by-bit loops.
 
 Plus a cost regression on indexing a system's views: the complete-history view
 is indexed from interned history ids, with no ``view()`` call, no
@@ -19,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from _engine_gen import random_structure
 from repro.engine import BitsetBackend, IndexedUniverse
+from repro.engine.universe import Hypercube, MaskCompressor, bit_flags, class_ids_from_blocks
 from repro.errors import ModelError
 from repro.experiments import get_scenario
 from repro.logic.agents import Group
@@ -57,6 +60,74 @@ def test_arbitrary_mask_round_trip(n, mask):
     universe = IndexedUniverse([f"e{i}" for i in range(n)])
     mask &= universe.full_mask
     assert universe.mask_of(universe.to_frozenset(mask)) == mask
+
+
+def _peeled_positions(mask):
+    """The bit positions of ``mask``, one lowest bit at a time (the reference)."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return positions
+
+
+def _edge_masks(size, rng):
+    sparse = rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)
+    return [0, (1 << size) - 1, 1 << (size - 1), 1, rng.getrandbits(size), sparse]
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 64, 65, 300, 4097])
+def test_digit_conversions_match_bit_peeling(size):
+    import random
+
+    rng = random.Random(size)
+    universe = IndexedUniverse(range(size))
+    for mask in _edge_masks(size, rng):
+        positions = _peeled_positions(mask)
+        assert list(universe.elements_of(mask)) == positions
+        assert universe.to_frozenset(mask) == frozenset(positions)
+        assert universe.mask_of(positions) == mask
+        assert universe.mask_of(reversed(positions)) == mask
+        members = set(positions)
+        assert list(bit_flags(mask)) == [
+            1 if position in members else 0 for position in range(max(mask.bit_length(), 1))
+        ]
+        survivors = rng.getrandbits(size)
+        compressor = MaskCompressor(survivors)
+        kept = _peeled_positions(survivors)
+        assert len(compressor) == len(kept)
+        expected = sum(1 << child for child, parent in enumerate(kept) if mask >> parent & 1)
+        assert compressor.compress(mask) == expected
+        assert MaskCompressor(mask).compress(mask) == (1 << len(positions)) - 1
+        blocks = [mask, ((1 << size) - 1) ^ mask]
+        ids = class_ids_from_blocks([block for block in blocks if block], size)
+        live = [block for block in blocks if block]
+        assert ids == [
+            next(i for i, block in enumerate(live) if block >> p & 1) for p in range(size)
+        ]
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 5])
+def test_hypercube_close_is_the_union_of_subcubes(bits):
+    import random
+
+    rng = random.Random(bits)
+    cube = Hypercube(bits, {})
+    size = 1 << bits
+    for _ in range(20):
+        mask = rng.getrandbits(size)
+        hidden = rng.getrandbits(bits)
+        reached = 0
+        for position in _peeled_positions(mask):
+            for other in range(size):
+                if (other ^ position) & ~hidden == 0:
+                    reached |= 1 << other
+        assert cube.close(mask, hidden) == reached
+    for bit in range(bits):
+        assert cube.low_mask(bit) == sum(
+            1 << p for p in range(size) if not p >> bit & 1
+        )
 
 
 def test_universe_rejects_duplicates_and_empty():

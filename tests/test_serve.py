@@ -246,7 +246,7 @@ def test_bad_parameter_is_400(server):
 
 @pytest.mark.parametrize(
     "scenario,name,value",
-    [("muddy_children", "n", 15), ("cheating_husbands", "n", 15), ("phases", "skew", 129)],
+    [("muddy_children", "n", 17), ("cheating_husbands", "n", 17), ("phases", "skew", 129)],
 )
 def test_over_maximum_parameter_is_refused_before_any_build(server, capsys, scenario, name, value):
     code, _, err = run_cli(capsys, "run", scenario, "-p", f"{name}={value}")
@@ -256,6 +256,28 @@ def test_over_maximum_parameter_is_refused_before_any_build(server, capsys, scen
     assert status == 400
     assert "must be <=" in json.loads(body)["error"]["message"]
     assert server.app.state.runner.cached_instances == 0
+
+
+def test_unexpected_exception_is_a_structured_500(server):
+    """An exception outside the repro error types still gets a JSON answer.
+
+    A deep enough protocol horizon used to raise ``RecursionError`` in run
+    enumeration, which escaped the dispatcher and closed the connection
+    with no response; any such error now maps to ``internal_error``.
+    """
+    runner = server.app.state.runner
+
+    def overflowing(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    runner._evaluate = overflowing
+    status, body = post(server, "/run", {"scenario": "muddy_children", "params": {"n": 2}})
+    assert status == 500
+    error = json.loads(body)["error"]
+    assert error["type"] == "internal_error"
+    assert error["message"].startswith("RecursionError: ")
+    status, payload = get(server, "/healthz")
+    assert status == 200 and payload["ok"] is True
 
 
 def test_invalid_json_body_is_400(server):
