@@ -100,8 +100,6 @@ from repro.experiments.supervise import ON_ERROR_MODES, FaultPolicy
 
 __all__ = ["main", "build_parser"]
 
-_BACKEND_CHOICES = ("frozenset", "bitset")
-
 
 # -- table rendering -----------------------------------------------------------
 
@@ -474,9 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("path", help="the store's sqlite file")
     gc.add_argument(
         "--scenario", default=None, help="only rows of this scenario"
-    )
-    gc.add_argument(
-        "--backend", default=None, choices=_BACKEND_CHOICES, help="only rows of this backend"
     )
     gc.add_argument(
         "--stale",
@@ -978,7 +973,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
         with _open_existing_store(args.path) as store:
             removed = store.gc(
                 scenario=args.scenario,
-                backend=args.backend,
                 stale=args.stale,
                 all_rows=args.all_rows,
             )

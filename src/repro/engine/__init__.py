@@ -33,11 +33,7 @@ from repro.engine.backends import (
     resolve_backend_name,
     set_default_backend,
 )
-from repro.engine.core import (
-    COMMON_FIXPOINT,
-    COMMON_REACHABILITY,
-    EvaluationEngine,
-)
+from repro.engine.core import EvaluationEngine
 from repro.engine.universe import Hypercube, IndexedUniverse, Segmentation
 
 __all__ = [
@@ -49,8 +45,6 @@ __all__ = [
     "IndexedUniverse",
     "Segmentation",
     "EvaluationEngine",
-    "COMMON_FIXPOINT",
-    "COMMON_REACHABILITY",
     "get_default_backend",
     "resolve_backend_name",
     "set_default_backend",

@@ -13,7 +13,7 @@ The engine is generic over a set-representation *backend*
 (:mod:`repro.engine.backends`): the reference ``frozenset`` backend, or the ``bitset``
 backend that evaluates over integer bitmasks.  Results are memoised under structural
 keys — structurally equal formulas share one interned key, so repeated queries (and
-repeated ``C_G`` fixpoint iterations, whose iterates re-evaluate the same body under
+repeated fixpoint iterations, whose iterates re-evaluate the same body under
 the same variable environment) hit the cache regardless of which formula object the
 caller built.
 
@@ -24,8 +24,15 @@ agent), the mask of the elements that make up the model, and atoms through
 ``pi``) as a bitmask over the universe.  They keep
 their own error vocabulary by injecting callbacks: ``require_agent`` /
 ``require_group`` raise the host's unknown-agent errors, and ``special`` either
-evaluates host-specific operators (returning a frozenset) or returns ``None`` to make
-the engine raise its generic unsupported-node error.
+evaluates host-specific operators or returns ``None`` to make the engine raise
+its generic unsupported-node error.  ``special`` works in the active backend's
+own values (bitmasks on bitset, frozensets on the oracle), so no extension is
+converted on its way through the hook.
+
+There is one evaluation configuration: ``C_G`` is always Section 6's
+G-reachability (``backend.common_reachability``).  Appendix A's greatest
+fixed point ``nu X. E_G(phi & X)`` is a formula of the language, so tests
+that compare the two characterisations evaluate it as one.
 """
 
 from __future__ import annotations
@@ -72,20 +79,14 @@ from repro.logic.syntax import (
     _occurrences_positive,
 )
 
-__all__ = ["EvaluationEngine", "COMMON_REACHABILITY", "COMMON_FIXPOINT"]
+__all__ = ["EvaluationEngine"]
 
 Element = Hashable
 Agent = Hashable
 
-COMMON_REACHABILITY = "reachability"
-COMMON_FIXPOINT = "fixpoint"
-_COMMON_STRATEGIES = (COMMON_REACHABILITY, COMMON_FIXPOINT)
-
 _MAX_FIXPOINT_ITERATIONS = 1_000_000
 
-SpecialHandler = Callable[[Formula, Callable[[Formula], FrozenSet[Element]]], Optional[FrozenSet[Element]]]
-
-SpecialNativeHandler = Callable[
+SpecialHandler = Callable[
     [Formula, Callable[[Formula], object], EngineBackend], Optional[object]
 ]
 
@@ -113,17 +114,11 @@ class EvaluationEngine:
         raising the host's error for unknown members.
     special:
         Optional hook for operators the engine does not implement (the temporal and
-        temporal-epistemic fragment).  It receives the formula and an evaluator for
-        subformulas (closing over the current variable environment) and returns the
-        extension as a frozenset, or ``None`` if the node is unsupported.
-    special_native:
-        Optional *backend-native* variant of ``special``, consulted first.  It
-        additionally receives the active backend, and its subformula evaluator
-        hands back raw backend values (bitmasks on the bitset backend) instead of
-        frozensets; its result must likewise be a backend value.  Returning
-        ``None`` falls through to ``special`` — hosts use this to run a fast mask
-        path on the bitset backend while keeping the frozenset transcription as
-        the reference semantics.
+        temporal-epistemic fragment).  It receives the formula, an evaluator for
+        subformulas (closing over the current variable environment) and the
+        active backend.  Subformulas come back as backend values (bitmasks on
+        bitset, frozensets on the oracle), and the hook returns the extension
+        in the same form, or ``None`` if the node is unsupported.
     backend:
         ``"frozenset"``, ``"bitset"`` or ``None`` for the process-wide default
         (:func:`repro.engine.backends.get_default_backend`).  Both are built
@@ -140,9 +135,6 @@ class EvaluationEngine:
         Optional :class:`~repro.engine.universe.Hypercube` describing the same
         partitions as ``blocks`` by hidden index bits; the bitset backend
         then evaluates ``K``, ``D`` and ``C`` without scanning blocks.
-    common_strategy:
-        How ``C_G`` is evaluated: ``"reachability"`` (Section 6's graph
-        characterisation) or ``"fixpoint"`` (Appendix A's greatest fixed point).
     """
 
     def __init__(
@@ -155,18 +147,11 @@ class EvaluationEngine:
         require_agent: Callable[[Agent], None],
         require_group: Callable[[object], Tuple[Agent, ...]],
         special: Optional[SpecialHandler] = None,
-        special_native: Optional[SpecialNativeHandler] = None,
         backend: Optional[str] = None,
         component_source: Optional[ComponentSource] = None,
         full: Optional[int] = None,
         cube: Optional[Hypercube] = None,
-        common_strategy: str = COMMON_REACHABILITY,
     ):
-        if common_strategy not in _COMMON_STRATEGIES:
-            raise EvaluationError(
-                f"unknown common-knowledge strategy {common_strategy!r}; "
-                f"expected one of {_COMMON_STRATEGIES}"
-            )
         self._backend: EngineBackend = BACKENDS[resolve_backend_name(backend)](
             universe, blocks, class_at, component_source, full=full, cube=cube
         )
@@ -174,8 +159,6 @@ class EvaluationEngine:
         self._require_agent = require_agent
         self._require_group = require_group
         self._special = special
-        self._special_native = special_native
-        self._common_strategy = common_strategy
         # Structural interning: structurally equal formulas map to one small int, so
         # memo keys hash the (deep) formula once per distinct structure.
         self._interned: Dict[Formula, int] = {}
@@ -191,25 +174,6 @@ class EvaluationEngine:
     def backend(self) -> EngineBackend:
         """The active backend instance (exposed for tests and benchmarks)."""
         return self._backend
-
-    @property
-    def common_strategy(self) -> str:
-        """The active ``C_G`` evaluation strategy."""
-        return self._common_strategy
-
-    @common_strategy.setter
-    def common_strategy(self, strategy: str) -> None:
-        if strategy not in _COMMON_STRATEGIES:
-            raise EvaluationError(
-                f"unknown common-knowledge strategy {strategy!r}; "
-                f"expected one of {_COMMON_STRATEGIES}"
-            )
-        if strategy != self._common_strategy:
-            self._common_strategy = strategy
-            # Memoised C_G extensions were computed under the old strategy; both
-            # strategies agree semantically, but dropping them keeps the cache
-            # trivially coherent with the configuration.
-            self._memo.clear()
 
     @property
     def cache_size(self) -> int:
@@ -364,9 +328,7 @@ class EvaluationEngine:
         if isinstance(formula, Common):
             members = self._require_group(formula.group)
             body = self._evaluate(formula.operand, env)
-            if self._common_strategy == COMMON_REACHABILITY:
-                return backend.common_reachability(members, body)
-            return self._common_fixpoint(members, body)
+            return backend.common_reachability(members, body)
 
         if isinstance(formula, GreatestFixpoint):
             return self._bound_fixpoint(formula, env, greatest=True)
@@ -376,23 +338,14 @@ class EvaluationEngine:
         return self._evaluate_special(formula, env)
 
     def _evaluate_special(self, formula: Formula, env: Dict[str, object]):
-        backend = self._backend
-        if self._special_native is not None:
-
-            def evaluate_native(subformula: Formula):
-                return self._evaluate(subformula, env)
-
-            native = self._special_native(formula, evaluate_native, backend)
-            if native is not None:
-                return native
         if self._special is not None:
 
-            def evaluate(subformula: Formula) -> FrozenSet[Element]:
-                return backend.to_frozenset(self._evaluate(subformula, env))
+            def evaluate(subformula: Formula):
+                return self._evaluate(subformula, env)
 
-            result = self._special(formula, evaluate)
+            result = self._special(formula, evaluate, self._backend)
             if result is not None:
-                return backend.from_frozenset(result)
+                return result
         raise EvaluationError(f"unsupported formula node {type(formula).__name__}")
 
     # -- fixpoints ---------------------------------------------------------------
@@ -411,14 +364,6 @@ class EvaluationEngine:
             current = nxt
         raise EvaluationError(
             f"fixpoint iteration did not converge within {_MAX_FIXPOINT_ITERATIONS} steps"
-        )
-
-    def _common_fixpoint(self, members: Tuple[Agent, ...], body):
-        """``C_G phi`` as the greatest fixed point of ``X == E_G(phi & X)``."""
-        backend = self._backend
-        return self._iterate_until_stable(
-            lambda current: backend.everyone(members, backend.intersect(body, current)),
-            backend.full,
         )
 
     def _bound_fixpoint(self, formula, env: Dict[str, object], greatest: bool):

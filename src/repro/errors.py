@@ -125,8 +125,8 @@ class StoreError(ReproError):
 class SweepFaultError(ReproError):
     """Raised when a supervised sweep gives up on a grid point (or the pool).
 
-    Carries the exact failing point — ``scenario``, ``params``, ``backend`` —
-    and the full ``attempts`` history (one record per attempt, each naming the
+    Carries the exact failing point — ``scenario`` and ``params`` — and the
+    full ``attempts`` history (one record per attempt, each naming the
     failure kind: ``error`` for an exception, ``timeout`` for a tripped
     watchdog, ``crash`` for a worker that died), so an aborted sweep names
     precisely what to fix or quarantine.  Raised by ``--on-error abort`` once
@@ -139,13 +139,11 @@ class SweepFaultError(ReproError):
         message: str,
         scenario: "str | None" = None,
         params: "dict | None" = None,
-        backend: "str | None" = None,
         attempts: "list | None" = None,
     ):
         super().__init__(message)
         self.scenario = scenario
         self.params = dict(params) if params else {}
-        self.backend = backend
         self.attempts = list(attempts or [])
 
 

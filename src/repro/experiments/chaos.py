@@ -19,9 +19,9 @@ Config shape::
       ]
     }
 
-Each fault matches a grid point by ``scenario`` (omitted = any), a ``params``
-*subset* (every listed name must equal the point's validated value) and
-optionally ``backend``.  Kinds:
+Each fault matches a grid point by ``scenario`` (omitted = any) and a
+``params`` *subset* (every listed name must equal the point's validated
+value).  Kinds:
 
 * ``raise`` — throw :class:`~repro.errors.ChaosInjectedError` (the poison
   point);
@@ -35,7 +35,7 @@ optionally ``backend``.  Kinds:
 ``--retries``.  Attempt counting is cross-process (supervised retries may land
 in freshly respawned workers), so finite ``failures`` requires ``state_dir``:
 each attempt atomically claims ``<digest>.<n>`` in it, where the digest is the
-sha256 content address of the (scenario, params, backend, fault index) tuple —
+sha256 content address of the (scenario, params, fault index) tuple —
 the same derived-from-the-spec determinism the result store's keys use.
 Omitted ``failures`` means the fault always fires.
 
@@ -80,17 +80,12 @@ class ChaosFault:
     kind: str
     scenario: Optional[str] = None
     params: Tuple[Tuple[str, object], ...] = ()
-    backend: Optional[str] = None
     failures: Optional[int] = None
     hang_seconds: float = DEFAULT_HANG_SECONDS
 
-    def matches(
-        self, scenario: str, params: Mapping[str, object], backend: str
-    ) -> bool:
+    def matches(self, scenario: str, params: Mapping[str, object]) -> bool:
         """Whether this fault targets the given (validated) grid point."""
         if self.scenario is not None and self.scenario != scenario:
-            return False
-        if self.backend is not None and self.backend != backend:
             return False
         sentinel = object()
         return all(params.get(name, sentinel) == value for name, value in self.params)
@@ -109,14 +104,7 @@ def _parse_fault(index: int, entry: object) -> ChaosFault:
         raise ChaosError(
             f"{ENV_VAR} fault #{index} must be an object, got {type(entry).__name__}"
         )
-    unknown = set(entry) - {
-        "kind",
-        "scenario",
-        "params",
-        "backend",
-        "failures",
-        "hang_seconds",
-    }
+    unknown = set(entry) - {"kind", "scenario", "params", "failures", "hang_seconds"}
     if unknown:
         raise ChaosError(
             f"{ENV_VAR} fault #{index} has unknown field(s): {sorted(unknown)}"
@@ -145,7 +133,6 @@ def _parse_fault(index: int, entry: object) -> ChaosFault:
         kind=kind,
         scenario=entry.get("scenario"),
         params=tuple(sorted(params.items())),
-        backend=entry.get("backend"),
         failures=failures,
         hang_seconds=float(hang_seconds),
     )
@@ -194,11 +181,9 @@ def _config() -> Optional[ChaosConfig]:
     return _CACHE[1]
 
 
-def _point_digest(
-    scenario: str, params: Mapping[str, object], backend: str, fault_index: int
-) -> str:
+def _point_digest(scenario: str, params: Mapping[str, object], fault_index: int) -> str:
     canonical = json.dumps(
-        [scenario, sorted((str(k), repr(v)) for k, v in params.items()), backend, fault_index],
+        [scenario, sorted((str(k), repr(v)) for k, v in params.items()), fault_index],
         separators=(",", ":"),
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -239,28 +224,21 @@ def _fire(fault: ChaosFault, scenario: str, params: Mapping[str, object]) -> Non
     time.sleep(fault.hang_seconds)
 
 
-def maybe_inject(
-    scenario: str,
-    params: Mapping[str, object],
-    backend: str,
-    minimize: bool = False,
-) -> None:
+def maybe_inject(scenario: str, params: Mapping[str, object]) -> None:
     """Fire any configured fault matching this evaluation; no-op when unset.
 
     Called once per *evaluation attempt* of a grid point (never for
-    store-served rows).  ``minimize`` currently does not take part in fault
-    matching but keeps the call signature aligned with the request identity.
+    store-served rows).
     """
     config = _config()
     if config is None:
         return
     for index, fault in enumerate(config.faults):
-        if not fault.matches(scenario, params, backend):
+        if not fault.matches(scenario, params):
             continue
         if fault.failures is not None:
             attempt = _claim_attempt(
-                config.state_dir,
-                _point_digest(scenario, params, backend, index),
+                config.state_dir, _point_digest(scenario, params, index)
             )
             if attempt >= fault.failures:
                 continue  # healed: the fault already fired its quota

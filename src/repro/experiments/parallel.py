@@ -7,8 +7,8 @@ watchdog that is the :class:`~repro.experiments.supervise.SweepSupervisor`
 pool.  Only a :class:`RunSpec` crosses the boundary — scenario *name*,
 validated parameters flattened through
 :func:`~repro.experiments.registry.params_to_key`, the normalised
-``(label, Formula)`` batch (formulas pickle structurally), the resolved
-backend and the ``minimize`` flag — and only plain
+``(label, Formula)`` batch (formulas pickle structurally) and the
+``minimize`` flag — and only plain
 :class:`~repro.experiments.runner.ExperimentReport` rows come back.  Models,
 evaluators and their caches never leave the process that built them, the
 parent has already validated and pre-flighted every spec, and workers never
@@ -39,14 +39,13 @@ class RunSpec:
     assignment (:func:`~repro.experiments.registry.params_to_key`);
     ``formulas`` is the normalised ``(label, Formula)`` batch, or ``None`` to
     use the scenario's default formula set (computed per grid point where the
-    point is evaluated); ``backend`` is the already resolved engine backend
-    name.
+    point is evaluated).  The engine backend is not part of it: workers
+    inherit the parent's process-wide default when the pool starts.
     """
 
     scenario: str
     params_key: Tuple[Tuple[str, object], ...]
     formulas: Optional[Tuple[Tuple[str, Formula], ...]]
-    backend: str
     minimize: bool = False
 
 

@@ -44,7 +44,6 @@ from typing import (
     Union,
 )
 
-from repro.engine import resolve_backend_name
 from repro.analysis.diagnostics import render_diagnostics, summarize
 from repro.errors import CheckError, ReproError, ScenarioError
 from repro.experiments.chaos import maybe_inject
@@ -551,10 +550,10 @@ class ExperimentRunner:
 
         Resolves the formula batch (``formulas`` is an already normalised
         explicit batch, or ``None`` for the scenario's defaults), runs the
-        static pre-flight (raising :class:`~repro.errors.CheckError`), resolves
-        the engine's default backend and — with ``keyed`` — computes the store
-        key.  Nothing is built.  ``checked`` memoises batches by parameter key,
-        so a grid pre-flights each distinct assignment once.
+        static pre-flight (raising :class:`~repro.errors.CheckError`) and —
+        with ``keyed`` — computes the store key.  Nothing is built.
+        ``checked`` memoises batches by parameter key, so a grid pre-flights
+        each distinct assignment once.
         """
         params_key = params_to_key(validated)
         batch = None if checked is None else checked.get(params_key)
@@ -567,17 +566,15 @@ class ExperimentRunner:
             ExperimentRunner.preflight_batch(spec, validated, batch, minimize)
             if checked is not None:
                 checked[params_key] = batch
-        backend = resolve_backend_name(None)
         key = None
         if keyed:
             from repro.experiments.store import request_key
 
-            key = request_key(spec.name, params_key, batch, backend, minimize)
+            key = request_key(spec.name, params_key, batch, minimize)
         run = RunSpec(
             scenario=spec.name,
             params_key=params_key,
             formulas=None if formulas is None else tuple(formulas),
-            backend=backend,
             minimize=bool(minimize),
         )
         return PlannedPoint(index, key, run, batch)
@@ -647,7 +644,6 @@ class ExperimentRunner:
                 settled[index] = quarantine_report(
                     spec.name,
                     params,
-                    resolve_backend_name(None),
                     minimize,
                     [attempt_record(1, "error", describe_failure(error))],
                 )
@@ -698,7 +694,7 @@ class ExperimentRunner:
         # store-served rows are never faulted (nothing is evaluated), every
         # actual evaluation attempt — parent or pool worker — is. No-op
         # unless REPRO_CHAOS is set.
-        maybe_inject(spec.name, validated, run.backend, run.minimize)
+        maybe_inject(spec.name, validated)
 
         instance = self._instance(spec, validated)
         focus = instance.focus

@@ -25,10 +25,13 @@ which changes the answer and therefore the key:
   (``parse(pretty(f)) == f``), which makes the text form a faithful canonical
   spelling of the formula; two structurally equal formulas always print
   identically, whatever code built them;
-* ``backend`` — the resolved engine backend name.  The runner, the CLI and
-  the service always evaluate on ``bitset``, the production backend; the
-  ``frozenset`` oracle only appears here under a test that makes it the
-  engine's process-wide default;
+* ``backend`` — the engine's process-wide default backend name.  The runner,
+  the CLI and the service always evaluate on ``bitset``, the production
+  backend; the ``frozenset`` oracle only appears here under a test that makes
+  it the default.  The component stays in the key (and as a column) so
+  digests and stores written before the backend choice left the sweep layer
+  keep matching, and because perfbench's traced replay builds keys with an
+  explicit backend through :meth:`StoreKey.for_request`;
 * ``minimize`` — whether evaluation ran on the bisimulation quotient
   (universe and counts differ there);
 * ``semantics_version`` — :data:`SEMANTICS_VERSION`, bumped whenever the
@@ -44,10 +47,14 @@ Concurrency
 
 The database runs in WAL journal mode with a busy timeout: concurrent sweep
 processes pointed at the same store read without blocking the single writer,
-and writers queue instead of failing.  Within one sweep, only the parent
-process touches the store — pool workers ship plain report rows back and the
-parent persists each one as it streams in — so ``--jobs N`` adds no writer
-concurrency at all.  Across sweeps, whole processes may race: store creation
+and writers queue instead of failing.  WAL is switched on once, when the
+store is created, and persists in the file; later opens only set the
+per-connection pragmas.  (Switching the journal mode takes an exclusive lock
+that the busy timeout does not wait for, so doing it on every open made
+racing first opens fail with ``database is locked``.)  Within one sweep, only
+the parent process touches the store — pool workers ship plain report rows
+back and the parent persists each one as it streams in — so ``--jobs N`` adds
+no writer concurrency at all.  Across sweeps, whole processes may race: store creation
 keys off the database's actual table set (not file existence) and is
 idempotent, so two processes opening the same fresh path converge on one
 schema instead of misreading each other's half-created file, and racing
@@ -57,7 +64,7 @@ Within one process, a single :class:`ResultStore` may now also be shared by
 *threads* — the ``repro serve`` evaluation service runs model checks in a
 thread pool, with every worker reading and writing the same store.  sqlite
 connections are not safely shareable across threads, so the store hands each
-thread its own connection (created lazily, with the same WAL/busy-timeout
+thread its own connection (created lazily, with the same busy-timeout
 pragmas) through a :class:`threading.local`; transactions therefore never
 interleave across threads, cross-thread write ordering is sqlite's (WAL,
 last-write-wins on identical content), and :meth:`close` closes every
@@ -79,7 +86,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.engine import resolve_backend_name
+from repro.engine import get_default_backend
 from repro.errors import FormulaError, StoreError
 from repro.experiments.registry import ParamKey
 from repro.experiments.runner import ExperimentReport
@@ -106,6 +113,9 @@ another semantics version refuse to open (see :class:`ResultStore`) until
 
 SCHEMA_VERSION = 1
 """Version of the sqlite layout itself (tables/columns/indexes)."""
+
+_BUSY_TIMEOUT_SECONDS = 30.0
+"""How long a connection waits on another process's lock before failing."""
 
 _GIT_SHA_CACHE: Optional[str] = None
 
@@ -172,7 +182,9 @@ class StoreKey:
         :func:`~repro.experiments.registry.params_to_key` tuple and ``backend``
         the resolved backend name; ``batch`` is the normalised
         ``(label, Formula)`` sequence, canonicalised here via
-        :func:`repro.logic.pretty.pretty`.
+        :func:`repro.logic.pretty.pretty`.  Production keys come from
+        :func:`request_key`; the explicit ``backend`` serves perfbench's
+        traced replay, which pins it.
         """
         return cls(
             scenario=scenario,
@@ -213,20 +225,19 @@ def request_key(
     scenario: str,
     params: ParamKey,
     batch: Iterable[Tuple[str, Formula]],
-    backend: Optional[str],
     minimize: bool,
 ) -> Optional[StoreKey]:
     """The store key of one request, which is also its coalescing address.
 
-    ``backend`` is resolved here (``None`` means the process-wide engine
-    default).  Returns ``None`` when a formula in the batch has no canonical
-    text form (the pretty-printer refuses names that would not round-trip):
-    such a request simply bypasses persistence and coalescing instead of
-    failing.
+    The backend component is the process-wide engine default, the backend
+    the request is evaluated on.  Returns ``None`` when a formula in the
+    batch has no canonical text form (the pretty-printer refuses names that
+    would not round-trip): such a request simply bypasses persistence and
+    coalescing instead of failing.
     """
     try:
         return StoreKey.for_request(
-            scenario, params, batch, resolve_backend_name(backend), minimize
+            scenario, params, batch, get_default_backend(), minimize
         )
     except FormulaError:
         return None
@@ -301,10 +312,11 @@ class ResultStore:
         means :meth:`close` may close connections that other threads opened,
         which is exactly what a service shutdown needs.
         """
-        conn = sqlite3.connect(self.path, timeout=30.0, check_same_thread=False)
+        conn = sqlite3.connect(
+            self.path, timeout=_BUSY_TIMEOUT_SECONDS, check_same_thread=False
+        )
         try:
-            conn.execute("PRAGMA busy_timeout = 30000")
-            conn.execute("PRAGMA journal_mode = WAL")
+            conn.execute(f"PRAGMA busy_timeout = {int(_BUSY_TIMEOUT_SECONDS * 1000)}")
             conn.execute("PRAGMA synchronous = NORMAL")
         except BaseException:
             conn.close()
@@ -360,7 +372,29 @@ class ResultStore:
         return conn
 
     # -- schema ----------------------------------------------------------------
+    @staticmethod
+    def _enable_wal(conn: sqlite3.Connection) -> None:
+        """Switch a store being created to WAL; the mode persists in the file.
+
+        The switch needs an exclusive lock, and sqlite refuses it at once
+        (without running the busy handler) while another connection holds a
+        lock on the new file, such as a racing creator making the same
+        switch.  So it is retried until the lock is free — once the winner
+        has switched, the pragma changes nothing — or the busy timeout runs
+        out.
+        """
+        deadline = time.monotonic() + _BUSY_TIMEOUT_SECONDS
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode = WAL")
+                return
+            except sqlite3.OperationalError:
+                if time.monotonic() >= deadline:
+                    raise
+            time.sleep(0.005)
+
     def _create(self, conn: sqlite3.Connection) -> None:
+        self._enable_wal(conn)
         # One explicit transaction around the whole schema.  sqlite3 runs DDL
         # in autocommit mode, so without this the tables would land before the
         # meta rows and a concurrent opener could observe the gap ("schema
@@ -562,32 +596,26 @@ class ResultStore:
     def gc(
         self,
         scenario: Optional[str] = None,
-        backend: Optional[str] = None,
         stale: bool = False,
         all_rows: bool = False,
     ) -> int:
         """Delete rows and reclaim space; returns the number of rows removed.
 
-        Filters compose: ``scenario``/``backend`` restrict to matching rows,
+        Filters compose: ``scenario`` restricts to matching rows,
         ``stale`` selects rows recorded under a different semantics version
         (and afterwards stamps the meta table with the current one, so the
         store opens normally again), and ``all_rows=True`` empties the store.
         At least one selector is required — a bare ``gc`` deleting everything
         by accident would be a terrible default.
         """
-        if not (stale or all_rows or scenario is not None or backend is not None):
-            raise StoreError(
-                "store gc needs a selector: --scenario, --backend, --stale or --all"
-            )
+        if not (stale or all_rows or scenario is not None):
+            raise StoreError("store gc needs a selector: --scenario, --stale or --all")
         clauses: List[str] = []
         values: List[object] = []
         if not all_rows:
             if scenario is not None:
                 clauses.append("scenario = ?")
                 values.append(scenario)
-            if backend is not None:
-                clauses.append("backend = ?")
-                values.append(backend)
             if stale:
                 clauses.append("semantics_version != ?")
                 values.append(SEMANTICS_VERSION)

@@ -179,7 +179,6 @@ def attempt_record(attempt: int, kind: str, detail: str) -> Dict[str, object]:
 def quarantine_report(
     scenario: str,
     params: Mapping[str, object],
-    backend: str,
     minimize: bool,
     attempts: Sequence[Mapping[str, object]],
 ) -> ExperimentReport:
@@ -189,13 +188,14 @@ def quarantine_report(
     so it merges, streams and renders through the existing pipeline, but with
     no rows, a zero universe, ``kind="unknown"`` (the model was never built)
     and the ``error`` field carrying the final failure plus the whole attempt
-    history.
+    history.  Its ``backend`` is the process-wide engine default, the backend
+    the point would have been evaluated on.
     """
     last = attempts[-1]
     return ExperimentReport(
         scenario=scenario,
         params=dict(params),
-        backend=backend,
+        backend=get_default_backend(),
         kind="unknown",
         universe=0,
         focus=None,
@@ -214,7 +214,6 @@ def quarantine_report(
 def sweep_fault(
     scenario: str,
     params: Mapping[str, object],
-    backend: str,
     attempts: Sequence[Mapping[str, object]],
 ) -> SweepFaultError:
     """The abort-mode error naming the exact poison point and its history."""
@@ -225,11 +224,10 @@ def sweep_fault(
         for entry in attempts
     )
     return SweepFaultError(
-        f"sweep aborted: grid point {scenario} {params} [{backend}] failed "
+        f"sweep aborted: grid point {scenario} {params} failed "
         f"after {len(attempts)} attempt(s): {last['error']} (history: {history})",
         scenario=scenario,
         params=params,
-        backend=backend,
         attempts=list(attempts),
     )
 
@@ -251,10 +249,8 @@ def settle_failure(
         return None
     params = params_from_key(spec.params_key)
     if policy.on_error == "skip":
-        return quarantine_report(
-            spec.scenario, params, spec.backend, spec.minimize, attempts
-        )
-    raise sweep_fault(spec.scenario, params, spec.backend, attempts)
+        return quarantine_report(spec.scenario, params, spec.minimize, attempts)
+    raise sweep_fault(spec.scenario, params, attempts)
 
 
 # One runner per worker process, created by the pool initializer.  Module-level
@@ -409,10 +405,9 @@ class SweepSupervisor:
             raise SweepFaultError(
                 f"sweep gave up after {self.pool_restarts} pool restarts "
                 f"({reason}); first suspect grid point: {spec.scenario} "
-                f"{dict(spec.params_key)} [{spec.backend}]",
+                f"{dict(spec.params_key)}",
                 scenario=spec.scenario,
                 params=params_from_key(spec.params_key),
-                backend=spec.backend,
                 attempts=list(suspect.attempts),
             )
 

@@ -27,7 +27,7 @@ from repro.kripke.builders import (
     others_attribute_model,
     shared_memory_model,
 )
-from repro.kripke.checker import CommonKnowledgeStrategy, ModelChecker
+from repro.kripke.checker import ModelChecker
 from repro.kripke.structure import KripkeStructure, World
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "observed_variable_model",
     "others_attribute_model",
     "shared_memory_model",
-    "CommonKnowledgeStrategy",
     "ModelChecker",
     "KripkeStructure",
     "World",

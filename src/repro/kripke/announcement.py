@@ -162,22 +162,31 @@ def simultaneous_answers(
     round: restricting any single block of the refined model to one answer vector
     recovers the familiar world-elimination picture.
 
-    The per-agent ``Knows`` extensions are evaluated as one batch through the
-    engine's shared-memo ``extensions()`` API (optionally on a caller-supplied
-    ``checker`` over the same structure), and all agents are refined in a single
-    :meth:`~repro.kripke.structure.KripkeStructure.refine_agents` pass.
+    The per-agent ``Knows`` extensions are evaluated as one batch of masks on
+    the engine's shared memo (optionally on a caller-supplied ``checker`` over
+    the same structure), and all agents are refined in a single pass that
+    splits each block by every answer mask.
     """
     if not answers:
         return structure
-    checker = _checker_for(structure, checker)
-    extensions = checker.extensions(
-        [Knows(agent, claim) for agent, claim in answers]
-    )
+    return _answer_round(_checker_for(structure, checker), answers)[0]
 
-    def answer_vector(world: World) -> Tuple[bool, ...]:
-        return tuple(world in extension for extension in extensions)
 
-    return structure.refine_agents(structure.agents, answer_vector)
+def _answer_round(
+    checker: ModelChecker, answers: Sequence[Tuple[Agent, Formula]]
+) -> Tuple[KripkeStructure, List[Formula]]:
+    """One round of simultaneous public answers over ``checker``'s structure.
+
+    Evaluates every ``Knows(agent, claim)`` in one batch and refines every
+    agent's partition by the answer masks, in mask space
+    (:meth:`~repro.kripke.structure.KripkeStructure._refine_by_masks`).
+    Returns the refined structure and the ``Knows`` formulas, whose
+    extensions the checker has memoised.
+    """
+    questions = [Knows(agent, claim) for agent, claim in answers]
+    masks = [checker.extension_mask(question) for question in questions]
+    structure = checker.structure
+    return structure._refine_by_masks(structure.agents, masks), questions
 
 
 class UpdateChain:
@@ -190,11 +199,11 @@ class UpdateChain:
 
     * keeps exactly one :class:`~repro.kripke.checker.ModelChecker` per
       intermediate model (queries between updates share its formula memo);
-    * applies updates through the structure's derived fast path
-      (:meth:`~repro.kripke.structure.KripkeStructure.restrict` /
-      :meth:`~repro.kripke.structure.KripkeStructure.refine_agents`), so
-      partition masks, world numberings and proposition extensions are remapped
-      from the parent rather than recomputed;
+    * applies updates through the structure's derived fast path (a
+      restriction to the announcement's extension mask, a split of every block
+      by the answer masks), so partition masks, world numberings and
+      proposition extensions are remapped from the parent rather than
+      recomputed;
     * returns each round's ``Knows`` extensions from :meth:`answer_round`, so
       callers read the answers off the very extensions that drove the update.
 
@@ -242,7 +251,7 @@ class UpdateChain:
         """One round of simultaneous public answers.
 
         Evaluates every ``Knows(agent, claim)`` in one batch on the *current*
-        model, applies the single-pass all-agents refinement, and returns the
+        model, splits every agent's blocks by the answer masks, and returns the
         extensions — ``world in extensions[i]`` is exactly "agent ``i`` answered
         yes at ``world``", so callers can read the round's answers without
         re-evaluating anything.
@@ -250,14 +259,10 @@ class UpdateChain:
         answers = list(answers)
         if not answers:
             return []
-        extensions = self.checker.extensions(
-            [Knows(agent, claim) for agent, claim in answers]
-        )
-
-        def answer_vector(world: World) -> Tuple[bool, ...]:
-            return tuple(world in extension for extension in extensions)
-
-        self._advance(self._model.refine_agents(self._model.agents, answer_vector))
+        checker = self.checker
+        refined, questions = _answer_round(checker, answers)
+        extensions = checker.extensions(questions)
+        self._advance(refined)
         return extensions
 
     def _advance(self, updated: KripkeStructure) -> None:

@@ -9,10 +9,11 @@ Section 6 of the paper:
 * ``D_G phi`` holds at ``w`` iff ``phi`` holds at every world in the *intersection*
   of the members' classes (the group's joint view).
 * ``E_G phi`` is the conjunction of ``K_i phi`` over the group.
-* ``C_G phi`` holds at ``w`` iff ``phi`` holds at every world G-reachable from ``w``;
-  equivalently it is the greatest fixed point of ``X == E_G(phi & X)`` (Appendix A).
-  Both evaluation strategies are implemented; they agree on finite structures and
-  ``benchmarks/bench_model_checking.py`` compares their cost.
+* ``C_G phi`` holds at ``w`` iff ``phi`` holds at every world G-reachable from ``w``,
+  which is how it is evaluated.  Appendix A's equivalent greatest fixed point of
+  ``X == E_G(phi & X)`` is a formula of the language (``nu X. E_G(phi & X)``); the
+  tests check that both agree and ``benchmarks/bench_model_checking.py`` compares
+  their cost.
 
 Backend architecture
 --------------------
@@ -39,23 +40,16 @@ the same structure is cheap; :meth:`ModelChecker.extensions` evaluates a batch o
 formulas against one shared memo.
 
 Temporal-epistemic operators (``C^eps``, ``C^<>``, ``C^T``, ``<>``) have no meaning on
-a bare Kripke structure — they need runs and time — so the checker raises
-:class:`~repro.errors.EvaluationError` for them.  Use
+a bare Kripke structure — they need runs and time — so the checker's ``special``
+hook raises :class:`~repro.errors.EvaluationError` for them.  Use
 :class:`repro.systems.interpretation.ViewBasedInterpretation` for those.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Callable,
-    FrozenSet,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-)
+from typing import Callable, FrozenSet, Iterable, List, Mapping, Optional
 
-from repro.engine import COMMON_FIXPOINT, COMMON_REACHABILITY, EvaluationEngine
+from repro.engine import EvaluationEngine
 from repro.errors import EvaluationError
 from repro.logic.syntax import (
     Always,
@@ -71,7 +65,7 @@ from repro.logic.syntax import (
 )
 from repro.kripke.structure import KripkeStructure, World
 
-__all__ = ["ModelChecker", "CommonKnowledgeStrategy"]
+__all__ = ["ModelChecker"]
 
 _TEMPORAL_NODES = (
     EveryoneEps,
@@ -86,21 +80,6 @@ _TEMPORAL_NODES = (
 )
 
 
-class CommonKnowledgeStrategy:
-    """Evaluation strategies for ``C_G phi`` (an ablation knob).
-
-    The names alias the engine's own constants so the two modules cannot drift.
-    """
-
-    REACHABILITY = COMMON_REACHABILITY
-    """Evaluate via G-reachability (Section 6's graph characterisation)."""
-
-    FIXPOINT = COMMON_FIXPOINT
-    """Evaluate via the greatest-fixed-point iteration of Appendix A."""
-
-    ALL = (REACHABILITY, FIXPOINT)
-
-
 class ModelChecker:
     """Evaluate formulas over a :class:`~repro.kripke.structure.KripkeStructure`.
 
@@ -111,13 +90,11 @@ class ModelChecker:
     ----------
     structure:
         The Kripke structure to check.
-    common_strategy:
-        How ``C_G`` is evaluated (:class:`CommonKnowledgeStrategy`).
     backend:
-        Which engine backend represents extensions.  ``None`` picks the
-        process-wide default (:func:`repro.engine.get_default_backend`), which is
-        ``"bitset"``, the production backend; ``"frozenset"`` pins the test
-        oracle, as the differential tests do.
+        Keyword-only.  Which engine backend represents extensions.  ``None``
+        picks the process-wide default (:func:`repro.engine.get_default_backend`),
+        which is ``"bitset"``, the production backend; ``"frozenset"`` pins the
+        test oracle, as the differential tests and perfbench's oracle replay do.
 
     Examples
     --------
@@ -137,17 +114,9 @@ class ModelChecker:
     def __init__(
         self,
         structure: KripkeStructure,
-        common_strategy: str = CommonKnowledgeStrategy.REACHABILITY,
+        *,
         backend: Optional[str] = None,
     ):
-        # Fail fast, before any mask precomputation; the vocabulary is shared with
-        # the engine via the CommonKnowledgeStrategy aliases above, so this check
-        # cannot drift from the engine's own validation.
-        if common_strategy not in CommonKnowledgeStrategy.ALL:
-            raise EvaluationError(
-                f"unknown common-knowledge strategy {common_strategy!r}; "
-                f"expected one of {CommonKnowledgeStrategy.ALL}"
-            )
         self._structure = structure
         # The structure caches its world numbering, partition masks,
         # reachability closures and proposition masks, so every checker over
@@ -168,7 +137,6 @@ class ModelChecker:
             component_source=masks.component_masks,
             full=masks.full,
             cube=masks.cube,
-            common_strategy=common_strategy,
         )
 
     @property
@@ -185,16 +153,6 @@ class ModelChecker:
     def backend(self) -> str:
         """The name of the active set-representation backend."""
         return self._engine.backend_name
-
-    @property
-    def common_strategy(self) -> str:
-        """The active ``C_G`` evaluation strategy."""
-        return self._engine.common_strategy
-
-    @common_strategy.setter
-    def common_strategy(self, strategy: str) -> None:
-        """Switch strategies mid-session; stale memo entries are dropped."""
-        self._engine.common_strategy = strategy
 
     # -- public API ------------------------------------------------------------
     def extension(
@@ -264,8 +222,8 @@ class ModelChecker:
         self._structure.partition(agent)
 
     def _reject_temporal(
-        self, formula: Formula, evaluate: Callable[[Formula], FrozenSet[World]]
-    ) -> Optional[FrozenSet[World]]:
+        self, formula: Formula, evaluate: Callable[[Formula], object], backend
+    ) -> None:
         if isinstance(formula, _TEMPORAL_NODES):
             raise EvaluationError(
                 f"{type(formula).__name__} requires a runs-and-systems model; "

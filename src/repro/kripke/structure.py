@@ -78,6 +78,7 @@ from repro.engine.universe import (
     Hypercube,
     IndexedUniverse,
     MaskCompressor,
+    class_ids_from_blocks,
     partition_from_class_ids,
     reachability_components,
     select_bits,
@@ -746,40 +747,78 @@ class KripkeStructure:
         Refining every agent at once is equivalent to, and much cheaper than,
         chaining :meth:`refine_agent` per agent.
         """
+        targets = self._require_agents(agents)
+        # Group worlds by discriminator value once; blocks split along these ids.
+        ids: Dict[Hashable, int] = {}
+        value_ids = [
+            ids.setdefault(discriminator(world), len(ids))
+            for world in self.indexed_universe().elements
+        ]
+        return self._refined(targets, partition_from_class_ids(value_ids)[1])
+
+    def _refine_by_masks(
+        self, agents: Iterable[Agent], masks: Sequence[int]
+    ) -> "KripkeStructure":
+        """:meth:`refine_agents` by membership in each of ``masks``.
+
+        The masks are in the numbering of :meth:`evaluation_masks` (an
+        evaluator's extension masks, such as one round's public answers).
+        The universe is split into ``part & m`` and ``part & ~m`` by every
+        mask in turn, and each target block along those classes: the same
+        partitions, in the same order, as :meth:`refine_agents` with the
+        discriminator "which masks contain the world", with no per-world call.
+        """
+        targets = self._require_agents(agents)
+        universe = self.indexed_universe()
+        classes = [universe.full_mask]
+        for mask in map(self._public_mask, masks):
+            classes = [
+                part for whole in classes for part in (whole & mask, whole & ~mask) if part
+            ]
+        class_ids = class_ids_from_blocks(classes, len(universe))
+        return self._refined(targets, [classes[class_id] for class_id in class_ids])
+
+    def _public_mask(self, mask: int) -> int:
+        """An :meth:`evaluation_masks` mask in the numbering of :meth:`indexed_universe`."""
+        return mask & self.indexed_universe().full_mask
+
+    def _require_agents(self, agents: Iterable[Agent]) -> Set[Agent]:
         targets: Set[Agent] = set()
         for agent in agents:
             self._require_agent(agent)
             targets.add(agent)
-        universe = self.indexed_universe()
-        # Group worlds by discriminator value once; blocks split along these ids.
-        value_ids: List[int] = []
-        ids: Dict[Hashable, int] = {}
-        for world in universe.elements:
-            value_ids.append(ids.setdefault(discriminator(world), len(ids)))
+        return targets
+
+    def _refined(self, targets: Set[Agent], class_at: Sequence[int]) -> "KripkeStructure":
+        """The derived structure in which every block of the ``targets`` is
+        split along the classes of a partition of the universe.
+
+        ``class_at`` gives the class mask of every bit position.  Each block
+        splits into its intersections with the classes, ordered by lowest set
+        bit, so a block inside one class costs one lookup and one AND.  The
+        structure itself is returned when no block splits.  The world
+        numbering is unchanged, so the untargeted agents' masks and the
+        proposition-mask cache are shared with this structure.
+        """
         partition_masks: Dict[Agent, Tuple[int, ...]] = {}
         changed = False
         for agent in self._agents:
             blocks = self.partition_masks(agent)
-            if agent not in targets or len(ids) == 1:
+            if agent not in targets:
                 partition_masks[agent] = blocks
                 continue
             new_blocks: List[int] = []
+            append = new_blocks.append
             for block in blocks:
-                if block & (block - 1) == 0:  # singletons cannot split
-                    new_blocks.append(block)
+                if not block & (block - 1):  # singletons cannot split
+                    append(block)
                     continue
-                parts: Dict[int, int] = {}
-                remaining = block
-                while remaining:
-                    low = remaining & -remaining
-                    value = value_ids[low.bit_length() - 1]
-                    parts[value] = parts.get(value, 0) | low
-                    remaining ^= low
-                if len(parts) == 1:
-                    new_blocks.append(block)
-                else:
-                    new_blocks.extend(parts.values())
-                    changed = True
+                rest = block
+                while rest:
+                    part = rest & class_at[(rest & -rest).bit_length() - 1]
+                    append(part)
+                    rest ^= part
+                changed = changed or part != block
             partition_masks[agent] = tuple(new_blocks)
         if not changed:
             return self
@@ -792,7 +831,7 @@ class KripkeStructure:
             self._worlds,
             self._agents,
             self._valuation,
-            universe,
+            self.indexed_universe(),
             partition_masks,
             class_mask_orders=shared_orders,
             prop_masks=self._prop_mask_cache,
@@ -1022,6 +1061,10 @@ class _CubeStructure(KripkeStructure):
         if survivors == self._survivors:
             return self
         return _CubeStructure(self._root, survivors)
+
+    def _public_mask(self, mask: int) -> int:
+        """A cube-numbering mask in the compressed public numbering."""
+        return self._compress(mask & self._survivors)
 
     def _root_prop_mask(self, name: str) -> int:
         return self._root.atom(name) & self._survivors

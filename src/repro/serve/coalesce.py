@@ -2,7 +2,7 @@
 
 The service keys every ``POST /run`` by the persistent store's content
 address (scenario, canonical parameter key, pretty-form formula batch,
-resolved backend, minimize flag).  When N identical requests arrive while
+the engine's default backend, minimize flag).  When N identical requests arrive while
 one of them is still evaluating, the first becomes the *leader* — it owns
 the executor call — and the rest *follow* by awaiting the leader's task.
 All N responses are rendered from the same report; the runner's

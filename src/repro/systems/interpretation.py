@@ -29,19 +29,22 @@ representation: ``"bitset"`` (the production default: integer bitmasks) or
 ``"frozenset"`` (the reference semantics, kept as the test oracle, which derives
 its classes from the masks).  The temporal and temporal-epistemic operators are
 host-specific — they need the run/time shape of points — so this class feeds them
-to the engine through its ``special`` hooks; their extensions are still memoised in
-the engine's cache, and both backends remain observably identical
+to the engine through its one ``special`` hook, which works in the active
+backend's own values; their extensions are still memoised in the engine's cache,
+and both backends remain observably identical
 (``tests/test_engine_equivalence.py`` and ``tests/test_temporal_masks.py``);
 ``tests/test_view_partitions.py`` pins the grouping itself against the definition.
 
-The temporal fragment has *two* implementations:
+The hook dispatches on the backend to one of *two* implementations of the
+temporal fragment:
 
-* the frozenset transcription of the paper's clauses (``_evaluate_temporal``, the
-  reference semantics — per-run Python loops with ``O(T^2)`` suffix scans, whose
-  ``K_i`` is the frozenset backend's; it runs only on that backend); and
-* a mask-space fast path (``_evaluate_temporal_masks``, used automatically on the
-  bitset backend).  Points are laid out run-major, so each run occupies one
-  contiguous bit range of the engine's universe (a
+* on the frozenset oracle, whose values already are frozensets, the literal
+  transcription of the paper's clauses (``_evaluate_temporal``, the reference
+  semantics — per-run Python loops with ``O(T^2)`` suffix scans, whose ``K_i`` is
+  the frozenset backend's); and
+* on the bitset backend, a mask-space fast path (``_evaluate_temporal_masks``).
+  Points are laid out run-major, so each run occupies one contiguous bit range
+  of the engine's universe (a
   :class:`~repro.engine.universe.Segmentation`): ``<>``/``[]`` become one backward
   sweep per universe, the run-level operators (``E^<>``, ``K^T``, ``E^T``) become
   broadcast-to-run-mask operations, ``E^eps`` windows become guarded shift
@@ -129,7 +132,7 @@ class ViewBasedInterpretation:
         Which engine backend represents extensions.  ``None`` picks the
         process-wide default (:func:`repro.engine.get_default_backend`), which is
         ``"bitset"``, the production backend; ``"frozenset"`` pins the test
-        oracle, as the differential tests do.
+        oracle, as the differential tests and perfbench's oracle replay do.
     """
 
     def __init__(
@@ -164,8 +167,7 @@ class ViewBasedInterpretation:
             self._prop_extension,
             require_agent=self._require_processor,
             require_group=self._group_members,
-            special=self._evaluate_temporal,
-            special_native=self._evaluate_temporal_masks,
+            special=self._evaluate_special,
             backend=backend,
         )
 
@@ -359,18 +361,28 @@ class ViewBasedInterpretation:
     def _require_processor(self, processor: Agent) -> None:
         raise UnknownAgentError(f"unknown processor {processor!r}")
 
+    def _evaluate_special(
+        self, formula: Formula, evaluate: Callable[[Formula], object], backend
+    ) -> Optional[object]:
+        """The engine's ``special`` hook: the run/time-dependent operators.
+
+        ``evaluate`` resolves subformulas under the current variable
+        environment to backend values.  On the bitset backend those are
+        bitmasks and the mask path runs; on the frozenset oracle they are
+        frozensets, which the reference transcription takes as they are.
+        """
+        if isinstance(backend, BitsetBackend):
+            return self._evaluate_temporal_masks(formula, evaluate, backend)
+        return self._evaluate_temporal(formula, evaluate)
+
     def _evaluate_temporal(
         self, formula: Formula, evaluate: Callable[[Formula], PointSet]
     ) -> Optional[PointSet]:
-        """The engine's ``special`` hook: the run/time-dependent operators.
+        """The temporal operators on the frozenset oracle.
 
         This is the *reference semantics* — a literal transcription of the paper's
-        clauses over frozensets.  On the bitset backend the engine consults
-        :meth:`_evaluate_temporal_masks` first; this path then only runs for the
-        frozenset backend (and is what the differential tests pin the mask path
-        against).  ``evaluate`` resolves subformulas under the current variable
-        environment and always hands back frozensets, whatever backend the engine
-        runs on.
+        clauses over frozensets, which the differential tests pin the mask path
+        against.
         """
         if isinstance(formula, Eventually):
             body = evaluate(formula.operand)
@@ -420,14 +432,8 @@ class ViewBasedInterpretation:
         return None
 
     # -- mask-space temporal fast path (bitset backend) ------------------------------
-    def _mask_segments(self, backend) -> Optional[Segmentation]:
-        """The run-segment layout of the engine's bit numbering, or ``None``.
-
-        ``None`` means the mask path does not apply (the frozenset backend) and
-        the engine must fall back to the frozenset reference.
-        """
-        if not isinstance(backend, BitsetBackend):
-            return None
+    def _mask_segments(self) -> Segmentation:
+        """The run-segment layout of the engine's bit numbering (built once)."""
         if self._segments is None:
             # System.points() yields runs sorted by name, each contributing
             # its contiguous 0..duration block, so segment i is run i.
@@ -437,17 +443,15 @@ class ViewBasedInterpretation:
     def _evaluate_temporal_masks(
         self, formula: Formula, evaluate: Callable[[Formula], int], backend
     ) -> Optional[int]:
-        """The engine's ``special_native`` hook: temporal operators in mask space.
+        """The temporal operators in mask space (bitset backend).
 
-        ``evaluate`` resolves subformulas to backend values — bitmasks here.  The
-        operators are the same clauses as :meth:`_evaluate_temporal`, restated as
-        whole-universe bit sweeps over the run-major segment layout; the
-        differential tests (``tests/test_temporal_masks.py``) pin the two paths
-        observably identical on every operator.
+        ``evaluate`` resolves subformulas to bitmasks.  The operators are the
+        same clauses as :meth:`_evaluate_temporal`, restated as whole-universe
+        bit sweeps over the run-major segment layout; the differential tests
+        (``tests/test_temporal_masks.py``) pin the two paths observably
+        identical on every operator.
         """
-        segments = self._mask_segments(backend)
-        if segments is None:
-            return None
+        segments = self._mask_segments()
 
         if isinstance(formula, Eventually):
             return segments.suffix_or(evaluate(formula.operand))

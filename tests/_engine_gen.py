@@ -290,3 +290,34 @@ def node_types_used(formulas: Sequence[Formula]) -> Set[type]:
         for node in formula.subformulas():
             used.add(type(node))
     return used
+
+
+
+def common_as_fixpoint(formula: Formula) -> Formula:
+    """``formula`` with every ``C_G phi`` written as ``nu Y. E_G(phi & Y)``.
+
+    Appendix A equates the two, so the rewrite has the same extension; it
+    computes common knowledge a second way, by iterating ``E_G`` instead of
+    taking G-reachability components.  ``Y`` is renamed until it is fresh.
+    """
+    used = set()
+    for sub in formula.subformulas():
+        if isinstance(sub, Var):
+            used.add(sub.name)
+        elif isinstance(sub, (GreatestFixpoint, LeastFixpoint)):
+            used.add(sub.variable)
+    name = "Y"
+    while name in used:
+        name += "_"
+
+    def rewrite(node: Formula) -> Formula:
+        children = node.children()
+        if children:
+            node = node.with_children(tuple(rewrite(child) for child in children))
+        if isinstance(node, Common):
+            return GreatestFixpoint(
+                name, Everyone(node.group, And((node.operand, Var(name))))
+            )
+        return node
+
+    return rewrite(formula)

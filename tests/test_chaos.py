@@ -22,7 +22,7 @@ from repro.experiments.chaos import (
     parse_config,
 )
 
-POINT = ("muddy_children", {"n": 4, "k": 1, "announced": False}, "frozenset")
+POINT = ("muddy_children", {"n": 4, "k": 1, "announced": False})
 
 
 def set_chaos(monkeypatch, config):
@@ -42,6 +42,7 @@ def set_chaos(monkeypatch, config):
         ('{"faults": [[]]}', "must be an object"),
         ('{"faults": [{"kind": "explode"}]}', "kind must be one of"),
         ('{"faults": [{"kind": "raise", "typo": 1}]}', "unknown field"),
+        ('{"faults": [{"kind": "raise", "backend": "bitset"}]}', "unknown field"),
         ('{"faults": [{"kind": "raise", "params": 3}]}', "params must be an object"),
         ('{"faults": [{"kind": "raise", "failures": 0}]}', "positive integer"),
         ('{"faults": [{"kind": "hang", "hang_seconds": -1}]}', "positive number"),
@@ -64,16 +65,14 @@ def test_malformed_env_config_fails_at_injection_time(monkeypatch):
 # -- point matching -------------------------------------------------------------
 
 
-def test_fault_matching_is_a_params_subset_with_optional_scenario_and_backend():
+def test_fault_matching_is_a_params_subset_with_optional_scenario():
     fault = ChaosFault(kind="raise", params=(("n", 4),))
     assert fault.matches(*POINT)
-    assert not fault.matches("muddy_children", {"n": 5}, "frozenset")
-    assert not fault.matches("muddy_children", {"k": 1}, "frozenset")  # n absent
-    scoped = ChaosFault(
-        kind="raise", scenario="gossip", params=(("n", 4),), backend="bitset"
-    )
+    assert not fault.matches("muddy_children", {"n": 5})
+    assert not fault.matches("muddy_children", {"k": 1})  # n absent
+    scoped = ChaosFault(kind="raise", scenario="gossip", params=(("n", 4),))
     assert not scoped.matches(*POINT)
-    assert scoped.matches("gossip", {"n": 4}, "bitset")
+    assert scoped.matches("gossip", {"n": 4})
 
 
 def test_unset_env_is_a_no_op(monkeypatch):
@@ -85,7 +84,7 @@ def test_raise_fault_fires_only_at_its_point(monkeypatch):
     set_chaos(monkeypatch, {"faults": [{"kind": "raise", "params": {"n": 4}}]})
     with pytest.raises(ChaosInjectedError, match="injected failure"):
         maybe_inject(*POINT)
-    maybe_inject("muddy_children", {"n": 5}, "frozenset")  # unaffected
+    maybe_inject("muddy_children", {"n": 5})  # unaffected
 
 
 def test_config_cache_follows_the_env_string(monkeypatch):
@@ -133,7 +132,7 @@ def test_counted_faults_track_points_independently(monkeypatch, tmp_path):
         maybe_inject(*POINT)
     # A *different* grid point has its own attempt counter.
     with pytest.raises(ChaosInjectedError):
-        maybe_inject("muddy_children", {"n": 5}, "frozenset")
+        maybe_inject("muddy_children", {"n": 5})
     maybe_inject(*POINT)
 
 
@@ -153,9 +152,7 @@ def test_point_digest_is_deterministic_and_distinct():
     digest = chaos._point_digest(*POINT, fault_index=0)
     assert digest == chaos._point_digest(*POINT, fault_index=0)
     assert digest != chaos._point_digest(*POINT, fault_index=1)
-    assert digest != chaos._point_digest(
-        "muddy_children", {"n": 5}, "frozenset", fault_index=0
-    )
+    assert digest != chaos._point_digest("muddy_children", {"n": 5}, fault_index=0)
 
 
 def test_hang_fault_sleeps_then_proceeds(monkeypatch):

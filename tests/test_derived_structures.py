@@ -40,6 +40,7 @@ from repro.kripke.reference import (
 )
 from repro.kripke.structure import KripkeStructure
 from repro.logic.syntax import C, Knows, Prop
+from repro.scenarios.muddy_children import MuddyChildren
 
 BACKENDS = ("frozenset", "bitset")
 SEEDS = (11, 22, 33, 44, 55)
@@ -241,6 +242,89 @@ def test_update_chain_replays_the_seed_round_loop(backend):
         assert fast_answers == slow_answers, f"round {round_number}"
         slow = naive_simultaneous_answers(slow, claims, backend)
         assert_observably_identical(chain.model, slow, seed=round_number)
+
+
+def answer_vector(structure, answers, backend):
+    """The world -> tuple of public answers discriminator of one round."""
+    checker = ModelChecker(structure, backend=backend)
+    extensions = checker.extensions([Knows(agent, claim) for agent, claim in answers])
+    return lambda world: tuple(world in extension for extension in extensions)
+
+
+def answer_vector_refinement(structure, answers, backend):
+    """A round of public answers refined through ``refine_agents`` and a
+    per-world answer-vector discriminator, as answer rounds used to run."""
+    return structure.refine_agents(
+        structure.agents, answer_vector(structure, answers, backend)
+    )
+
+
+def split_blocks_by_value(structure, agent, discriminator):
+    """``agent``'s blocks, each split in place by discriminator value, the
+    parts in order of their lowest world: the refinement order, spelled out
+    world by world."""
+    order = structure.world_order()
+    blocks = []
+    for block in structure.partition_masks(agent):
+        parts = {}
+        for position, world in enumerate(order):
+            if block >> position & 1:
+                value = discriminator(world)
+                parts[value] = parts.get(value, 0) | 1 << position
+        blocks.extend(parts.values())
+    return tuple(blocks)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mask_answer_rounds_match_the_answer_vector_refinement(seed, backend):
+    """Answer rounds split blocks by the answer masks in mask space; the
+    partitions, block order included, are those of ``refine_agents``."""
+    rng = random.Random(f"answer-masks/{seed}")
+    cube = others_attribute_model(("a", "b", "c", "d"))
+    starts = [
+        random_structure(seed, n_worlds=12, n_agents=3, n_props=3),
+        cube,
+        public_announce(cube, Prop("at_least_one")),
+    ]
+    for structure in starts:
+        agents = sorted(structure.agents, key=repr)
+        props = sorted(structure.propositions())
+        for _ in range(3):
+            claims = formula_suite(
+                rng.randrange(10**6), props, agents, rng.randint(1, 4), max_depth=2
+            )
+            answers = [(rng.choice(agents), claim) for claim in claims]
+            fast = simultaneous_answers(
+                structure, answers, checker=ModelChecker(structure, backend=backend)
+            )
+            slow = answer_vector_refinement(structure, answers, backend)
+            assert (fast is structure) == (slow is structure)
+            vector = answer_vector(structure, answers, backend)
+            for agent in agents:
+                assert fast.partition_masks(agent) == slow.partition_masks(agent)
+                assert fast.partition_masks(agent) == split_blocks_by_value(
+                    structure, agent, vector
+                )
+            structure = fast
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("n, muddy", [(1, (0,)), (3, (0, 2)), (5, (1, 2, 4)), (6, range(6))])
+def test_play_matches_the_answer_vector_round_loop(n, muddy, backend):
+    game = MuddyChildren(n, muddy)
+    result = game.play(backend=backend)
+    claims = [(child, game.muddy_prop(child)) for child in game.children]
+    model = public_announce(game.model, game.at_least_one_muddy)
+    for outcome in result.rounds:
+        checker = ModelChecker(model, backend=backend)
+        expected = {
+            child: checker.holds(Knows(child, claim), game.actual_world)
+            for child, claim in claims
+        }
+        assert outcome.answers == expected, outcome.round_number
+        model = answer_vector_refinement(model, claims, backend)
+    assert len(result.rounds) == n + 1
 
 
 def test_announce_sequence_uses_the_derived_path():

@@ -3,8 +3,7 @@
 The engine refactor moved memoisation out of the two evaluators into
 :class:`repro.engine.EvaluationEngine`.  The latent bug class this guards against:
 an evaluator-level ``clear_cache()`` that empties the host's cache but leaves the
-engine memo populated, so configuration changes (e.g. switching the
-common-knowledge strategy mid-session) silently serve stale extensions.  Both
+engine memo populated, so a later query silently serves stale extensions.  Both
 evaluators now keep *no* cache of their own and delegate, which these tests pin.
 
 The error paths must also survive the refactor byte-for-byte: temporal operators on
@@ -18,7 +17,7 @@ import pytest
 
 from repro.errors import EvaluationError, UnknownAgentError
 from repro.kripke.builders import others_attribute_model
-from repro.kripke.checker import CommonKnowledgeStrategy, ModelChecker
+from repro.kripke.checker import ModelChecker
 from repro.logic.syntax import (
     Always,
     C,
@@ -75,37 +74,16 @@ def test_interpretation_clear_cache_clears_engine_memo(backend):
     assert interp.extension(CDiamond(("A", "B"), fact)) == before
 
 
-def test_strategy_mutation_mid_session_requeries_coherently(backend):
-    """Regression for the stale-memo bug class: switching CommonKnowledgeStrategy
-    mid-session must not serve extensions memoised under the old configuration."""
+def test_checker_options_are_keyword_only(backend):
+    """The checker has one evaluation configuration: a positional second
+    argument (such as a stale common-knowledge strategy name) is refused
+    instead of being read as a backend name."""
     model = others_attribute_model(CHILDREN)
-    checker = ModelChecker(
-        model, CommonKnowledgeStrategy.REACHABILITY, backend=backend
-    )
-    formula = C(CHILDREN, M)
-    via_reachability = checker.extension(formula)
-    assert checker.common_strategy == CommonKnowledgeStrategy.REACHABILITY
-    assert checker.engine.cache_size > 0
-
-    checker.common_strategy = CommonKnowledgeStrategy.FIXPOINT
-    # The switch invalidates everything memoised under the old strategy.
-    assert checker.engine.cache_size == 0
-    via_fixpoint = checker.extension(formula)
-    # The strategies agree semantically (Section 6 vs Appendix A)...
-    assert via_fixpoint == via_reachability
-    # ...and the re-query really ran under the new configuration.
-    assert checker.common_strategy == CommonKnowledgeStrategy.FIXPOINT
-
-    # Round-trip back, with an explicit clear_cache thrown in.
-    checker.common_strategy = CommonKnowledgeStrategy.REACHABILITY
-    checker.clear_cache()
-    assert checker.extension(formula) == via_reachability
-
-
-def test_strategy_setter_rejects_unknown_strategy(backend):
-    checker = ModelChecker(others_attribute_model(CHILDREN), backend=backend)
-    with pytest.raises(EvaluationError, match="unknown common-knowledge strategy"):
-        checker.common_strategy = "telepathy"
+    with pytest.raises(TypeError):
+        ModelChecker(model, "fixpoint", backend=backend)
+    with pytest.raises(TypeError):
+        ModelChecker(model, common_strategy="fixpoint", backend=backend)
+    assert ModelChecker(model, backend=backend).backend == backend
 
 
 def test_batch_queries_share_one_memo(backend):

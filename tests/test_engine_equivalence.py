@@ -5,7 +5,8 @@ backend is *observably identical* to the reference semantics.  This module enfor
 that with seeded random formula generation (no network, no wall clock): hundreds of
 closed formulas covering every operator the checker supports, evaluated on the
 muddy-children model, the coordinated-attack handshake model, and random Kripke
-structures, under both common-knowledge strategies.
+structures.  Each suite is evaluated twice: as generated, and with every
+``C_G phi`` written as Appendix A's greatest fixed point ``nu Y. E_G(phi & Y)``.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ import pytest
 from _engine_gen import (
     STATIC_NODE_TYPES,
     TEMPORAL_NODE_TYPES,
+    common_as_fixpoint,
     formula_suite,
     node_types_used,
     random_structure,
 )
-from repro.kripke.checker import CommonKnowledgeStrategy, ModelChecker
+from repro.kripke.checker import ModelChecker
+from repro.logic.syntax import Common
 from repro.scenarios.coordinated_attack import build_handshake_system
 from repro.kripke.builders import others_attribute_model
 from repro.systems.interpretation import ViewBasedInterpretation
@@ -69,20 +72,31 @@ def test_suite_is_large_and_covers_every_static_operator():
 
 
 @pytest.mark.parametrize("name", sorted(_SUITE_SIZES))
-@pytest.mark.parametrize("strategy", CommonKnowledgeStrategy.ALL)
-def test_bitset_backend_matches_reference(name, strategy):
-    """Extension-by-extension agreement on every generated formula."""
+@pytest.mark.parametrize("form", ["reachability", "fixpoint"])
+def test_bitset_backend_matches_reference(name, form):
+    """Extension-by-extension agreement on every generated formula.
+
+    In the ``fixpoint`` form every ``C_G phi`` is first written as Appendix A's
+    ``nu Y. E_G(phi & Y)``, and both backends must still produce the
+    reference's extension of the formula as generated.
+    """
     structure = _structure(name)
-    reference = ModelChecker(structure, strategy, backend="frozenset")
-    fast = ModelChecker(structure, strategy, backend="bitset")
-    for formula in _suite(name):
+    suite = _suite(name)
+    reference = ModelChecker(structure, backend="frozenset")
+    fast = ModelChecker(structure, backend="bitset")
+    if form == "fixpoint":
+        assert any(isinstance(sub, Common) for f in suite for sub in f.subformulas())
+    for formula in suite:
         expected = reference.extension(formula)
-        actual = fast.extension(formula)
-        assert actual == expected, (
-            f"backends disagree on {name} ({strategy}): {formula!r}\n"
-            f"  reference: {sorted(map(repr, expected))}\n"
-            f"  bitset:    {sorted(map(repr, actual))}"
-        )
+        evaluated = common_as_fixpoint(formula) if form == "fixpoint" else formula
+        for checker in (reference, fast):
+            actual = checker.extension(evaluated)
+            assert actual == expected, (
+                f"{checker.backend} disagrees with the reference on {name} "
+                f"({form}): {evaluated!r}\n"
+                f"  reference: {sorted(map(repr, expected))}\n"
+                f"  {checker.backend}: {sorted(map(repr, actual))}"
+            )
 
 
 @pytest.mark.parametrize("name", sorted(_SUITE_SIZES))

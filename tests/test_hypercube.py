@@ -25,14 +25,14 @@ import random
 
 import pytest
 
-from _engine_gen import formula_suite
+from _engine_gen import common_as_fixpoint, formula_suite
 from repro.engine import backends as engine_backends
 from repro.engine import universe as engine_universe
 from repro.experiments.runner import ExperimentRunner
 from repro.kripke import builders
 from repro.kripke import structure as kripke_structure
 from repro.kripke.builders import others_attribute_model
-from repro.kripke.checker import CommonKnowledgeStrategy, ModelChecker
+from repro.kripke.checker import ModelChecker
 from repro.kripke.reference import (
     others_attribute_class_ids,
     others_attribute_rebuild,
@@ -87,12 +87,14 @@ def test_cube_matches_rebuild_along_announcement_chains(n):
     count = 14 if n <= 8 else 8
     for step in range(4):
         suite = formula_suite(rng.randrange(10**6), props, agents, count, max_depth=3)
+        fixpoint_suite = [common_as_fixpoint(formula) for formula in suite]
         oracle = ModelChecker(rebuilt, backend="frozenset")
         expected = oracle.extensions(suite)
-        for strategy in CommonKnowledgeStrategy.ALL:
-            for backend in ("bitset", "frozenset"):
-                checker = ModelChecker(cube, common_strategy=strategy, backend=backend)
-                assert checker.extensions(suite) == expected, (step, strategy, backend)
+        for backend in ("bitset", "frozenset"):
+            checker = ModelChecker(cube, backend=backend)
+            assert checker.extensions(suite) == expected, (step, backend)
+            # C_G once more, as nu Y. E_G(phi & Y) over the cube's K kernel.
+            assert checker.extensions(fixpoint_suite) == expected, (step, backend)
         assert_accessors_equal(cube, generic)
         if step == 3:
             break
@@ -107,11 +109,13 @@ def test_cube_matches_rebuild_along_announcement_chains(n):
 
 
 @pytest.mark.parametrize("n", range(2, 7))
-@pytest.mark.parametrize("strategy", CommonKnowledgeStrategy.ALL)
-def test_common_knowledge_paths_stay_inside_the_survivors(n, strategy):
+@pytest.mark.parametrize("form", ["reachability", "fixpoint"])
+def test_common_knowledge_paths_stay_inside_the_survivors(n, form):
     """After announcing a parity no single flip stays inside the model, so
     every agent's class is a singleton and ``C_G phi`` is ``phi``: a path
-    through a removed world would join what the announcement separated."""
+    through a removed world would join what the announcement separated.
+    The ``fixpoint`` form evaluates every ``C_G phi`` as ``nu Y. E_G(phi & Y)``,
+    a second computation over the restricted cube's ``K`` kernel."""
     agents = [f"c{i}" for i in range(n)]
     parity = parse(" <-> ".join(f"muddy_{agent}" for agent in agents))
     cube = others_attribute_model(agents)
@@ -126,8 +130,10 @@ def test_common_knowledge_paths_stay_inside_the_survivors(n, strategy):
         for phi in ("muddy_c0", "!muddy_c0 & !muddy_c1", "at_least_one")
     ] + formula_suite(n, props, agents, 10, max_depth=3)
     expected = ModelChecker(rebuilt, backend="frozenset").extensions(suite)
+    if form == "fixpoint":
+        suite = [common_as_fixpoint(formula) for formula in suite]
     for backend in ("bitset", "frozenset"):
-        checker = ModelChecker(cube, common_strategy=strategy, backend=backend)
+        checker = ModelChecker(cube, backend=backend)
         assert checker.extensions(suite) == expected, backend
 
 

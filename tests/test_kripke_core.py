@@ -18,7 +18,7 @@ from repro.kripke.builders import (
     others_attribute_model,
     shared_memory_model,
 )
-from repro.kripke.checker import CommonKnowledgeStrategy, ModelChecker
+from repro.kripke.checker import ModelChecker
 from repro.kripke.structure import KripkeStructure
 from repro.logic.syntax import (
     C,
@@ -196,10 +196,16 @@ class TestChecker:
         assert checker.extension(C(CHILDREN, M)) == frozenset()
 
     def test_reachability_and_fixpoint_strategies_agree(self, model):
-        reach = ModelChecker(model, CommonKnowledgeStrategy.REACHABILITY)
-        fixp = ModelChecker(model, CommonKnowledgeStrategy.FIXPOINT)
-        for formula in (C(CHILDREN, M), C(CHILDREN, prop("muddy_a"))):
-            assert reach.extension(formula) == fixp.extension(formula)
+        # Section 6's G-reachability (C_G) and Appendix A's greatest fixed
+        # point written as a formula, nu X. E_G(phi & X), before and after the
+        # father's announcement.
+        announced = public_announce(model, M)
+        for structure in (model, announced):
+            checker = ModelChecker(structure)
+            for phi in (M, prop("muddy_a")):
+                fixpoint = Nu("X", E(CHILDREN, phi & Var("X")))
+                assert checker.extension(fixpoint) == checker.extension(C(CHILDREN, phi))
+        assert ModelChecker(announced).extension(C(CHILDREN, M)) == announced.worlds
 
     def test_explicit_fixpoint_formula_matches_common(self, model):
         checker = ModelChecker(model)

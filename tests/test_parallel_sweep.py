@@ -180,7 +180,6 @@ def test_run_spec_pickles_round_trip():
             ("ev", Eventually(Prop("intend_attack"))),
             ("eeps", EEps(("A", "B"), Prop("intend_attack"), 0.5)),
         ),
-        backend="bitset",
         minimize=False,
     )
     clone = pickle.loads(pickle.dumps(spec))

@@ -26,6 +26,7 @@ import random
 import sqlite3
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -527,3 +528,63 @@ def test_gc_requires_a_selector(tmp_path):
     with ResultStore(str(tmp_path / "results.sqlite")) as store:
         with pytest.raises(StoreError, match="selector"):
             store.gc()
+
+
+def _open_fresh_stores(barrier, paths, first_release, period, failures):
+    """Open every path in turn, all openers released at the same instant.
+
+    The barrier keeps the openers in step; each round then spins until its
+    release time on the system-wide monotonic clock, so the opens start
+    within microseconds of each other instead of one scheduler wake-up apart.
+    """
+    for index, path in enumerate(paths):
+        barrier.wait(timeout=60)
+        release = first_release + index * period
+        while time.monotonic() < release:
+            pass
+        try:
+            ResultStore(path).close()
+        except Exception as error:  # noqa: BLE001 - reported to the parent
+            failures.put(f"{os.path.basename(path)}: {type(error).__name__}: {error}")
+
+
+def test_concurrent_first_opens_of_a_fresh_store_all_succeed(tmp_path):
+    """Racing first opens of one new path all succeed and leave a WAL store.
+
+    Four processes open the same fresh path together, round after round.
+    Switching the journal mode takes an exclusive lock that sqlite refuses
+    at once, without waiting on the busy timeout, while another connection
+    reads the new file; a store that switched to WAL on every open failed a
+    share of these opens with ``database is locked``.
+    """
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    paths = [str(tmp_path / f"fresh-{index}.sqlite") for index in range(50)]
+    barrier = context.Barrier(4)
+    failures = context.Queue()
+    first_release = time.monotonic() + 0.5
+    workers = [
+        context.Process(
+            target=_open_fresh_stores,
+            args=(barrier, paths, first_release, 0.02, failures),
+        )
+        for _ in range(4)
+    ]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=120)
+    assert [worker.exitcode for worker in workers] == [0] * 4
+    errors = []
+    while not failures.empty():
+        errors.append(failures.get())
+    assert not errors, errors
+    for path in paths:
+        conn = sqlite3.connect(path)
+        try:
+            assert conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal", path
+        finally:
+            conn.close()
+        with ResultStore(path) as store:
+            assert store.stats()["rows"] == 0

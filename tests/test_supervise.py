@@ -22,6 +22,7 @@ import sys
 import pytest
 
 from repro.cli import main as cli_main
+from repro.engine import get_default_backend
 from repro.errors import ScenarioError, StoreError, SweepFaultError
 from repro.experiments import ExperimentRunner, FaultPolicy, ResultStore
 from repro.experiments.chaos import ENV_VAR
@@ -110,7 +111,9 @@ def test_quarantine_report_shape():
         attempt_record(1, "error", "ChaosInjectedError: boom"),
         attempt_record(2, "timeout", "watchdog expired"),
     ]
-    report = quarantine_report("muddy_children", {"n": 4}, "bitset", False, attempts)
+    report = quarantine_report("muddy_children", {"n": 4}, False, attempts)
+    # The row names the backend the point would have been evaluated on.
+    assert report.backend == get_default_backend()
     assert report.error == {
         "kind": "timeout",
         "message": "watchdog expired",
@@ -126,13 +129,12 @@ def test_sweep_fault_names_the_point_and_history():
     error = sweep_fault(
         "muddy_children",
         {"n": 4, "k": 1},
-        "frozenset",
         [attempt_record(1, "crash", "worker died")],
     )
     assert isinstance(error, SweepFaultError)
     assert error.scenario == "muddy_children"
     assert error.params == {"k": 1, "n": 4}
-    assert error.backend == "frozenset"
+    assert not hasattr(error, "backend")
     assert "attempt 1 [crash] worker died" in str(error)
 
 
@@ -356,7 +358,7 @@ def test_pool_restart_budget_bounds_crash_thrashing(monkeypatch, tmp_path):
 
 def test_store_refuses_quarantined_reports(tmp_path):
     report = quarantine_report(
-        "muddy_children", {"n": 4}, "frozenset", False, [attempt_record(1, "error", "x")]
+        "muddy_children", {"n": 4}, False, [attempt_record(1, "error", "x")]
     )
     from repro.experiments.store import StoreKey
 

@@ -294,6 +294,42 @@ def test_mask_path_matches_reference_on_fuzzed_formulas(name):
         )
 
 
+REFERENCE_CLAUSES = (
+    "_evaluate_temporal",
+    "_everyone_eps",
+    "_everyone_diamond",
+    "_everyone_at",
+    "_knows_at",
+    "_variant_fixpoint",
+)
+
+
+def _forbid_reference_clauses(monkeypatch):
+    def forbidden(clause):
+        def trip(*args, **kwargs):
+            raise AssertionError(f"the frozenset reference clause {clause} ran")
+
+        return trip
+
+    for clause in REFERENCE_CLAUSES:
+        monkeypatch.setattr(ViewBasedInterpretation, clause, forbidden(clause))
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEM_BUILDERS))
+def test_bitset_backend_never_runs_a_reference_clause(name, monkeypatch):
+    """On bitset the one ``special`` hook sends every temporal operator down
+    the mask path; the frozenset transcription is for the oracle alone."""
+    system = SYSTEM_BUILDERS[name]()
+    formulas = _directed_formulas(system) + _fuzz_suite(name, system)
+    assert set(TEMPORAL_NODE_TYPES) <= node_types_used(_directed_formulas(system))
+    expected = ViewBasedInterpretation(system, backend="bitset").extensions(formulas)
+    _forbid_reference_clauses(monkeypatch)
+    assert ViewBasedInterpretation(system, backend="bitset").extensions(formulas) == expected
+    # The guard is live: the oracle does reach the forbidden clauses.
+    with pytest.raises(AssertionError, match="reference clause"):
+        ViewBasedInterpretation(system, backend="frozenset").extension(EEps(GROUP, P, 1))
+
+
 def test_mask_path_validity_and_focus_verdicts_agree():
     system = build_handshake_system(depth=2, horizon=5)
     reference, fast = _interpretations(system)
