@@ -5,86 +5,62 @@ Section 3, the attainability results of Section 8 / Appendix B, the coordination
 knowledge correspondences of Sections 7, 11 and 12, and the clock-synchronisation
 helpers used by Theorem 12 and Proposition 15.  The structured diagnostics the
 static formula checker emits (:mod:`repro.analysis.diagnostics`) live here too.
+
+The names below are re-exported lazily (PEP 562): importing the package, or
+:mod:`repro.analysis.diagnostics` alone (as the static checker does), imports
+none of the theorem modules and so none of :mod:`repro.systems`.
 """
 
-from repro.analysis.diagnostics import (
-    CODE_TABLE,
-    Diagnostic,
-    SEVERITY_ERROR,
-    SEVERITY_WARNING,
-    has_errors,
-    render_diagnostic,
-    render_diagnostics,
-    summarize,
-    worst_severity,
-)
-from repro.analysis.attainability import (
-    TheoremReport,
-    initial_point_reachable,
-    matching_silent_run,
-    verify_proposition13,
-    verify_theorem11,
-    verify_theorem5,
-    verify_theorem8,
-    verify_theorem9,
-)
-from repro.analysis.clock_sync import (
-    Theorem12Report,
-    clocks_identical,
-    every_clock_reads,
-    maximum_clock_skew,
-    uncertainty_gives_imprecision,
-    verify_theorem12,
-)
-from repro.analysis.coordination import (
-    ActionCoordination,
-    action_coordination,
-    coordination_spread,
-    knowledge_when_acting,
-    simultaneous_action_implies_common_knowledge,
-)
-from repro.analysis.hierarchy import (
-    HierarchyLevel,
-    HierarchyReport,
-    check_hierarchy,
-    hierarchy_collapses,
-    hierarchy_formulas,
-    separation_profile,
-)
+import importlib
 
-__all__ = [
-    "CODE_TABLE",
-    "Diagnostic",
-    "SEVERITY_ERROR",
-    "SEVERITY_WARNING",
-    "has_errors",
-    "render_diagnostic",
-    "render_diagnostics",
-    "summarize",
-    "worst_severity",
-    "TheoremReport",
-    "initial_point_reachable",
-    "matching_silent_run",
-    "verify_proposition13",
-    "verify_theorem11",
-    "verify_theorem5",
-    "verify_theorem8",
-    "verify_theorem9",
-    "Theorem12Report",
-    "clocks_identical",
-    "every_clock_reads",
-    "maximum_clock_skew",
-    "uncertainty_gives_imprecision",
-    "verify_theorem12",
-    "ActionCoordination",
-    "action_coordination",
-    "coordination_spread",
-    "knowledge_when_acting",
-    "simultaneous_action_implies_common_knowledge",
-    "HierarchyLevel",
-    "HierarchyReport",
-    "check_hierarchy",
-    "hierarchy_collapses",
-    "hierarchy_formulas",
-    "separation_profile",
-]
+_EXPORTS = {
+    "CODE_TABLE": "diagnostics",
+    "Diagnostic": "diagnostics",
+    "SEVERITY_ERROR": "diagnostics",
+    "SEVERITY_WARNING": "diagnostics",
+    "has_errors": "diagnostics",
+    "render_diagnostic": "diagnostics",
+    "render_diagnostics": "diagnostics",
+    "summarize": "diagnostics",
+    "worst_severity": "diagnostics",
+    "TheoremReport": "attainability",
+    "initial_point_reachable": "attainability",
+    "matching_silent_run": "attainability",
+    "verify_proposition13": "attainability",
+    "verify_theorem11": "attainability",
+    "verify_theorem5": "attainability",
+    "verify_theorem8": "attainability",
+    "verify_theorem9": "attainability",
+    "Theorem12Report": "clock_sync",
+    "clocks_identical": "clock_sync",
+    "every_clock_reads": "clock_sync",
+    "maximum_clock_skew": "clock_sync",
+    "uncertainty_gives_imprecision": "clock_sync",
+    "verify_theorem12": "clock_sync",
+    "ActionCoordination": "coordination",
+    "action_coordination": "coordination",
+    "coordination_spread": "coordination",
+    "knowledge_when_acting": "coordination",
+    "simultaneous_action_implies_common_knowledge": "coordination",
+    "HierarchyLevel": "hierarchy",
+    "HierarchyReport": "hierarchy",
+    "check_hierarchy": "hierarchy",
+    "hierarchy_collapses": "hierarchy",
+    "hierarchy_formulas": "hierarchy",
+    "separation_profile": "hierarchy",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -68,6 +68,15 @@ Exit codes (``repro sweep``)::
     130  interrupted (Ctrl-C); already-completed rows are committed to the
          store and a --json stream is closed well-formed
 
+Imports are scoped to the verbs.  At module level the CLI loads only the
+scenario registry, whose built-in metadata is the light
+:mod:`repro.experiments.catalogue`, so ``list`` and ``describe`` import no
+scenario module and no model stack.  ``run`` and ``sweep`` import the runner,
+which loads a scenario's module on its first build; the store loads only with
+a store, the process pool (:mod:`repro.experiments.supervise`) only for
+``--jobs N`` or a watchdog, ``check`` the static checker, and ``serve`` the
+service.  ``docs/architecture.md`` has the whole table.
+
 Formulas passed with ``-f`` are parsed by :func:`repro.logic.parser.parse`,
 which covers the whole language including the temporal-epistemic operators
 (``Eeps^0.5_{a,b} p``, ``C<>_{a,b} p``, ``K@3_a p``, ``<> p``, ``nu X. ...``);
@@ -84,10 +93,10 @@ import signal
 import sys
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ReproError, SweepFaultError
-from repro.experiments.parallel import resolve_jobs
+from repro.experiments.policy import ON_ERROR_MODES
 from repro.experiments.registry import (
     ScenarioSpec,
     all_scenarios,
@@ -95,8 +104,9 @@ from repro.experiments.registry import (
     scenario_description,
     scenario_listing,
 )
-from repro.experiments.runner import ExperimentReport, ExperimentRunner
-from repro.experiments.supervise import ON_ERROR_MODES, FaultPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - the runner is imported by run and sweep
+    from repro.experiments.runner import ExperimentReport
 
 __all__ = ["main", "build_parser"]
 
@@ -660,7 +670,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _failure_summary(quarantined: Sequence[ExperimentReport]) -> Dict[str, object]:
+def _failure_summary(quarantined: Sequence["ExperimentReport"]) -> Dict[str, object]:
     """The machine-readable failure block of a completed-with-quarantine sweep."""
     return {
         "quarantined": len(quarantined),
@@ -706,7 +716,7 @@ def _interrupt_deferred():
 
 def _stream_json_reports(
     reports: "Iterable[ExperimentReport]",
-) -> List[ExperimentReport]:
+) -> List["ExperimentReport"]:
     """Print a JSON array of reports incrementally, one element per report.
 
     Byte-identical to ``json.dumps([r.to_dict() for r in reports], indent=2)``
@@ -724,7 +734,7 @@ def _stream_json_reports(
     output byte-identical to the unsupervised renderer.  Returns the
     quarantined reports so the caller can pick exit code 3.
     """
-    quarantined: List[ExperimentReport] = []
+    quarantined: List["ExperimentReport"] = []
     first = True
     completed = False
     try:
@@ -754,7 +764,7 @@ def _stream_json_reports(
     return quarantined
 
 
-def _report_rows(report: ExperimentReport) -> List[Tuple[object, ...]]:
+def _report_rows(report: "ExperimentReport") -> List[Tuple[object, ...]]:
     return [
         (
             row.label,
@@ -769,6 +779,8 @@ def _report_rows(report: ExperimentReport) -> List[Tuple[object, ...]]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import ExperimentRunner
+
     store = _open_store(args)
     try:
         runner = ExperimentRunner(store=store, resume=args.resume)
@@ -810,7 +822,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _print_failure_summary(
-    quarantined: Sequence[ExperimentReport], total: int
+    quarantined: Sequence["ExperimentReport"], total: int
 ) -> None:
     """The human-readable failure block under a sweep table (exit code 3)."""
     print()
@@ -827,6 +839,10 @@ def _print_failure_summary(
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.parallel import resolve_jobs
+    from repro.experiments.policy import FaultPolicy
+    from repro.experiments.runner import ExperimentRunner
+
     spec = get_scenario(args.scenario)
     if not args.grid:
         raise ReproError("sweep needs at least one -g/--grid axis")

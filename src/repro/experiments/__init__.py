@@ -5,7 +5,10 @@ The paper's worked examples live as hand-written modules in
 
 * :mod:`repro.experiments.registry` — the ``@register_scenario`` decorator,
   typed :class:`~repro.experiments.registry.Parameter` schemas, and lookup
-  helpers.  Every scenario module registers itself on import.
+  helpers.
+* :mod:`repro.experiments.catalogue` — the built-in scenarios' metadata, with
+  their builders and factories named as ``module:attribute`` and imported on
+  first use.
 * :mod:`repro.experiments.runner` — the
   :class:`~repro.experiments.runner.ExperimentRunner`, which builds scenarios
   from parameter assignments (cached by parameter key under a bounded LRU),
@@ -21,6 +24,8 @@ The paper's worked examples live as hand-written modules in
   are recorded under their canonical request key and served back on repeat
   requests (``repro sweep --store PATH --resume``), serially and under
   ``--jobs N``.
+* :mod:`repro.experiments.policy` — the
+  :class:`~repro.experiments.policy.FaultPolicy` both sweep executors apply.
 * :mod:`repro.experiments.supervise` — the only process pool: the
   :class:`~repro.experiments.supervise.SweepSupervisor` runs a sweep's misses
   on worker processes under a
@@ -32,75 +37,59 @@ The paper's worked examples live as hand-written modules in
   (``REPRO_CHAOS``) that makes the supervision layer testable byte-for-byte.
 
 The ``python -m repro`` CLI (:mod:`repro.cli`) and the sweep benchmarks are thin
-clients of this package.
+clients of this package.  The names below are re-exported lazily (PEP 562):
+importing the package imports none of its modules, and each name imports its
+own module on first access, so ``repro list`` never loads the runner, the
+store (:mod:`sqlite3`) or the pool (:mod:`multiprocessing`).
 """
 
-from repro.experiments.chaos import ChaosConfig, ChaosFault, maybe_inject
-from repro.experiments.parallel import RunSpec, available_cpus, resolve_jobs
-from repro.experiments.registry import (
-    KIND_KRIPKE,
-    KIND_SYSTEM,
-    BuiltScenario,
-    Parameter,
-    ScenarioSpec,
-    all_scenarios,
-    get_scenario,
-    load_builtin_scenarios,
-    params_from_key,
-    params_to_key,
-    register_scenario,
-    scenario_names,
-    unregister_scenario,
-)
-from repro.experiments.runner import (
-    DEFAULT_MAX_CACHED_INSTANCES,
-    ExperimentReport,
-    ExperimentRunner,
-    FormulaOutcome,
-    ScenarioInstance,
-)
-from repro.experiments.store import (
-    SCHEMA_VERSION,
-    SEMANTICS_VERSION,
-    ResultStore,
-    StoreKey,
-)
-from repro.experiments.supervise import (
-    ON_ERROR_MODES,
-    FaultPolicy,
-    SweepSupervisor,
-)
+import importlib
 
-__all__ = [
-    "KIND_KRIPKE",
-    "KIND_SYSTEM",
-    "BuiltScenario",
-    "ChaosConfig",
-    "ChaosFault",
-    "Parameter",
-    "RunSpec",
-    "ScenarioSpec",
-    "all_scenarios",
-    "available_cpus",
-    "get_scenario",
-    "load_builtin_scenarios",
-    "maybe_inject",
-    "params_from_key",
-    "params_to_key",
-    "register_scenario",
-    "resolve_jobs",
-    "scenario_names",
-    "unregister_scenario",
-    "DEFAULT_MAX_CACHED_INSTANCES",
-    "ExperimentReport",
-    "ExperimentRunner",
-    "FormulaOutcome",
-    "ScenarioInstance",
-    "ON_ERROR_MODES",
-    "FaultPolicy",
-    "SweepSupervisor",
-    "SCHEMA_VERSION",
-    "SEMANTICS_VERSION",
-    "ResultStore",
-    "StoreKey",
-]
+_EXPORTS = {
+    "KIND_KRIPKE": "registry",
+    "KIND_SYSTEM": "registry",
+    "BuiltScenario": "registry",
+    "Parameter": "registry",
+    "ScenarioSpec": "registry",
+    "all_scenarios": "registry",
+    "get_scenario": "registry",
+    "load_builtin_scenarios": "registry",
+    "params_from_key": "registry",
+    "params_to_key": "registry",
+    "register_scenario": "registry",
+    "scenario_names": "registry",
+    "unregister_scenario": "registry",
+    "ChaosConfig": "chaos",
+    "ChaosFault": "chaos",
+    "maybe_inject": "chaos",
+    "RunSpec": "parallel",
+    "available_cpus": "parallel",
+    "resolve_jobs": "parallel",
+    "DEFAULT_MAX_CACHED_INSTANCES": "runner",
+    "ExperimentReport": "runner",
+    "ExperimentRunner": "runner",
+    "FormulaOutcome": "runner",
+    "ScenarioInstance": "runner",
+    "ON_ERROR_MODES": "policy",
+    "FaultPolicy": "policy",
+    "SweepSupervisor": "supervise",
+    "SCHEMA_VERSION": "store",
+    "SEMANTICS_VERSION": "store",
+    "ResultStore": "store",
+    "StoreKey": "store",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

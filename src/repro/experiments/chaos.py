@@ -43,7 +43,7 @@ The hook is a single call, :func:`maybe_inject`, placed in
 :meth:`~repro.experiments.runner.ExperimentRunner.run` after the store lookup
 and before the model build: store-served rows are never faulted (there is
 nothing to fault — no evaluation happens), every evaluated point is.  With
-``REPRO_CHAOS`` unset the hook is a dictionary miss and an early return.
+``REPRO_CHAOS`` unset the runner does not import this module at all.
 """
 
 from __future__ import annotations

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.errors import ScenarioError
-from repro.logic.syntax import Formula
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.logic.syntax import Formula
 
 __all__ = [
     "RunSpec",

@@ -1,25 +1,31 @@
 """The scenario registry: the paper's worked examples as declarative data.
 
-Every scenario of :mod:`repro.scenarios` registers itself here with a name, the
-paper section it reproduces, a typed parameter schema, a builder, and a default
-formula set.  The registry is the shared on-ramp for everything that wants to
-enumerate or instantiate scenarios uniformly: the batch
-:class:`~repro.experiments.runner.ExperimentRunner`, the ``python -m repro`` CLI,
-the sweep benchmarks, and the generated ``docs/scenarios.md`` page.
+A scenario is a :class:`ScenarioSpec`: a name, the paper section it
+reproduces, a typed :class:`Parameter` schema, a builder and optional
+default-formula and signature factories.  The registry is the shared on-ramp
+for everything that wants to enumerate or instantiate scenarios uniformly:
+the batch :class:`~repro.experiments.runner.ExperimentRunner`, the
+``python -m repro`` CLI, the evaluation service, the benchmarks and the
+generated ``docs/scenarios.md`` page.
 
-A registration looks like::
+The built-in scenarios' metadata lives in one light module,
+:mod:`repro.experiments.catalogue`.  Its entries name their callables as
+``module:attribute`` strings (:class:`Deferred`), imported on first call, so
+listing, describing the schema of and validating parameters for every
+scenario never imports a scenario module or the model stack
+(:mod:`repro.kripke`, :mod:`repro.systems`, :mod:`repro.simulation`,
+:mod:`repro.engine`); this module itself imports none of them either.
+
+Plugins and tests register more scenarios at run time::
 
     @register_scenario(
-        name="muddy_children",
-        summary="n children, k muddy foreheads, the father speaks",
-        section="Sections 2 and 10",
-        parameters=(
-            Parameter("n", int, default=3, minimum=1),
-            Parameter("k", int, default=2, minimum=0),
-        ),
-        formulas=_default_formulas,   # params dict -> {label: Formula}
+        name="two_agents",
+        summary="a two-world toy model",
+        section="tests",
+        parameters=(Parameter("n", int, default=2, minimum=1),),
+        formulas=lambda params: {"p": prop("p")},   # params -> {label: Formula}
     )
-    def build(n, k):
+    def build(n):
         return BuiltScenario(model=..., focus=...)
 
 The builder receives validated keyword parameters and returns either a bare model
@@ -31,18 +37,23 @@ scenario modules; the registry only holds the schema and the callable.
 
 from __future__ import annotations
 
+import importlib
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ScenarioError
-from repro.kripke.structure import KripkeStructure
-from repro.logic.check import ScenarioSignature
-from repro.logic.syntax import Formula
-from repro.systems.system import System
+
+if TYPE_CHECKING:  # pragma: no cover - the model stack stays unimported here
+    from repro.kripke.structure import KripkeStructure
+    from repro.logic.check import ScenarioSignature
+    from repro.logic.syntax import Formula
+    from repro.systems.system import System
 
 __all__ = [
     "Parameter",
     "BuiltScenario",
+    "Deferred",
     "ScenarioSignature",
     "ScenarioSpec",
     "register_scenario",
@@ -212,7 +223,7 @@ class BuiltScenario:
     "actual" world (Kripke) or point (system) that reports single out.
     """
 
-    model: Union[KripkeStructure, System]
+    model: Union["KripkeStructure", "System"]
     focus: Optional[object] = None
     note: str = ""
     """Free-form remark shown by ``describe`` (e.g. what the focus world is)."""
@@ -220,17 +231,63 @@ class BuiltScenario:
 
 FormulaFactory = Callable[[Mapping[str, object]], "Mapping[str, Formula]"]
 
-SignatureFactory = Callable[[Mapping[str, object]], ScenarioSignature]
+SignatureFactory = Callable[[Mapping[str, object]], "ScenarioSignature"]
 """``validated params -> ScenarioSignature`` — static shape, no model build."""
+
+
+@dataclass(frozen=True)
+class Deferred:
+    """A callable named ``"package.module:attribute"``, imported on first call.
+
+    The attribute may be a dotted path (``"pkg.mod:RECIPE.build_scenario"``).
+    The catalogue's builders and factories are deferred so that reading a
+    scenario's metadata never imports its module; the first call imports it,
+    and later calls find it in :data:`sys.modules`.
+    """
+
+    target: str
+
+    @property
+    def module(self) -> str:
+        """The module the target lives in (imported by :meth:`resolve`)."""
+        return self.target.partition(":")[0]
+
+    def resolve(self) -> Callable:
+        """Import the module and return the named attribute."""
+        module_name, _, path = self.target.partition(":")
+        resolved = importlib.import_module(module_name)
+        for part in path.split("."):
+            resolved = getattr(resolved, part)
+        return resolved
+
+    def __call__(self, *args, **kwargs):
+        return self.resolve()(*args, **kwargs)
+
+
+def _model_kind(model: object) -> Optional[str]:
+    """:data:`KIND_KRIPKE`, :data:`KIND_SYSTEM` or ``None`` for anything else.
+
+    A model's class module is loaded whenever the model exists, so a module
+    missing from :data:`sys.modules` cannot own the model's type; asking
+    this way keeps the registry from importing either model stack.
+    """
+    structure = sys.modules.get("repro.kripke.structure")
+    if structure is not None and isinstance(model, structure.KripkeStructure):
+        return KIND_KRIPKE
+    system = sys.modules.get("repro.systems.system")
+    if system is not None and isinstance(model, system.System):
+        return KIND_SYSTEM
+    return None
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A registered scenario: schema + builder + default formulas.
 
-    Instances are created by :func:`register_scenario`; user code normally only
-    reads them (``spec.parameters``, ``spec.build(...)``,
-    ``spec.default_formulas(...)``).
+    Built-in specs come from :mod:`repro.experiments.catalogue`, with
+    :class:`Deferred` callables; :func:`register_scenario` creates the rest.
+    User code normally only reads them (``spec.parameters``,
+    ``spec.build(...)``, ``spec.default_formulas(...)``).
     """
 
     name: str
@@ -286,7 +343,7 @@ class ScenarioSpec:
         """
         validated = self.validate_params(params)
         built = self.builder(**validated)
-        if isinstance(built, (KripkeStructure, System)):
+        if _model_kind(built) is not None:
             built = BuiltScenario(model=built)
         if not isinstance(built, BuiltScenario):
             raise ScenarioError(
@@ -332,11 +389,10 @@ class ScenarioSpec:
     @staticmethod
     def kind_of(model: Union[KripkeStructure, System]) -> str:
         """Classify a built model as :data:`KIND_KRIPKE` or :data:`KIND_SYSTEM`."""
-        if isinstance(model, KripkeStructure):
-            return KIND_KRIPKE
-        if isinstance(model, System):
-            return KIND_SYSTEM
-        raise ScenarioError(f"unsupported model type {type(model).__name__}")
+        kind = _model_kind(model)
+        if kind is None:
+            raise ScenarioError(f"unsupported model type {type(model).__name__}")
+        return kind
 
 
 _REGISTRY: Dict[str, ScenarioSpec] = {}
@@ -373,10 +429,12 @@ def register_scenario(
         seen.add(parameter.name)
 
     def decorator(builder: Callable) -> Callable:
+        load_builtin_scenarios()
         if name in _REGISTRY:
+            owner = _REGISTRY[name].builder
             raise ScenarioError(
                 f"scenario {name!r} is already registered "
-                f"(by {_REGISTRY[name].builder.__module__})"
+                f"(by {getattr(owner, 'module', owner.__module__)})"
             )
         spec = ScenarioSpec(
             name=name,
@@ -401,16 +459,21 @@ def unregister_scenario(name: str) -> None:
 
 
 def load_builtin_scenarios() -> None:
-    """Import :mod:`repro.scenarios`, which registers the paper's scenarios.
+    """Put the paper's scenarios from :mod:`repro.experiments.catalogue` on the registry.
 
-    Importing the scenario package is what executes the ``@register_scenario``
-    decorations; this helper makes that dependency explicit and idempotent so
-    registry lookups work no matter which module the process imported first.
+    Idempotent, and cheap: the catalogue holds metadata and
+    :class:`Deferred` callables only, so no scenario module is imported
+    until a scenario is built or its formulas or signature are asked for.
     """
     global _BUILTINS_LOADED
     if not _BUILTINS_LOADED:
-        import repro.scenarios  # noqa: F401  (import side effect: registration)
+        from repro.experiments.catalogue import BUILTIN_SCENARIOS
 
+        # One dict.update, so a thread listing the registry meanwhile never
+        # sees it change size mid-iteration.
+        _REGISTRY.update(
+            {spec.name: spec for spec in BUILTIN_SCENARIOS if spec.name not in _REGISTRY}
+        )
         _BUILTINS_LOADED = True
 
 
@@ -458,7 +521,9 @@ def scenario_description(name: str) -> Dict[str, object]:
 
     The one payload behind ``repro describe --json`` and
     ``GET /scenarios/<name>``.  ``default_formulas`` is the suite at the
-    default parameters, empty when a parameter is required.  Unknown names
+    default parameters, empty when a parameter is required; it is the only
+    part that calls into the scenario (its formula factory, and so
+    :mod:`repro.logic`), never the builder.  Unknown names
     raise :class:`ScenarioError`.
     """
     spec = get_scenario(name)
@@ -487,3 +552,13 @@ def scenario_description(name: str) -> Dict[str, object]:
         ],
         "default_formulas": {label: str(f) for label, f in formulas.items()},
     }
+
+
+def __getattr__(name: str) -> object:
+    # ScenarioSignature is re-exported for scenario authors; importing it
+    # eagerly would pull the static checker into every registry import.
+    if name == "ScenarioSignature":
+        from repro.logic.check import ScenarioSignature
+
+        return ScenarioSignature
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -26,6 +26,7 @@ Evaluators follow the engine's process-wide default backend, which is the
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 import time
 from collections import OrderedDict
@@ -46,7 +47,14 @@ from typing import (
 
 from repro.analysis.diagnostics import render_diagnostics, summarize
 from repro.errors import CheckError, ReproError, ScenarioError
-from repro.experiments.chaos import maybe_inject
+from repro.experiments.parallel import RunSpec
+from repro.experiments.policy import (
+    FaultPolicy,
+    attempt_record,
+    describe_failure,
+    quarantine_report,
+    settle_failure,
+)
 from repro.experiments.registry import (
     KIND_KRIPKE,
     BuiltScenario,
@@ -55,17 +63,20 @@ from repro.experiments.registry import (
     params_from_key,
     params_to_key,
 )
-from repro.experiments.parallel import RunSpec
 from repro.logic.check import check_formulas
-from repro.kripke.bisimulation import quotient
-from repro.kripke.checker import ModelChecker
 from repro.logic.parser import parse
 from repro.logic.syntax import Formula
-from repro.systems.interpretation import ViewBasedInterpretation
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
+if TYPE_CHECKING:  # pragma: no cover - loaded by the paths that need them
     from repro.experiments.store import ResultStore, StoreKey
-    from repro.experiments.supervise import FaultPolicy
+    from repro.kripke.checker import ModelChecker
+    from repro.systems.interpretation import ViewBasedInterpretation
+
+CHAOS_ENV_VAR = "REPRO_CHAOS"
+"""The fault-injection switch (:data:`repro.experiments.chaos.ENV_VAR`).
+
+The runner imports :mod:`repro.experiments.chaos` only while it is set, so
+an evaluation outside chaos testing never loads the harness."""
 
 __all__ = [
     "ScenarioInstance",
@@ -76,7 +87,7 @@ __all__ = [
     "DEFAULT_MAX_CACHED_INSTANCES",
 ]
 
-Evaluator = Union[ModelChecker, ViewBasedInterpretation]
+Evaluator = Union["ModelChecker", "ViewBasedInterpretation"]
 FormulaLike = Union[str, Formula, Tuple[str, Union[str, Formula]]]
 
 DEFAULT_MAX_CACHED_INSTANCES = 128
@@ -158,10 +169,14 @@ class ScenarioInstance:
         cached, so sweeping formulas over a minimised grid point pays for
         partition refinement exactly once.
         """
+        from repro.kripke.bisimulation import quotient
+
         with self._lock:
             if self._minimized is None:
                 model = self.model
                 if self.kind != KIND_KRIPKE:
+                    from repro.systems.interpretation import ViewBasedInterpretation
+
                     model = ViewBasedInterpretation(model).to_kripke()
                 self._minimized = quotient(model)
             return self._minimized
@@ -192,11 +207,15 @@ class ScenarioInstance:
         with self._lock:
             evaluator = self._evaluators.get(minimize)
             if evaluator is None:
-                if minimize:
-                    evaluator = ModelChecker(self.minimized()[0])
-                elif self.kind == KIND_KRIPKE:
-                    evaluator = ModelChecker(self.model)
+                if minimize or self.kind == KIND_KRIPKE:
+                    from repro.kripke.checker import ModelChecker
+
+                    evaluator = ModelChecker(
+                        self.minimized()[0] if minimize else self.model
+                    )
                 else:
+                    from repro.systems.interpretation import ViewBasedInterpretation
+
                     evaluator = ViewBasedInterpretation(self.model)
                 self._evaluators[minimize] = evaluator
             return evaluator
@@ -601,12 +620,6 @@ class ExperimentRunner:
         one-attempt quarantine row; otherwise the first rejection is raised
         unchanged.  ``keyed`` also computes each point's store key.
         """
-        from repro.experiments.supervise import (
-            attempt_record,
-            describe_failure,
-            quarantine_report,
-        )
-
         spec = get_scenario(scenario)
         names = list(grid)
         for name in names:
@@ -692,9 +705,11 @@ class ExperimentRunner:
             )
         # The chaos hook sits between the store lookup and the model build:
         # store-served rows are never faulted (nothing is evaluated), every
-        # actual evaluation attempt — parent or pool worker — is. No-op
-        # unless REPRO_CHAOS is set.
-        maybe_inject(spec.name, validated)
+        # actual evaluation attempt — parent or pool worker — is.
+        if os.environ.get(CHAOS_ENV_VAR):
+            from repro.experiments.chaos import maybe_inject
+
+            maybe_inject(spec.name, validated)
 
         instance = self._instance(spec, validated)
         focus = instance.focus
@@ -814,14 +829,13 @@ class ExperimentRunner:
         4. **Merge** in grid order, persisting healthy rows only and updating
            ``eval_count``/``store_hits``/``retries``/``quarantined``.
 
-        ``policy`` (a :class:`~repro.experiments.supervise.FaultPolicy`)
+        ``policy`` (a :class:`~repro.experiments.policy.FaultPolicy`)
         governs failing points in both executors: retries with backoff, a
         watchdog, and — under ``on_error="skip"`` — quarantine rows instead of
         an aborted sweep.  Under the default policy the first failure in grid
         order is raised unchanged.
         """
         from repro.experiments.parallel import resolve_jobs
-        from repro.experiments.supervise import FaultPolicy, SweepSupervisor
 
         policy = policy if policy is not None else FaultPolicy()
         jobs = resolve_jobs(jobs)
@@ -851,6 +865,8 @@ class ExperimentRunner:
         ):
             stream = self._execute_here(misses, policy)
         else:
+            from repro.experiments.supervise import SweepSupervisor
+
             supervisor = SweepSupervisor(
                 [point.run for point in misses],
                 jobs=jobs,
@@ -880,15 +896,9 @@ class ExperimentRunner:
         """The in-process executor: evaluate ``points`` on this runner.
 
         Applies the same fault-policy rule as the supervisor
-        (:func:`~repro.experiments.supervise.settle_failure`), minus what needs
+        (:func:`~repro.experiments.policy.settle_failure`), minus what needs
         a pool: no watchdog and no crash recovery.
         """
-        from repro.experiments.supervise import (
-            attempt_record,
-            describe_failure,
-            settle_failure,
-        )
-
         for point in points:
             attempts: List[Dict[str, object]] = []
             report = None

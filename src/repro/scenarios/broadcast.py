@@ -20,12 +20,8 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from repro.errors import ScenarioError
-from repro.experiments.registry import (
-    BuiltScenario,
-    Parameter,
-    ScenarioSignature,
-    register_scenario,
-)
+from repro.experiments.registry import BuiltScenario
+from repro.logic.check import ScenarioSignature
 from repro.logic.syntax import CDiamond, CEps, Common, EDiamond, Everyone, Formula, Prop
 from repro.simulation.network import Asynchronous, BoundedUncertain
 from repro.simulation.protocol import Action, Protocol
@@ -120,7 +116,7 @@ def build_asynchronous_broadcast_system(horizon: int) -> System:
     )
 
 
-# -- registry entry ----------------------------------------------------------
+# -- catalogue callables (see repro.experiments.catalogue) ---------------------
 
 def _registry_formulas(params):
     """Default formula set: which variant of common knowledge the channel attains."""
@@ -145,36 +141,6 @@ def _registry_signature(params) -> ScenarioSignature:
     return ScenarioSignature(agents=(SENDER,) + RECEIVERS, horizon=horizon)
 
 
-@register_scenario(
-    name="broadcast",
-    summary="synchronous vs asynchronous broadcast channels (system of runs)",
-    section="Section 11",
-    parameters=(
-        Parameter(
-            "variant",
-            str,
-            default="sync",
-            choices=("sync", "async"),
-            description="sync: delivery within latency..latency+spread; async: eventually",
-        ),
-        Parameter("latency", int, default=1, minimum=0, description="minimum delivery latency (sync variant)"),
-        Parameter("spread", int, default=1, minimum=0, description="the epsilon of delivery uncertainty (sync variant)"),
-        Parameter("horizon", int, default=3, minimum=1, description="run length (async variant; sync computes its own)"),
-    ),
-    formulas=_registry_formulas,
-    signature=_registry_signature,
-    details=(
-        "The paper: the synchronous channel attains C^eps sent(m) (eps = spread) "
-        "at the points of receipt but not plain C there (C sent(m) only holds at "
-        "late points, once latency+spread has passed on every clock and the "
-        "uncertainty is resolved); the asynchronous channel attains eventual "
-        "common knowledge and, by Theorem 11, never C^eps.  Finite-horizon "
-        "caveat: the C^<> fixed point needs the delivery guarantee to be visible "
-        "beyond the horizon, so in this truncated reproduction C^<> sent "
-        "evaluates empty on the async variant (E^<> sent is the observable "
-        "approximation; see tests/test_scenarios.py)."
-    ),
-)
 def build_broadcast_scenario(
     variant: str, latency: int, spread: int, horizon: int
 ) -> BuiltScenario:

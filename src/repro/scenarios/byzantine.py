@@ -28,14 +28,13 @@ from __future__ import annotations
 
 from typing import Dict, Mapping
 
-from repro.experiments.registry import Parameter
 from repro.logic.syntax import Common, Eventually, Everyone, Knows, Prop
 from repro.scenarios.dsl import ScenarioRecipe
 from repro.simulation.network import ReliableSynchronous
 from repro.simulation.protocol import Action, Protocol
 from repro.systems.runs import LocalHistory, Run
 
-__all__ = ["GENERAL", "RECEIVERS", "EquivocatingGeneralProtocol", "BYZANTINE"]
+__all__ = ["GENERAL", "RECEIVERS", "EquivocatingGeneralProtocol"]
 
 GENERAL = "gen"
 RECEIVERS = ("r0", "r1")
@@ -120,33 +119,13 @@ def _formulas(params: Mapping[str, object]) -> Dict[str, object]:
     }
 
 
-RECIPE = ScenarioRecipe(
-    name="byzantine_general",
-    summary="an equivocating general: receivers detect faultiness by echo (system of runs)",
-    section="Section 5 (framework); byzantine folklore",
+RECIPE = ScenarioRecipe.catalogued(
+    "byzantine_general",
     processors=(GENERAL,) + RECEIVERS,
     protocol=EquivocatingGeneralProtocol(),
     horizon="horizon",
     delivery=ReliableSynchronous(1),
     adversary=lambda params: (lambda message, time: message.uid < params["drop_first"]),
-    parameters=(
-        Parameter(
-            "horizon",
-            int,
-            default=4,
-            minimum=1,
-            maximum=8,
-            description="how many time steps each run lasts",
-        ),
-        Parameter(
-            "drop_first",
-            int,
-            default=0,
-            minimum=0,
-            maximum=6,
-            description="adversary drops the first k messages sent in each run",
-        ),
-    ),
     initial_states={GENERAL: ("zero", "one", "byz")},
     fact_rules=(_byzantine_facts,),
     formulas=_formulas,
@@ -154,19 +133,5 @@ RECIPE = ScenarioRecipe(
     system_name=lambda params: (
         f"byzantine-h{params['horizon']}-d{params['drop_first']}"
     ),
-    details=(
-        "The general broadcasts its vote once; each receiver echoes the first "
-        "vote it hears to the other.  In the `byz` run the echoes contradict "
-        "the votes and `detect_r` fires; because the echo channel is "
-        "*reliable*, the contradiction eventually makes the faulty run's "
-        "local histories unique, so `faulty` climbs all the way from private "
-        "detection to `C faulty` — exactly the reliable-channel escape hatch "
-        "the coordinated-attack scenarios lack.  The `drop_first` adversary "
-        "(an `AdversarialDrops` schedule over the reliable channel) "
-        "suppresses early messages; dropping the broadcast destroys "
-        "detection and every knowledge level above it."
-    ),
 )
 
-BYZANTINE = RECIPE.register()
-"""The registered :class:`~repro.experiments.registry.ScenarioSpec`."""

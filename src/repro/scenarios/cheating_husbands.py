@@ -18,12 +18,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import ScenarioError
-from repro.experiments.registry import (
-    BuiltScenario,
-    Parameter,
-    ScenarioSignature,
-    register_scenario,
-)
+from repro.experiments.registry import BuiltScenario
+from repro.logic.check import ScenarioSignature
 from repro.scenarios.muddy_children import (
     MuddyChildren,
     MuddyChildrenResult,
@@ -50,7 +46,7 @@ class CheatingHusbands(MuddyChildren):
         return self.knows_muddy(queen)
 
 
-# -- registry entry ----------------------------------------------------------
+# -- catalogue callables (see repro.experiments.catalogue) ---------------------
 
 def _registry_formulas(params):
     """Default formula set: the announcement claims in the story's vocabulary."""
@@ -68,25 +64,6 @@ def _registry_signature(params) -> ScenarioSignature:
     )
 
 
-@register_scenario(
-    name="cheating_husbands",
-    summary="n queens, k unfaithful husbands; the Queen Mother speaks (Kripke model)",
-    section="Section 2 (the wise-men/cheating-wives family)",
-    parameters=(
-        Parameter("n", int, default=3, minimum=1, maximum=16, description="number of queens"),
-        Parameter(
-            "k", int, default=2, minimum=0,
-            description="how many husbands are unfaithful (the first k)",
-        ),
-    ),
-    formulas=_registry_formulas,
-    signature=_registry_signature,
-    details=(
-        "Epistemically identical to muddy_children with the story's vocabulary: "
-        "queens observe every marriage but their own; the shootings happen on "
-        "night k."
-    ),
-)
 def build_cheating_husbands_scenario(n: int, k: int) -> BuiltScenario:
     """Registry builder: the n-queens model, focused on the actual world."""
     if k > n:

@@ -22,12 +22,8 @@ from __future__ import annotations
 from typing import Mapping, Optional, Tuple
 
 from repro.errors import ScenarioError
-from repro.experiments.registry import (
-    BuiltScenario,
-    Parameter,
-    ScenarioSignature,
-    register_scenario,
-)
+from repro.experiments.registry import BuiltScenario
+from repro.logic.check import ScenarioSignature
 from repro.logic.syntax import Common, Knows, Prop
 from repro.simulation.network import BoundedUncertain
 from repro.simulation.protocol import Action, Protocol
@@ -91,7 +87,7 @@ def build_commit_system(min_delay: int = 0, max_delay: int = 1, horizon: int = 3
     )
 
 
-# -- registry entry ----------------------------------------------------------
+# -- catalogue callables (see repro.experiments.catalogue) ---------------------
 
 def _registry_formulas(params):
     """Default formula set: who knows about the commit, and is it ever common."""
@@ -108,25 +104,6 @@ def _registry_signature(params) -> ScenarioSignature:
     return ScenarioSignature(agents=GROUP, horizon=params["horizon"])
 
 
-@register_scenario(
-    name="commit",
-    summary="one-message distributed commit over a 0..1-tick channel (system of runs)",
-    section="Sections 8 and 13",
-    parameters=(
-        Parameter("min_delay", int, default=0, minimum=0, description="fastest possible delivery in ticks"),
-        Parameter("max_delay", int, default=1, minimum=0, description="slowest possible delivery in ticks"),
-        Parameter("horizon", int, default=3, minimum=1, description="how many time steps each run lasts"),
-    ),
-    formulas=_registry_formulas,
-    signature=_registry_signature,
-    details=(
-        "During the delivery window the sites' views of the commit disagree, so "
-        "the eager interpretation ('the commit is common knowledge as soon as I "
-        "learn of it') is not knowledge consistent — but it is *internally* "
-        "knowledge consistent (Section 13), witnessed by the instantaneous-delivery "
-        "subsystem."
-    ),
-)
 def build_commit_scenario(min_delay: int, max_delay: int, horizon: int) -> BuiltScenario:
     """Registry builder: every run of the one-message commit."""
     system = build_commit_system(min_delay=min_delay, max_delay=max_delay, horizon=horizon)

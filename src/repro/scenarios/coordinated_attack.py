@@ -30,12 +30,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ScenarioError
-from repro.experiments.registry import (
-    BuiltScenario,
-    Parameter,
-    ScenarioSignature,
-    register_scenario,
-)
+from repro.experiments.registry import BuiltScenario
+from repro.logic.check import ScenarioSignature
 from repro.logic.syntax import C, Common, Formula, K, Knows, Prop
 from repro.simulation.network import DeliveryModel, Unreliable
 from repro.simulation.protocol import Action, Protocol
@@ -215,7 +211,7 @@ def build_handshake_system(
     )
 
 
-# -- registry entry ----------------------------------------------------------
+# -- catalogue callables (see repro.experiments.catalogue) ---------------------
 
 def _registry_formulas(params):
     """Default formula set: the knowledge ladder and the never-common claims."""
@@ -234,29 +230,6 @@ def _registry_signature(params) -> ScenarioSignature:
     return ScenarioSignature(agents=GENERALS, horizon=params["horizon"])
 
 
-@register_scenario(
-    name="coordinated_attack",
-    summary="two generals, an unreliable messenger, a depth-k handshake (system of runs)",
-    section="Sections 4 and 7",
-    parameters=(
-        Parameter("depth", int, default=2, minimum=1, description="handshake depth (messages in the chain)"),
-        Parameter("horizon", int, default=4, minimum=1, description="how many time steps each run lasts"),
-        Parameter(
-            "include_peace_runs",
-            bool,
-            default=True,
-            description="include the runs in which A never wanted to attack",
-        ),
-    ),
-    formulas=_registry_formulas,
-    signature=_registry_signature,
-    details=(
-        "Every run of the handshake over the lossy messenger is enumerated.  Each "
-        "delivered message adds one level to the nested knowledge of A's intention "
-        "(K_B intend, K_A K_B intend, ...), but C intend never holds — the "
-        "paper's impossibility of coordinated attack."
-    ),
-)
 def build_coordinated_attack_scenario(
     depth: int, horizon: int, include_peace_runs: bool
 ) -> BuiltScenario:

@@ -18,10 +18,13 @@ manually; a :class:`ScenarioRecipe` states it declaratively instead:
     )
     RECIPE.register()
 
-``register()`` puts the recipe onto the PR 2 scenario registry, so the typed
+``register()`` puts the recipe onto the scenario registry, so the typed
 parameter validation, the ``repro list/describe/run/sweep`` CLI, the experiment
 runner's caching and parallel sweeps, and the generated ``docs/scenarios.md``
-page all apply to it with no further code.
+page all apply to it with no further code.  The built-in recipes of
+:mod:`repro.scenarios` are written with :meth:`ScenarioRecipe.catalogued`
+instead: their metadata is an entry of :mod:`repro.experiments.catalogue`,
+which the registry reads without importing the recipe's module.
 
 Every ingredient can be a constant or a callable receiving the validated
 parameter assignment (a ``dict``), so parameter-dependent protocols, delivery
@@ -488,29 +491,49 @@ class ScenarioRecipe:
         note = _resolve(self.note, assignment) or ""
         return BuiltScenario(model=system, focus=focus, note=str(note))
 
+    def build_scenario(self, **params: object) -> BuiltScenario:
+        """:meth:`build` with the parameters as keywords: the registry builder shape."""
+        return self.build(params)
+
     # -- registration -----------------------------------------------------------
-    def register(self) -> ScenarioSpec:
-        """Validate the recipe and put it onto the scenario registry.
+    @classmethod
+    def catalogued(cls, name: str, **ingredients: object) -> "ScenarioRecipe":
+        """A built-in recipe whose metadata is the catalogue entry ``name``.
 
-        The registered builder simulates the recipe per validated parameter
-        assignment; the registered formula factory resolves the suite the same
-        way.  Returns the created
-        :class:`~repro.experiments.registry.ScenarioSpec` (also reachable via
-        :func:`~repro.experiments.registry.get_scenario` afterwards); the
-        recipe itself is attached to the spec's builder as ``recipe`` so
-        introspection tools can recover the declarative form.
+        Name, summary, section, parameter schema and details come from
+        :mod:`repro.experiments.catalogue`, whose entry names this recipe's
+        :meth:`build_scenario`, :meth:`resolve_formulas` and
+        :meth:`signature_for`; the module states only the ingredients.  The
+        recipe is checked as :meth:`register` checks one (:meth:`check`).  A
+        recipe's module is imported when the scenario is first built or its
+        formulas or signature are first asked for, so that is when a built-in
+        recipe is linted.
+        """
+        from repro.experiments.catalogue import builtin_spec
 
-        Beyond the structural :meth:`validate` pass, registration lints the
-        formula suite at the schema's default parameters through the static
-        checker (when every parameter has a default), so a recipe whose
-        resolvable suite names an unknown processor, violates positivity, or
-        misuses timestamps is rejected here — with REP-coded diagnostics —
-        rather than at evaluation time.  The derived :meth:`signature_for` is
-        installed as the registry's signature factory, which is what lets
-        ``repro check`` and the runner pre-flight cover DSL scenarios too.
+        spec = builtin_spec(name)
+        recipe = cls(
+            name=spec.name,
+            summary=spec.summary,
+            section=spec.section,
+            parameters=spec.parameters,
+            details=spec.details,
+            **ingredients,
+        )
+        recipe.check()
+        return recipe
+
+    def check(self) -> None:
+        """Everything registration checks, raising :class:`DSLError`.
+
+        The structural :meth:`validate` pass, then a lint of the formula
+        suite at the schema's default parameters through the static checker
+        (when every parameter has a default), so a recipe whose resolvable
+        suite names an unknown processor, violates positivity, or misuses
+        timestamps is rejected with REP-coded diagnostics rather than at
+        evaluation time.
         """
         self.validate()
-        recipe = self
         if all(not p.required for p in self.parameters):
             defaults = {p.name: p.default for p in self.parameters}
             failures = [d for d in self.lint(defaults) if d.is_error]
@@ -522,6 +545,27 @@ class ScenarioRecipe:
                     f"recipe {self.name!r}: default formula suite fails the "
                     f"static checker: {rendered}"
                 )
+
+    def register(self) -> ScenarioSpec:
+        """Validate the recipe and put it onto the scenario registry.
+
+        The registered builder simulates the recipe per validated parameter
+        assignment; the registered formula factory resolves the suite the same
+        way.  Returns the created
+        :class:`~repro.experiments.registry.ScenarioSpec` (also reachable via
+        :func:`~repro.experiments.registry.get_scenario` afterwards); the
+        recipe itself is attached to the spec's builder as ``recipe`` so
+        introspection tools can recover the declarative form.
+
+        Registration first runs :meth:`check` (the structural pass and the
+        default-suite lint).  The derived :meth:`signature_for` is installed
+        as the registry's signature factory, which is what lets ``repro
+        check`` and the runner pre-flight cover DSL scenarios too.  The
+        built-in recipes are not registered this way: the catalogue names
+        them (see :meth:`catalogued`).
+        """
+        self.check()
+        recipe = self
 
         def builder(**params: object) -> BuiltScenario:
             return recipe.build(params)

@@ -1,10 +1,10 @@
-"""The seeded random-protocol family, registered through the scenario DSL.
+"""The seeded random-protocol family, a catalogued scenario DSL recipe.
 
 This is the fuzzer's front door: ``repro run random_protocol -p seed=7 -p
 delivery=async`` builds the exact system :func:`repro.simulation.fuzz.random_system`
 returns for those arguments, with the standard fuzz fact vocabulary and formula
-suite attached.  Registering it buys the differential harness everything the
-registry gives hand-written scenarios — in particular the parallel sweep path:
+suite attached.  As a registry scenario it gives the differential harness
+everything hand-written scenarios get — in particular the parallel sweep path:
 ``repro sweep random_protocol --param seed=0..N --jobs 4`` rebuilds generated
 protocols inside worker processes, which is precisely the cross-process
 determinism the keyed-digest construction in :mod:`repro.simulation.fuzz`
@@ -20,11 +20,9 @@ from __future__ import annotations
 
 from typing import Dict, Mapping
 
-from repro.experiments.registry import Parameter
 from repro.logic.syntax import Formula
 from repro.scenarios.dsl import ScenarioRecipe
 from repro.simulation.fuzz import (
-    DELIVERY_KINDS,
     delivery_models,
     fuzz_fact_rule,
     fuzz_formulas,
@@ -33,7 +31,7 @@ from repro.simulation.fuzz import (
     random_protocol,
 )
 
-__all__ = ["RANDOM_PROTOCOL"]
+__all__ = ["RECIPE"]
 
 
 def _formulas(params: Mapping[str, object]) -> Dict[str, Formula]:
@@ -41,48 +39,14 @@ def _formulas(params: Mapping[str, object]) -> Dict[str, Formula]:
     return fuzz_formulas(fuzz_processors(params["n_agents"]))
 
 
-RECIPE = ScenarioRecipe(
-    name="random_protocol",
-    summary="a seeded random protocol under a chosen delivery model (fuzz harness)",
-    section="Section 5 (framework); differential testing",
+RECIPE = ScenarioRecipe.catalogued(
+    "random_protocol",
     processors=lambda params: fuzz_processors(params["n_agents"]),
     protocol=lambda params: random_protocol(
         params["seed"], n_agents=params["n_agents"], horizon=params["horizon"]
     ),
     horizon="horizon",
     delivery=lambda params: delivery_models(params["delivery"], params["horizon"]),
-    parameters=(
-        Parameter(
-            "seed",
-            int,
-            default=0,
-            minimum=0,
-            description="fuzz seed; every decision of the protocol derives from it",
-        ),
-        Parameter(
-            "n_agents",
-            int,
-            default=2,
-            minimum=1,
-            maximum=4,
-            description="number of processors p0..p{n-1}",
-        ),
-        Parameter(
-            "horizon",
-            int,
-            default=3,
-            minimum=1,
-            maximum=5,
-            description="how many time steps each run lasts",
-        ),
-        Parameter(
-            "delivery",
-            str,
-            default="reliable",
-            choices=DELIVERY_KINDS,
-            description="communication assumption (fuzz-matrix delivery kind)",
-        ),
-    ),
     initial_states=lambda params: fuzz_initial_states(
         params["seed"], params["n_agents"], params["horizon"]
     ),
@@ -93,16 +57,5 @@ RECIPE = ScenarioRecipe(
         f"fuzz-s{params['seed']}-n{params['n_agents']}"
         f"-h{params['horizon']}-{params['delivery']}"
     ),
-    details=(
-        "Every decision of the generated protocol is a keyed blake2b digest of "
-        "the acting processor's canonical local history, so the same seed "
-        "always yields the same system of runs — in any process, which is what "
-        "lets `--jobs` sweeps rebuild the scenario inside workers and still "
-        "match the serial rows bit for bit.  `random_system(seed, ...)` in "
-        "`repro.simulation.fuzz` builds the identical system without the "
-        "registry."
-    ),
 )
 
-RANDOM_PROTOCOL = RECIPE.register()
-"""The registered :class:`~repro.experiments.registry.ScenarioSpec`."""

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Tuple
 
-from repro.experiments.registry import Parameter
 from repro.logic.syntax import Common, Everyone, Formula, Knows, Or, Prop
 from repro.scenarios.dsl import ScenarioRecipe
 from repro.simulation.network import ReliableSynchronous
 from repro.simulation.protocol import Action, Protocol
 from repro.systems.runs import LocalHistory, Run
 
-__all__ = ["RingGossipProtocol", "GOSSIP", "knows_whether", "gossip_processors"]
+__all__ = ["RingGossipProtocol", "knows_whether", "gossip_processors"]
 
 
 def gossip_processors(n: int) -> Tuple[str, ...]:
@@ -95,25 +94,12 @@ def _formulas(params: Mapping[str, object]) -> Dict[str, object]:
     }
 
 
-RECIPE = ScenarioRecipe(
-    name="gossip",
-    summary="rumor spreading on a ring: when does a secret become known? (system of runs)",
-    section="Section 5 (framework); gossip folklore",
+RECIPE = ScenarioRecipe.catalogued(
+    "gossip",
     processors=lambda params: gossip_processors(params["n"]),
     protocol=lambda params: RingGossipProtocol(gossip_processors(params["n"])),
     horizon="horizon",
     delivery=ReliableSynchronous(1),
-    parameters=(
-        Parameter("n", int, default=3, minimum=2, maximum=6, description="ring size"),
-        Parameter(
-            "horizon",
-            int,
-            default=4,
-            minimum=1,
-            maximum=10,
-            description="how many time steps each run lasts",
-        ),
-    ),
     initial_states=lambda params: {
         p: (0, 1) for p in gossip_processors(params["n"])
     },
@@ -121,15 +107,5 @@ RECIPE = ScenarioRecipe(
     formulas=_formulas,
     note="2^n runs, one per assignment of secret bits; no focus point",
     system_name=lambda params: f"gossip-n{params['n']}-h{params['horizon']}",
-    details=(
-        "Each processor forwards everything it has learned to its clockwise "
-        "neighbour under reliable synchronous delivery.  A secret crosses one "
-        "hop every two steps (send, deliver), so `K_g1 whether secret_0` turns "
-        "true at time 2, the far neighbour learns it after ~2(n-1) steps, and "
-        "`C secret_0` stays false until the valuation is common to the whole "
-        "ring — the DSL's first parameter-sized scenario family."
-    ),
 )
 
-GOSSIP = RECIPE.register()
-"""The registered :class:`~repro.experiments.registry.ScenarioSpec`."""

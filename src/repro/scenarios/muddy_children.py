@@ -26,17 +26,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ScenarioError
-from repro.experiments.registry import (
-    BuiltScenario,
-    Parameter,
-    ScenarioSignature,
-    register_scenario,
-)
+from repro.experiments.registry import BuiltScenario
 from repro.kripke.announcement import UpdateChain, public_announce
 from repro.kripke.builders import others_attribute_model
 from repro.kripke.checker import ModelChecker
 from repro.kripke.structure import KripkeStructure
 from repro.logic.agents import Agent
+from repro.logic.check import ScenarioSignature
 from repro.logic.syntax import C, E, Formula, K, Not, Prop, disjunction
 
 __all__ = [
@@ -217,7 +213,7 @@ class MuddyChildren:
         )
 
 
-# -- registry entry ----------------------------------------------------------
+# -- catalogue callables (see repro.experiments.catalogue) ---------------------
 
 def announcement_formula_set(agents: Tuple[Agent, ...], k: int) -> Dict[str, Formula]:
     """The Section 2 E-hierarchy boundary for ``k`` muddy agents.
@@ -252,28 +248,6 @@ def _registry_signature(params) -> ScenarioSignature:
     )
 
 
-@register_scenario(
-    name="muddy_children",
-    summary="n children, k muddy foreheads; the father's announcement (Kripke model)",
-    section="Sections 2 and 10",
-    parameters=(
-        Parameter("n", int, default=3, minimum=1, maximum=16, description="number of children"),
-        Parameter("k", int, default=2, minimum=0, description="how many children are muddy (the first k)"),
-        Parameter(
-            "announced",
-            bool,
-            default=False,
-            description="apply the father's public announcement of m before evaluating",
-        ),
-    ),
-    formulas=_registry_formulas,
-    signature=_registry_signature,
-    details=(
-        "Worlds are muddiness vectors; each child observes every forehead but its "
-        "own.  Before the announcement E^{k-1} m holds at the actual world but E^k m "
-        "does not; after the announcement m is common knowledge."
-    ),
-)
 def build_muddy_children_scenario(n: int, k: int, announced: bool) -> BuiltScenario:
     """Registry builder: the n-children Kripke model, focused on the actual world."""
     if k > n:

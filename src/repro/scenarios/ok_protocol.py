@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from repro.errors import ScenarioError
-from repro.experiments.registry import Parameter
 from repro.logic.syntax import CDiamond, CEps, EveryoneEps, Formula, Prop
 from repro.scenarios.dsl import ScenarioRecipe
 from repro.simulation.network import Unreliable
@@ -114,7 +113,7 @@ def build_ok_system(horizon: int) -> System:
     )
 
 
-# -- registry entry (via the scenario DSL) -----------------------------------
+# -- catalogue recipe (see repro.experiments.catalogue) ------------------------
 
 def _registry_formulas(params):
     """Default formula set: psi and its epsilon-common-knowledge closure."""
@@ -133,35 +132,19 @@ def _clocks(params):
     return {LEFT: (clock,), RIGHT: (clock,)}
 
 
-RECIPE = ScenarioRecipe(
-    name="ok_protocol",
-    summary='the "OK" protocol: eps-common knowledge of failure (system of runs)',
-    section="Section 11",
+RECIPE = ScenarioRecipe.catalogued(
+    "ok_protocol",
     processors=(LEFT, RIGHT),
     protocol=OkProtocol(),
     horizon="horizon",
     delivery=Unreliable(delay=1),
-    parameters=(
-        Parameter("horizon", int, default=3, minimum=1, description="how many time steps each run lasts"),
-        Parameter("eps", int, default=1, minimum=0, description="the epsilon of C^eps in the formula set"),
-    ),
     clocks=_clocks,
     fact_rules=(_delayed_fact,),
     formulas=_registry_formulas,
     note="no focus point: the Section 11 claims are validity claims",
     system_name=lambda params: f"ok-protocol-h{params['horizon']}",
     max_runs=100_000,
-    details=(
-        "psi says some message was not delivered within one time unit.  In this "
-        "system psi -> E^1 psi is valid, so psi -> C^1 psi is valid too: "
-        "epsilon-common knowledge of psi is attained exactly when communication "
-        "fails."
-    ),
 )
-
-OK_PROTOCOL = RECIPE.register()
-"""The registered :class:`~repro.experiments.registry.ScenarioSpec` (the same
-system :func:`build_ok_system` constructs, built through the DSL)."""
 
 
 def psi_formula() -> Formula:

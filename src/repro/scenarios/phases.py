@@ -24,12 +24,8 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ScenarioError
-from repro.experiments.registry import (
-    BuiltScenario,
-    Parameter,
-    ScenarioSignature,
-    register_scenario,
-)
+from repro.experiments.registry import BuiltScenario
+from repro.logic.check import ScenarioSignature
 from repro.logic.syntax import CDiamond, CEps, CT, Common, Formula, Prop
 from repro.simulation.protocol import Action, Protocol
 from repro.simulation.simulator import simulate
@@ -115,7 +111,7 @@ def build_phase_system(
     )
 
 
-# -- registry entry ----------------------------------------------------------
+# -- catalogue callables (see repro.experiments.catalogue) ---------------------
 
 def _registry_formulas(params):
     """Default formula set: Theorem 12's comparison of the C variants."""
@@ -138,25 +134,6 @@ def _registry_signature(params) -> ScenarioSignature:
     )
 
 
-@register_scenario(
-    name="phases",
-    summary="phase-end decisions under clock skew: timestamped common knowledge (system of runs)",
-    section="Section 12",
-    parameters=(
-        Parameter("phase_end", int, default=2, minimum=0, description="the clock reading T at which each processor decides"),
-        Parameter(
-            "skew", int, default=1, minimum=0, maximum=128,
-            description="maximum clock skew in ticks (one run per lag)",
-        ),
-    ),
-    formulas=_registry_formulas,
-    signature=_registry_signature,
-    details=(
-        "With skewed clocks the phases do not end simultaneously, so plain C "
-        "decided is out of reach (Theorem 8); the processors attain C^T decided "
-        "with timestamp 'end of phase', which implies C^skew and C^<> (Theorem 12)."
-    ),
-)
 def build_phases_scenario(phase_end: int, skew: int) -> BuiltScenario:
     """Registry builder: the phase protocol with clock skews 0..skew."""
     return BuiltScenario(

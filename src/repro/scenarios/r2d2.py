@@ -26,12 +26,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ScenarioError
-from repro.experiments.registry import (
-    BuiltScenario,
-    Parameter,
-    ScenarioSignature,
-    register_scenario,
-)
+from repro.experiments.registry import BuiltScenario
+from repro.logic.check import ScenarioSignature
 from repro.logic.syntax import C, Formula, K, Prop
 from repro.simulation.network import DeliveryModel
 from repro.simulation.protocol import Action, Protocol
@@ -220,7 +216,7 @@ def build_global_clock_system(
     )
 
 
-# -- registry entry ----------------------------------------------------------
+# -- catalogue callables (see repro.experiments.catalogue) ---------------------
 
 _VARIANT_BUILDERS = {
     "uncertain": build_uncertain_system,
@@ -249,29 +245,6 @@ def _registry_signature(params) -> ScenarioSignature:
     )
 
 
-@register_scenario(
-    name="r2d2",
-    summary="message delivery within {0, eps}: the knowledge staircase (system of runs)",
-    section="Section 8",
-    parameters=(
-        Parameter("epsilon", int, default=1, minimum=1, description="the delivery uncertainty in ticks"),
-        Parameter("send_window", int, default=2, minimum=1, description="number of possible send times"),
-        Parameter(
-            "variant",
-            str,
-            default="uncertain",
-            choices=tuple(sorted(_VARIANT_BUILDERS)),
-            description="delivery regime: uncertain {0,eps}, exact eps, or global_clock with timestamps",
-        ),
-    ),
-    formulas=_registry_formulas,
-    signature=_registry_signature,
-    details=(
-        "In the uncertain variant each level (K_R K_D)^k sent(m) first holds eps "
-        "later than the previous one and C sent(m) never holds; the exact and "
-        "global_clock variants remove the uncertainty and with it the staircase."
-    ),
-)
 def build_r2d2_scenario(epsilon: int, send_window: int, variant: str) -> BuiltScenario:
     """Registry builder: one of the three R2-D2 delivery regimes."""
     system = _VARIANT_BUILDERS[variant](epsilon, send_window)

@@ -26,15 +26,14 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Tuple
 
-from repro.experiments.registry import Parameter
 from repro.logic.syntax import Common, Eventually, Knows, Prop
 from repro.scenarios.dsl import ScenarioRecipe
 from repro.scenarios.gossip import knows_whether
-from repro.simulation.fuzz import DELIVERY_KINDS, delivery_models
+from repro.simulation.fuzz import delivery_models
 from repro.simulation.protocol import Action, Protocol
 from repro.systems.runs import LocalHistory, Run
 
-__all__ = ["SENDER", "RECEIVER", "StopAndWaitProtocol", "SEQUENCE_TRANSMISSION"]
+__all__ = ["SENDER", "RECEIVER", "StopAndWaitProtocol"]
 
 SENDER = "S"
 RECEIVER = "R"
@@ -124,39 +123,12 @@ def _formulas(params: Mapping[str, object]) -> Dict[str, object]:
     }
 
 
-RECIPE = ScenarioRecipe(
-    name="sequence_transmission",
-    summary="stop-and-wait bit transmission over a faulty line (system of runs)",
-    section="Section 9 / Theorem 7 (NG1' channels)",
+RECIPE = ScenarioRecipe.catalogued(
+    "sequence_transmission",
     processors=(SENDER, RECEIVER),
     protocol=lambda params: StopAndWaitProtocol(params["n_bits"]),
     horizon="horizon",
     delivery=lambda params: delivery_models(params["delivery"], params["horizon"]),
-    parameters=(
-        Parameter(
-            "n_bits",
-            int,
-            default=1,
-            minimum=1,
-            maximum=3,
-            description="length of the transmitted bit sequence",
-        ),
-        Parameter(
-            "horizon",
-            int,
-            default=3,
-            minimum=1,
-            maximum=6,
-            description="how many time steps each run lasts",
-        ),
-        Parameter(
-            "delivery",
-            str,
-            default="unreliable",
-            choices=DELIVERY_KINDS,
-            description="communication assumption (fuzz-matrix delivery kind)",
-        ),
-    ),
     initial_states=lambda params: {SENDER: _all_sequences(params["n_bits"])},
     fact_rules=(_sequence_facts,),
     formulas=_formulas,
@@ -165,14 +137,5 @@ RECIPE = ScenarioRecipe(
         f"seqtx-b{params['n_bits']}-h{params['horizon']}-{params['delivery']}"
     ),
     max_runs=100_000,
-    details=(
-        "The sender retransmits the lowest unacknowledged bit; the receiver "
-        "acknowledges each index once.  Over the lossy/asynchronous kinds the "
-        "channel satisfies NG1', so `K_R whether bit_0` is attainable but "
-        "`C whether bit_0` never holds before the horizon — sequence "
-        "transmission needs only knowledge, not common knowledge."
-    ),
 )
 
-SEQUENCE_TRANSMISSION = RECIPE.register()
-"""The registered :class:`~repro.experiments.registry.ScenarioSpec`."""

@@ -22,6 +22,7 @@ from typing import (
     Callable,
     Dict,
     Hashable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -40,6 +41,10 @@ from repro.systems.runs import LocalHistory, Run
 from repro.systems.system import System
 
 __all__ = ["FactRule", "Environment", "Simulator", "simulate"]
+
+_State = Tuple[int, Dict[Agent, Dict[int, List[Event]]], Dict[int, List[Message]], List[str], int]
+"""A partial run at the start of a tick: ``(time, events, pending deliveries,
+delivery choices so far, next message uid)``."""
 
 FactRule = Callable[[Run], Mapping[int, AbstractSet[str]]]
 """A fact rule inspects a finished run and returns the ground facts it makes true,
@@ -139,41 +144,48 @@ class Simulator:
         finished: List[Run],
     ) -> None:
         env = self._environment
-        empty_events: Dict[Agent, Dict[int, List[Event]]] = {
-            p: {} for p in env.processors
-        }
-        self._step(
-            time=0,
-            events=empty_events,
-            pending={},
-            choices=[],
-            next_uid=0,
-            config_index=config_index,
-            initial_states=initial_states,
-            wake_times=wake_times,
-            clocks=clocks,
-            finished=finished,
-        )
+        root = (0, {p: {} for p in env.processors}, {}, [], 0)
+        # Depth first over the run tree, one tick per level, with an explicit
+        # stack of child iterators instead of recursion, so the horizon is not
+        # bounded by the interpreter's recursion limit.  Each level yields its
+        # children lazily, one at a time, so runs come out in the order (and
+        # with the names) of a recursive walk, with one branch copy per level.
+        stack: List[Iterator[_State]] = [iter((root,))]
+        while stack:
+            state = next(stack[-1], None)
+            if state is None:
+                stack.pop()
+                continue
+            time, events, pending, choices, next_uid = state
+            if time > env.duration:
+                self._finish(
+                    events, choices, config_index, initial_states, wake_times, clocks, finished
+                )
+            else:
+                stack.append(
+                    self._branches(
+                        time, events, pending, choices, next_uid,
+                        initial_states, wake_times, clocks,
+                    )
+                )
 
-    def _step(
+    def _branches(
         self,
         time: int,
         events: Dict[Agent, Dict[int, List[Event]]],
         pending: Dict[int, List[Message]],
         choices: List[str],
         next_uid: int,
-        config_index: int,
         initial_states: Dict[Agent, Hashable],
         wake_times: Dict[Agent, int],
         clocks: Dict[Agent, Clock],
-        finished: List[Run],
-    ) -> None:
+    ) -> Iterator[_State]:
+        """Play tick ``time`` on one partial run and yield its children.
+
+        One child per combination of delivery outcomes of the messages sent
+        at this tick, as the state at ``time + 1``.
+        """
         env = self._environment
-        if time > env.duration:
-            self._finish(
-                events, choices, config_index, initial_states, wake_times, clocks, finished
-            )
-            return
 
         # 1. Deliver messages scheduled for this time.
         for message in pending.get(time, ()):  # deterministic order: scheduling order
@@ -238,18 +250,7 @@ class Simulator:
                     )
                 else:
                     branch_pending.setdefault(outcome, []).append(message)
-            self._step(
-                time + 1,
-                branch_events,
-                branch_pending,
-                branch_choices,
-                next_uid,
-                config_index,
-                initial_states,
-                wake_times,
-                clocks,
-                finished,
-            )
+            yield (time + 1, branch_events, branch_pending, branch_choices, next_uid)
 
     def _history(
         self,

@@ -11,6 +11,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 from lint_repo import (  # noqa: E402 - needs the tools/ path above
+    COLD_IMPORT_FILES,
     MASK_SPACE_FILES,
     POOL_OWNER_FILES,
     WORKER_SIDE_FILES,
@@ -96,13 +97,48 @@ def test_process_pool_flagged_outside_the_supervisor():
     assert lint_source(source, "src/repro/experiments/supervise.py") == []
 
 
+def test_model_stack_import_flagged_at_the_top_of_the_registry():
+    registry = REPO_ROOT / "src" / "repro" / "experiments" / "registry.py"
+    source = registry.read_text(encoding="utf-8")
+    future = "from __future__ import annotations\n"
+    injected = source.replace(future, future + "import repro.kripke.structure\n", 1)
+    line = injected[: injected.index("import repro.kripke.structure")].count("\n") + 1
+    findings = lint_source(injected, "src/repro/experiments/registry.py")
+    assert [(f.rule, f.line) for f in findings] == [("LNT005", line)]
+    assert "repro.kripke.structure" in findings[0].message
+    assert lint_source(source, "src/repro/experiments/registry.py") == []
+
+
+def test_cold_import_rule_exempts_functions_and_type_checking_only():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "from repro.errors import ReproError\n"
+        "from repro.experiments import runner\n"
+        "if TYPE_CHECKING:\n"
+        "    from repro.systems.system import System\n"
+        "try:\n"
+        "    import sqlite3\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "def verb():\n"
+        "    from repro.experiments.store import ResultStore\n"
+    )
+    findings = lint_source(source, "src/repro/cli.py")
+    assert [(f.rule, f.line) for f in findings] == [
+        ("LNT005", 3),  # repro.experiments itself ...
+        ("LNT005", 3),  # ... and the runner submodule it names
+        ("LNT005", 7),
+    ]
+    assert lint_source(source, "src/repro/experiments/runner.py") == []
+
+
 def test_syntax_error_is_reported_not_raised():
     findings = lint_source("def broken(:\n", "src/repro/broken.py")
     assert rules(findings) == ["LNT000"]
 
 
 def test_scoped_file_lists_point_at_real_files():
-    for path in MASK_SPACE_FILES + WORKER_SIDE_FILES + POOL_OWNER_FILES:
+    for path in MASK_SPACE_FILES + WORKER_SIDE_FILES + POOL_OWNER_FILES + COLD_IMPORT_FILES:
         assert (REPO_ROOT / path).is_file(), path
 
 

@@ -246,7 +246,17 @@ def test_bad_parameter_is_400(server):
 
 @pytest.mark.parametrize(
     "scenario,name,value",
-    [("muddy_children", "n", 17), ("cheating_husbands", "n", 17), ("phases", "skew", 129)],
+    [
+        ("muddy_children", "n", 17),
+        ("cheating_husbands", "n", 17),
+        ("phases", "skew", 129),
+        ("phases", "phase_end", 1501),
+        ("ok_protocol", "horizon", 1401),
+        ("commit", "horizon", 2501),
+        ("broadcast", "horizon", 37),
+        ("broadcast", "spread", 34),
+        ("r2d2", "send_window", 141),
+    ],
 )
 def test_over_maximum_parameter_is_refused_before_any_build(server, capsys, scenario, name, value):
     code, _, err = run_cli(capsys, "run", scenario, "-p", f"{name}={value}")

@@ -1,5 +1,7 @@
 """Tests for protocols, delivery models and the exhaustive simulator."""
 
+import sys
+
 import pytest
 
 from repro.errors import ModelError, ProtocolError, SimulationError
@@ -270,6 +272,37 @@ class TestSimulator:
         first = simulate(self._wrap(), ["A", "B"], duration=4, delivery=Unreliable(delay=1))
         second = simulate(self._wrap(), ["A", "B"], duration=4, delivery=Unreliable(delay=1))
         assert [r.name for r in first.runs] == [r.name for r in second.runs]
+
+    def test_runs_come_out_depth_first_over_delivery_choices(self):
+        """Two sends per tick for two ticks: the first tick's outcome
+        combination varies slowest, each message's outcomes in the delivery
+        model's order (lost first)."""
+
+        def step(processor, history, time):
+            if processor == "A" and time < 2:
+                return Action.send("B", time).also_send("B", -time)
+            return Action.nothing()
+
+        system = simulate(
+            FunctionProtocol(step, name="two-by-two"),
+            ["A", "B"],
+            duration=3,
+            delivery=Unreliable(delay=1),
+        )
+        first, second = ("m0:lost.m1:lost", "m0:lost.m1@1", "m0@1.m1:lost", "m0@1.m1@1"), (
+            "m2:lost.m3:lost", "m2:lost.m3@2", "m2@2.m3:lost", "m2@2.m3@2",
+        )
+        assert [run.name for run in system.runs] == [
+            f"r0-{a}.{b}" for a in first for b in second
+        ]
+
+    def test_horizon_deeper_than_the_recursion_limit_enumerates(self):
+        """Enumeration keeps an explicit stack, one level per tick, so a run
+        may be longer than the interpreter's recursion limit."""
+        duration = 3000
+        assert duration > sys.getrecursionlimit()
+        system = simulate(SilentProtocol(), ["A"], duration=duration)
+        assert [run.duration for run in system.runs] == [duration]
 
 
 def _send_once(processor, history, time):

@@ -3,7 +3,9 @@
 
 The page is derived data: every registered scenario contributes its summary, the
 paper section it reproduces, its parameter schema, and its default formula set
-(rendered at the default parameters).  Regenerate after touching a registration::
+(rendered at the default parameters).  The built-ins' metadata is in
+``src/repro/experiments/catalogue.py``; regenerate after editing an entry (or a
+formula factory)::
 
     PYTHONPATH=src python tools/gen_scenario_docs.py
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo lint gate: ``ast``-based checks for patterns the test suite can't see.
 
-Four rules, each scoped to where the pattern actually bites:
+Five rules, each scoped to where the pattern actually bites:
 
 ``LNT001`` — no ``frozenset(...)`` construction in the mask-space hot paths of
 ``src/repro/engine/universe.py`` and ``src/repro/kripke/bisimulation.py``
@@ -29,6 +29,16 @@ exit-130 contract and the sweep supervisor's cancellation path.  Write
 ``src/repro/experiments/supervise.py``.  Every sweep runs one pipeline, and
 its process pool is the supervisor's: a second pool owner would bypass the
 fault policy, the deterministic merge and the single-writer store rule.
+
+``LNT005`` — the cold-start modules (``COLD_IMPORT_FILES``: the CLI, the
+registry, the scenario catalogue, the fault policy and the ``repro.experiments``
+and ``repro.analysis`` package ``__init__``s) import at module level only
+what ``COLD_IMPORT_ALLOWLIST`` names.  Every ``repro`` invocation and the
+benchmark's setup probe load these modules; a module-level import of a
+scenario, the model stack, the runner, the store or the pool there would put
+it back on every command's start-up.  Imports inside functions and under
+``if TYPE_CHECKING:`` are exempt; ``from package import name`` counts as an
+import of ``package.name`` when that is a module of the tree.
 
 Usage::
 
@@ -67,6 +77,36 @@ WORKER_SIDE_FILES = (
 
 #: The one module allowed to construct a process pool (LNT004).
 POOL_OWNER_FILES = ("src/repro/experiments/supervise.py",)
+
+#: The modules every CLI start loads, whose module-level imports LNT005 restricts.
+COLD_IMPORT_FILES = (
+    "src/repro/cli.py",
+    "src/repro/experiments/__init__.py",
+    "src/repro/experiments/catalogue.py",
+    "src/repro/experiments/policy.py",
+    "src/repro/experiments/registry.py",
+    "src/repro/analysis/__init__.py",
+)
+
+#: What the cold-start modules may import at module level (LNT005).
+COLD_IMPORT_ALLOWLIST = frozenset(
+    {
+        "__future__",
+        "argparse",
+        "contextlib",
+        "dataclasses",
+        "importlib",
+        "json",
+        "os",
+        "signal",
+        "sys",
+        "threading",
+        "typing",
+        "repro.errors",
+        "repro.experiments.policy",
+        "repro.experiments.registry",
+    }
+)
 
 #: Attribute calls LNT002 rejects, as dotted names.
 WALL_CLOCK_CALLS = frozenset(
@@ -115,6 +155,41 @@ def _enclosing_functions(tree: ast.AST) -> dict:
     return owner
 
 
+def _module_level_imports(tree: ast.Module) -> Iterator[ast.stmt]:
+    """Import statements that run when the module is imported.
+
+    Walks the module body and the blocks of module-level ``if``/``try``
+    statements, skipping ``if TYPE_CHECKING:`` bodies, which never run.
+    """
+    pending: List[ast.stmt] = list(tree.body)
+    while pending:
+        node = pending.pop(0)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If):
+            if _dotted_name(node.test) not in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
+                pending.extend(node.body)
+            pending.extend(node.orelse)
+        elif isinstance(node, ast.Try):
+            for block in (node.body, node.orelse, node.finalbody):
+                pending.extend(block)
+            for handler in node.handlers:
+                pending.extend(handler.body)
+
+
+def _imported_modules(node: ast.stmt) -> List[str]:
+    """The modules an import statement loads (submodules of the tree included)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    base = node.module or ""
+    modules = [base]
+    for alias in node.names:
+        candidate = os.path.join(REPO_ROOT, "src", *f"{base}.{alias.name}".split("."))
+        if os.path.isdir(candidate) or os.path.isfile(candidate + ".py"):
+            modules.append(f"{base}.{alias.name}")
+    return modules
+
+
 def lint_source(source: str, path: str) -> List[Finding]:
     """Lint one file's source text; ``path`` is repo-relative for scoping."""
     normalised = path.replace(os.sep, "/")
@@ -126,6 +201,20 @@ def lint_source(source: str, path: str) -> List[Finding]:
     check_masks = normalised in MASK_SPACE_FILES
     check_clocks = normalised in WORKER_SIDE_FILES
     owner = _enclosing_functions(tree) if check_masks else {}
+    if normalised in COLD_IMPORT_FILES:
+        for node in _module_level_imports(tree):
+            for module in _imported_modules(node):
+                if module not in COLD_IMPORT_ALLOWLIST:
+                    findings.append(
+                        Finding(
+                            path,
+                            node.lineno,
+                            "LNT005",
+                            f"module-level import of {module} in a cold-start "
+                            "module; import it inside the function that needs "
+                            "it (or under TYPE_CHECKING for annotations)",
+                        )
+                    )
     for node in ast.walk(tree):
         if check_masks and isinstance(node, ast.Call):
             if isinstance(node.func, ast.Name) and node.func.id == "frozenset":
