@@ -16,6 +16,7 @@ measure both paths on both backends (plus the fast path at n=12) for the
 ablation.
 """
 
+import statistics
 import time
 
 import pytest
@@ -29,6 +30,7 @@ from repro.scenarios.muddy_children import run_muddy_children
 BACKENDS = ("frozenset", "bitset")
 N = 10
 SPEEDUP_FLOOR = 3.0
+PAIRS = 3
 
 
 # -- the seed rebuild path --------------------------------------------------------
@@ -74,13 +76,11 @@ def fast_chain(n, backend):
     return [list(outcome.answers.values()) for outcome in result.rounds]
 
 
-def _best_of(callable_, repetitions=3):
-    best = float("inf")
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _timed(callable_):
+    """``(seconds, result)`` of one call."""
+    start = time.perf_counter()
+    result = callable_()
+    return time.perf_counter() - start, result
 
 
 # -- measurements ---------------------------------------------------------------
@@ -121,21 +121,22 @@ def test_fast_chain_n12(benchmark):
     assert all(transcript[-1])
 
 
-def test_fast_path_speedup_over_seed_rebuild(request):
+def test_fast_path_speedup_over_seed_rebuild():
     """The acceptance claim: >= 3x on the n=10 bitset chain, warm.
 
-    Both paths agree answer-for-answer before anything is timed.  The
-    wall-clock comparison is skipped under ``--benchmark-disable``, as CI
-    runs this module, so that run stays timing-independent; the
-    answer-equivalence check always runs.
+    Each pair runs both paths back to back and checks that they agree
+    answer-for-answer; the gate reads the median of the per-pair ratios, so
+    a slow spell of the host hits both sides of a pair.  The seed path takes
+    seconds per chain, so a few pairs suffice against a margin of about 100x.
     """
-    assert fast_chain(N, "bitset") == seed_rebuild_chain(N, "bitset")
-    if request.config.getoption("--benchmark-disable"):
-        pytest.skip("timing assertion runs only when benchmarks are enabled")
-    seed_time = _best_of(lambda: seed_rebuild_chain(N, "bitset"), repetitions=3)
-    fast_time = _best_of(lambda: fast_chain(N, "bitset"), repetitions=3)
-    assert fast_time * SPEEDUP_FLOOR <= seed_time, (
-        f"derived-structure chain ({fast_time * 1e3:.1f} ms) should be at least "
-        f"{SPEEDUP_FLOOR}x faster than the seed rebuild path "
-        f"({seed_time * 1e3:.1f} ms)"
+    ratios = []
+    for _ in range(PAIRS):
+        seed_seconds, seed = _timed(lambda: seed_rebuild_chain(N, "bitset"))
+        fast_seconds, fast = _timed(lambda: fast_chain(N, "bitset"))
+        assert fast == seed
+        ratios.append(seed_seconds / fast_seconds)
+    ratio = statistics.median(ratios)
+    assert ratio >= SPEEDUP_FLOOR, (
+        f"the derived-structure chain should be at least {SPEEDUP_FLOOR}x faster "
+        f"than the seed rebuild path; median ratio {ratio:.2f} over {PAIRS} pairs"
     )

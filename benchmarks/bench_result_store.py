@@ -16,6 +16,7 @@ acceptance criteria name:
   runs and re-running the temporal evaluator, or the store is broken.
 """
 
+import statistics
 import time
 
 import pytest
@@ -24,10 +25,17 @@ from repro.engine import get_default_backend
 from repro.experiments import ExperimentRunner, ResultStore
 
 SPEEDUP_FLOOR = 3.0
+PAIRS = 7
 
 SCENARIO = "coordinated_attack"
 GRID = {"depth": [4], "horizon": list(range(8, 16))}
 SMALL_GRID = {"depth": [2], "horizon": [3, 4]}
+
+
+def _seconds(callable_):
+    start = time.perf_counter()
+    callable_()
+    return time.perf_counter() - start
 
 
 def comparable_rows(reports):
@@ -100,17 +108,23 @@ def test_resumed_sweep_wall_clock(benchmark, recorded_store, grid):
     benchmark.extra_info["worlds"] = sum(report.universe for report in reports)
 
 
-def test_store_speedup_floor(recorded_store, grid, request):
-    """The resumed sweep beats fresh evaluation by >= SPEEDUP_FLOOR end-to-end."""
-    if request.config.getoption("--benchmark-disable"):
-        pytest.skip("timing assertion runs only when benchmarks are enabled")
-    store, _, fresh_seconds = recorded_store
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        ExperimentRunner(store=store).sweep(SCENARIO, grid)
-        best = min(best, time.perf_counter() - start)
-    assert best * SPEEDUP_FLOOR < fresh_seconds, (
-        f"resumed sweep ({best * 1e3:.1f} ms) should be >= {SPEEDUP_FLOOR}x "
-        f"faster than fresh evaluation ({fresh_seconds * 1e3:.1f} ms)"
+def test_store_speedup_floor(tmp_path):
+    """The resumed sweep beats fresh evaluation by >= SPEEDUP_FLOOR end-to-end.
+
+    Runs on the full :data:`GRID` whatever the timing mode, so CI gates it
+    too.  Each pair sweeps the grid fresh into a new store, on a new runner,
+    and then resumes it from that store on another new runner; the gate reads
+    the median of the per-pair ratios, so a slow spell of the host hits both
+    sides of a pair.
+    """
+    ratios = []
+    for pair in range(PAIRS):
+        with ResultStore(str(tmp_path / f"pair{pair}.sqlite")) as store:
+            fresh = _seconds(lambda: ExperimentRunner(store=store).sweep(SCENARIO, GRID))
+            resumed = _seconds(lambda: ExperimentRunner(store=store).sweep(SCENARIO, GRID))
+        ratios.append(fresh / resumed)
+    ratio = statistics.median(ratios)
+    assert ratio >= SPEEDUP_FLOOR, (
+        f"a resumed sweep should be at least {SPEEDUP_FLOOR}x faster than fresh "
+        f"evaluation; median ratio {ratio:.2f} over {PAIRS} pairs"
     )

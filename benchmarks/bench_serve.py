@@ -19,6 +19,7 @@ the same request and pins it:
 import http.client
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -28,6 +29,7 @@ import pytest
 from repro.serve import ServerThread
 
 SPEEDUP_FLOOR = 5.0
+PAIRS = 5
 
 SCENARIO = "muddy_children"
 PARAMS = {"n": 4, "k": 2}
@@ -107,14 +109,20 @@ def test_warm_served_request_latency(benchmark, warm_server):
     benchmark.extra_info["universe"] = report["universe"]
 
 
-def test_serve_speedup_floor(warm_server, request):
-    """Warm served requests beat cold CLI one-shots by >= SPEEDUP_FLOOR."""
-    if request.config.getoption("--benchmark-disable"):
-        pytest.skip("timing assertion runs only when benchmarks are enabled")
-    _report, cold_seconds = cold_cli_run()
-    warm_seconds = min(served_run(warm_server.port)[1] for _ in range(5))
-    assert warm_seconds * SPEEDUP_FLOOR < cold_seconds, (
-        f"warm served request ({warm_seconds * 1e3:.1f} ms) should be >= "
-        f"{SPEEDUP_FLOOR}x faster than a cold CLI one-shot "
-        f"({cold_seconds * 1e3:.1f} ms)"
+def test_serve_speedup_floor(warm_server):
+    """Warm served requests beat cold CLI one-shots by >= SPEEDUP_FLOOR.
+
+    Each pair times one cold CLI one-shot and one warm served request back
+    to back; the gate reads the median of the per-pair ratios, so a slow
+    spell of the host hits both sides of a pair.
+    """
+    ratios = []
+    for _ in range(PAIRS):
+        _report, cold_seconds = cold_cli_run()
+        _report, warm_seconds = served_run(warm_server.port)
+        ratios.append(cold_seconds / warm_seconds)
+    ratio = statistics.median(ratios)
+    assert ratio >= SPEEDUP_FLOOR, (
+        f"a warm served request should be at least {SPEEDUP_FLOOR}x faster than "
+        f"a cold CLI one-shot; median ratio {ratio:.2f} over {PAIRS} pairs"
     )

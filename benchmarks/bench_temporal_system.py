@@ -18,6 +18,7 @@ extension-for-extension before anything is timed.  The pytest-benchmark timings
 track each path separately for the ablation.
 """
 
+import statistics
 import time
 
 import pytest
@@ -40,6 +41,7 @@ from repro.systems.interpretation import ViewBasedInterpretation
 
 BACKENDS = ("frozenset", "bitset")
 SPEEDUP_FLOOR = 3.0
+PAIRS = 15
 
 OK_HORIZONS = (3, 4, 5)
 HANDSHAKE_SWEEP = ((3, 6), (4, 8), (5, 10))
@@ -84,13 +86,11 @@ def evaluate_sweep(workload, backend):
     return results
 
 
-def _best_of(callable_, repetitions=3):
-    best = float("inf")
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _timed(callable_):
+    """``(seconds, result)`` of one call."""
+    start = time.perf_counter()
+    result = callable_()
+    return time.perf_counter() - start, result
 
 
 @pytest.fixture(scope="module")
@@ -122,21 +122,21 @@ def test_temporal_sweep(benchmark, workload, backend):
     assert any(grid_point[2] for grid_point in results)
 
 
-def test_mask_path_speedup_over_reference(workload, request):
+def test_mask_path_speedup_over_reference(workload):
     """The acceptance claim: >= 3x on the temporal sweep, bitset vs frozenset.
 
-    Both paths agree extension-for-extension before anything is timed.  The
-    wall-clock comparison is skipped under ``--benchmark-disable``, as CI
-    runs this module, so that run stays timing-independent; the equivalence
-    check always runs.
+    Each pair runs both paths back to back and checks that they agree
+    extension-for-extension; the gate reads the median of the per-pair
+    ratios, so a slow spell of the host hits both sides of a pair.
     """
-    assert evaluate_sweep(workload, "bitset") == evaluate_sweep(workload, "frozenset")
-    if request.config.getoption("--benchmark-disable"):
-        pytest.skip("timing assertion runs only when benchmarks are enabled")
-    reference_time = _best_of(lambda: evaluate_sweep(workload, "frozenset"))
-    mask_time = _best_of(lambda: evaluate_sweep(workload, "bitset"))
-    assert mask_time * SPEEDUP_FLOOR <= reference_time, (
-        f"mask-space temporal path ({mask_time * 1e3:.1f} ms) should be at least "
-        f"{SPEEDUP_FLOOR}x faster than the frozenset reference "
-        f"({reference_time * 1e3:.1f} ms)"
+    ratios = []
+    for _ in range(PAIRS):
+        reference_seconds, reference = _timed(lambda: evaluate_sweep(workload, "frozenset"))
+        mask_seconds, masks = _timed(lambda: evaluate_sweep(workload, "bitset"))
+        assert masks == reference
+        ratios.append(reference_seconds / mask_seconds)
+    ratio = statistics.median(ratios)
+    assert ratio >= SPEEDUP_FLOOR, (
+        f"the mask-space temporal path should be at least {SPEEDUP_FLOOR}x faster "
+        f"than the frozenset reference; median ratio {ratio:.2f} over {PAIRS} pairs"
     )

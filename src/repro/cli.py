@@ -56,15 +56,19 @@ Exit codes (``repro check``)::
     2    usage error (unknown scenario, missing required parameter, no
          scenario and no -f formula text)
 
-Exit codes (``repro sweep``)::
+Exit codes (``repro sweep``; ``repro run`` exits 2 on any library error)::
 
     0    every grid point completed cleanly
     1    the sweep aborted mid-run (a grid point failed under --on-error
-         abort, or the supervisor gave up on the worker pool)
-    2    usage/configuration error before any evaluation (unknown scenario,
-         malformed grid, bad flag values, unreadable store)
+         abort, for instance in its model build, or the supervisor gave up
+         on the worker pool)
+    2    usage/configuration error before any evaluation, with nothing on
+         stdout: unknown scenario, malformed grid, bad flag values,
+         unreadable store, or a grid point the planner rejects (parameter
+         validation or the static pre-flight of its formula batch)
     3    the sweep completed, but one or more grid points were quarantined
-         under --on-error skip (details in the failure summary)
+         under --on-error skip, planner rejections included (details in
+         the failure summary)
     130  interrupted (Ctrl-C); already-completed rows are committed to the
          store and a --json stream is closed well-formed
 
@@ -846,14 +850,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = get_scenario(args.scenario)
     if not args.grid:
         raise ReproError("sweep needs at least one -g/--grid axis")
-    grid: Dict[str, List[object]] = {}
-    for name, text in args.grid:
-        values = _parse_grid_values(spec, name, text)
-        if not values:
-            # Caught here (not at stream time) so an empty axis stays a usage
-            # error with exit code 2.
-            raise ReproError(f"grid axis {name!r} has no values")
-        grid[name] = values
+    grid = {name: _parse_grid_values(spec, name, text) for name, text in args.grid}
     # Fault-policy flags are validated up front too: a bad --retries is a
     # usage error (exit 2), not a failed sweep.
     policy = FaultPolicy(
@@ -863,27 +860,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         timeout_per_point=args.timeout_per_point,
     )
     resolve_jobs(args.jobs)  # fail fast: a bad --jobs is a usage error, exit 2
-    fixed = dict(args.param)
-    for name in fixed:
-        if name in grid:
-            raise ReproError(f"parameter {name!r} is both fixed (-p) and swept (-g)")
 
     store = _open_store(args)
-    runner = ExperimentRunner(store=store, resume=args.resume)
-    formulas = args.formula or None
-    # The runner's grid covers only the swept axes; fixed parameters ride along
-    # as single-value axes so every grid point sees them.
-    full_grid: Dict[str, List[object]] = dict(grid)
-    for name, value in fixed.items():
-        full_grid[name] = [spec.parameter(name).coerce(value)]
     try:
-        report_stream = runner.iter_sweep(
+        # iter_sweep plans the whole grid before it returns, so a rejected
+        # plan is a usage error (exit 2) and nothing has been printed yet.
+        report_stream = ExperimentRunner(store=store, resume=args.resume).iter_sweep(
             args.scenario,
-            full_grid,
-            formulas=formulas,
+            grid,
+            formulas=args.formula or None,
             minimize=args.minimize,
             jobs=args.jobs,
             policy=policy,
+            params=dict(args.param),
         )
         try:
             if args.json:

@@ -1,8 +1,9 @@
 """What a sweep's grid point is when it crosses the process pool.
 
-:meth:`~repro.experiments.runner.ExperimentRunner.iter_sweep` plans a grid
-into ordered points, partitions them against the result store and hands the
-misses to one executor; with ``jobs > 1`` (see :func:`resolve_jobs`) or a
+:meth:`~repro.experiments.runner.ExperimentRunner.plan` turns a grid into
+ordered points, and :meth:`~repro.experiments.runner.ExperimentRunner.execute`
+partitions them against the result store and hands the misses to one
+executor; with ``jobs > 1`` (see :func:`resolve_jobs`) or a
 watchdog that is the :class:`~repro.experiments.supervise.SweepSupervisor`
 pool.  Only a :class:`RunSpec` crosses the boundary — scenario *name*,
 validated parameters flattened through

@@ -47,7 +47,7 @@ from typing import (
 
 from repro.analysis.diagnostics import render_diagnostics, summarize
 from repro.errors import CheckError, ReproError, ScenarioError
-from repro.experiments.parallel import RunSpec
+from repro.experiments.parallel import RunSpec, resolve_jobs
 from repro.experiments.policy import (
     FaultPolicy,
     attempt_record,
@@ -606,12 +606,15 @@ class ExperimentRunner:
         minimize: bool = False,
         keyed: bool = False,
         policy: Optional["FaultPolicy"] = None,
+        params: Optional[Mapping[str, object]] = None,
     ) -> Tuple[List[PlannedPoint], Dict[int, ExperimentReport]]:
         """Step 1 of every sweep: turn a grid into ordered, pre-flighted points.
 
-        The grid is the cartesian product of ``grid``'s axes.  Every point's
-        parameters are validated and each distinct assignment's batch is
-        pre-flighted once, before anything is built or any worker spawns.
+        The grid is the cartesian product of ``grid``'s axes; each fixed
+        parameter in ``params`` joins it as a single-value axis after the
+        swept ones (a parameter both fixed and swept is an error).  Every
+        point's parameters are validated and each distinct assignment's batch
+        is pre-flighted once, before anything is built or any worker spawns.
 
         Returns ``(points, settled)``: the runnable points in grid order, and
         the grid indices whose parameters or batch were rejected.  A rejection
@@ -621,11 +624,14 @@ class ExperimentRunner:
         unchanged.  ``keyed`` also computes each point's store key.
         """
         spec = get_scenario(scenario)
-        names = list(grid)
-        for name in names:
+        axes = {name: list(grid[name]) for name in grid}
+        for name in axes:
             spec.parameter(name)  # fail fast on unknown grid axes
-        value_lists = [list(grid[name]) for name in names]
-        for name, values in zip(names, value_lists):
+        for name, value in (params or {}).items():
+            if name in axes:
+                raise ScenarioError(f"parameter {name!r} is both fixed and swept")
+            axes[name] = [spec.parameter(name).coerce(value)]
+        for name, values in axes.items():
             if not values:
                 raise ScenarioError(f"grid axis {name!r} has no values")
         explicit = (
@@ -636,14 +642,14 @@ class ExperimentRunner:
         points: List[PlannedPoint] = []
         settled: Dict[int, ExperimentReport] = {}
         checked: Dict[object, List[Tuple[str, Formula]]] = {}
-        for index, values in enumerate(itertools.product(*value_lists)):
-            params = dict(zip(names, values))
+        for index, values in enumerate(itertools.product(*axes.values())):
+            point = dict(zip(axes, values))
             try:
-                params = spec.validate_params(params)
+                point = spec.validate_params(point)
                 points.append(
                     ExperimentRunner.plan_point(
                         spec,
-                        params,
+                        point,
                         explicit,
                         minimize,
                         keyed,
@@ -656,7 +662,7 @@ class ExperimentRunner:
                     raise
                 settled[index] = quarantine_report(
                     spec.name,
-                    params,
+                    point,
                     minimize,
                     [attempt_record(1, "error", describe_failure(error))],
                 )
@@ -665,7 +671,7 @@ class ExperimentRunner:
     # -- lookup, evaluation, persistence ---------------------------------------
     def _lookup(self, key: Optional["StoreKey"]) -> Optional[ExperimentReport]:
         """The recorded report for ``key``, when the store is read (``resume``)."""
-        if key is None or not self.resume:
+        if key is None or self.store is None or not self.resume:
             return None
         report = self.store.get(key)
         if report is not None:
@@ -679,7 +685,7 @@ class ExperimentRunner:
             return
         with self._lock:
             self.eval_count += 1
-        if key is not None:
+        if key is not None and self.store is not None:
             self.store.put(key, report)
 
     def _evaluate(
@@ -779,24 +785,18 @@ class ExperimentRunner:
         ``resume`` on), a request whose canonical key is already recorded is
         served from the store without building or evaluating anything; fresh
         evaluations are recorded before the report is returned.  A run is a
-        one-point sweep: it goes through the same plan, lookup, evaluate and
-        record steps as :meth:`iter_sweep`.
+        one-point sweep: :meth:`plan_point` validates, pre-flights and keys
+        it, and :meth:`execute` looks it up, evaluates and records it.
         """
         spec = get_scenario(scenario)
-        validated = spec.validate_params(params)
-        # Fail fast on a semantically invalid batch: nothing is built, no
-        # store row is touched and no evaluation starts.
         point = self.plan_point(
             spec,
-            validated,
+            spec.validate_params(params),
             None if formulas is None else self.normalise_formulas(formulas),
             minimize,
             keyed=self.store is not None,
         )
-        report = self._lookup(point.key)
-        if report is None:
-            report = self._evaluate(point.run, point.batch)
-            self._record(point.key, report)
+        (report,) = self.execute([point])
         return report
 
     def iter_sweep(
@@ -807,6 +807,7 @@ class ExperimentRunner:
         minimize: bool = False,
         jobs: Optional[int] = None,
         policy: Optional["FaultPolicy"] = None,
+        params: Optional[Mapping[str, object]] = None,
     ) -> Iterator[ExperimentReport]:
         """Stream a sweep's reports in deterministic grid order.
 
@@ -814,19 +815,43 @@ class ExperimentRunner:
         :class:`ExperimentReport` as soon as it (and every report before it in
         grid order) is finished, instead of accumulating the whole list — this
         is what lets ``repro sweep --json`` print rows while later grid points
-        are still being evaluated.  Every sweep runs one pipeline:
+        are still being evaluated.  The grid is planned (:meth:`plan`, with
+        ``params`` as fixed single-value axes) before this returns, so a
+        rejected grid raises from the call itself; the returned stream is
+        :meth:`execute` over the plan.
+        """
+        points, settled = self.plan(
+            scenario,
+            grid,
+            formulas,
+            minimize,
+            keyed=self.store is not None,
+            policy=policy,
+            params=params,
+        )
+        return self.execute(points, settled, jobs=jobs, policy=policy)
 
-        1. **Plan** (:meth:`plan`): validate the grid, pre-flight each
-           distinct point once, compute store keys.
-        2. **Partition**: look every key up in the store once (with
+    def execute(
+        self,
+        points: Sequence[PlannedPoint],
+        settled: Optional[Mapping[int, ExperimentReport]] = None,
+        jobs: Optional[int] = None,
+        policy: Optional["FaultPolicy"] = None,
+    ) -> Iterator[ExperimentReport]:
+        """The one executor: stream the reports of planned points in grid order.
+
+        ``points`` come from :meth:`plan` or :meth:`plan_point`, ``settled``
+        holds the grid indices the planner already settled as quarantine
+        rows.  Every run, sweep and served request goes through these steps:
+
+        1. **Partition**: look every key up in the store once (with
            ``resume``); recorded points are served without building anything.
-        3. **Execute** the misses through one executor: in this process (so
-           this runner's instance cache stays warm) for ``jobs=1`` without a
-           watchdog, and for a lone miss under the fail-fast policy; otherwise
-           on the :class:`~repro.experiments.supervise.SweepSupervisor`
-           process pool.  The yielded order and every report row are the same
-           either way.
-        4. **Merge** in grid order, persisting healthy rows only and updating
+        2. **Execute** the misses: in this process (so this runner's instance
+           cache stays warm) for ``jobs=1`` without a watchdog, and for a lone
+           miss under the fail-fast policy; otherwise on the
+           :class:`~repro.experiments.supervise.SweepSupervisor` process pool.
+           The yielded order and every report row are the same either way.
+        3. **Merge** in grid order, persisting healthy rows only and updating
            ``eval_count``/``store_hits``/``retries``/``quarantined``.
 
         ``policy`` (a :class:`~repro.experiments.policy.FaultPolicy`)
@@ -835,18 +860,9 @@ class ExperimentRunner:
         an aborted sweep.  Under the default policy the first failure in grid
         order is raised unchanged.
         """
-        from repro.experiments.parallel import resolve_jobs
-
         policy = policy if policy is not None else FaultPolicy()
         jobs = resolve_jobs(jobs)
-        points, settled = self.plan(
-            scenario,
-            grid,
-            formulas,
-            minimize,
-            keyed=self.store is not None,
-            policy=policy,
-        )
+        settled = dict(settled or {})
         with self._lock:
             self.quarantined += len(settled)
         total = len(points) + len(settled)
@@ -929,14 +945,15 @@ class ExperimentRunner:
         minimize: bool = False,
         jobs: Optional[int] = None,
         policy: Optional["FaultPolicy"] = None,
+        params: Optional[Mapping[str, object]] = None,
     ) -> List[ExperimentReport]:
         """Run every point of a parameter grid.
 
         ``grid`` maps parameter names to iterables of values; the sweep runs the
-        cartesian product (parameters absent from the grid keep their defaults)
-        in a stable order.  With ``minimize=True`` every grid point is evaluated
-        on its bisimulation quotient (computed once per point and cached on the
-        instance).
+        cartesian product in a stable order.  ``params`` fixes parameters that
+        are not swept; the rest keep their defaults.  With ``minimize=True``
+        every grid point is evaluated on its bisimulation quotient (computed
+        once per point and cached on the instance).
 
         ``jobs`` selects parallel execution: ``None``/``1`` evaluates in this
         process, ``N > 1`` shards the grid across ``N`` worker processes, and
@@ -944,7 +961,7 @@ class ExperimentRunner:
         deterministic grid order either way, with identical rows — only the
         timing fields (``build_seconds``/``eval_seconds``) reflect where the
         work actually ran.  ``policy`` governs failing points exactly as in
-        :meth:`iter_sweep`, which documents the pipeline.
+        :meth:`execute`, which documents the pipeline.
         """
         return list(
             self.iter_sweep(
@@ -954,5 +971,6 @@ class ExperimentRunner:
                 minimize=minimize,
                 jobs=jobs,
                 policy=policy,
+                params=params,
             )
         )

@@ -3,7 +3,7 @@
 :class:`SweepSupervisor` is the only code in the package that runs a
 process pool (``tools/lint_repo.py`` rule LNT004 keeps it that way).  The
 runner's sweep pipeline — plan, partition against the store, execute, merge
-(see :meth:`~repro.experiments.runner.ExperimentRunner.iter_sweep`) — hands
+(see :meth:`~repro.experiments.runner.ExperimentRunner.execute`) — hands
 it the store misses whenever a sweep needs a pool: ``jobs > 1`` or a
 watchdog.  The policy decides how a failing grid point degrades:
 

@@ -25,9 +25,7 @@ host a server from synchronous code (tests, benchmarks, the load driver).
 from repro.serve.app import ServeApp, ServerThread, run_server
 from repro.serve.coalesce import CoalescingMap
 from repro.serve.schema import (
-    RunRequest,
     ServeRequestError,
-    SweepRequest,
     parse_run_request,
     parse_sweep_request,
 )
@@ -37,8 +35,6 @@ __all__ = [
     "ServerThread",
     "run_server",
     "CoalescingMap",
-    "RunRequest",
-    "SweepRequest",
     "ServeRequestError",
     "parse_run_request",
     "parse_sweep_request",

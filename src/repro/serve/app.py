@@ -274,9 +274,7 @@ class ServeApp:
             elif method == "POST" and path == "/run":
                 payload = await handlers.handle_run(state, _parse_body(body))
             elif method == "POST" and path == "/sweep":
-                _request, lines = await handlers.sweep_lines(
-                    state, _parse_body(body)
-                )
+                lines = await handlers.sweep_lines(state, _parse_body(body))
                 await self._write_ndjson(writer, lines)
                 return False
             elif path in ("/run", "/sweep", "/healthz", "/stats", "/scenarios"):

@@ -5,6 +5,11 @@ runner, executor, coalescing map and counters — returning JSON-ready
 payloads (or, for sweeps, an async iterator of NDJSON lines).  The HTTP
 framing lives in :mod:`repro.serve.app`; nothing here reads sockets.
 
+``POST /run`` and ``POST /sweep`` plan their request once, on the event
+loop (:mod:`repro.serve.schema`), and execute that plan in the executor
+through :meth:`~repro.experiments.runner.ExperimentRunner.execute`, the
+same executor ``repro run`` and ``repro sweep`` use.
+
 The payload shapes deliberately mirror the CLI's ``--json`` renderings:
 ``GET /scenarios`` is ``repro list --json``, ``GET /scenarios/<name>`` is
 ``repro describe --json``, ``POST /run`` is ``repro run --json``, and every
@@ -19,7 +24,7 @@ import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import AsyncIterator, Dict, List, Optional, Tuple
+from typing import AsyncIterator, Dict, List, Tuple
 
 from repro.errors import ReproError
 from repro.experiments.registry import (
@@ -30,9 +35,7 @@ from repro.experiments.registry import (
 from repro.experiments.runner import ExperimentRunner
 from repro.serve.coalesce import CoalescingMap
 from repro.serve.schema import (
-    RunRequest,
     ServeRequestError,
-    SweepRequest,
     parse_run_request,
     parse_sweep_request,
 )
@@ -117,31 +120,28 @@ def handle_scenario_detail(state: ServeState, name: str) -> Dict[str, object]:
 
 
 async def handle_run(state: ServeState, payload: object) -> Dict[str, object]:
-    """``POST /run`` — validate, coalesce, evaluate in the executor.
+    """``POST /run`` — plan, coalesce, execute in the executor.
 
-    Validation (parameter coercion, formula normalisation, static
-    pre-flight) happens on the event loop — it is cheap and produces 400
-    bodies before any executor slot is taken.  The evaluation itself runs
-    in the executor under the request's content address: N concurrent
-    identical requests share one :meth:`ExperimentRunner.run` call and all
-    N receive renderings of the same report.
+    Planning (parameter coercion, formula normalisation, static pre-flight,
+    store key) happens on the event loop — it is cheap and produces 400
+    bodies before any executor slot is taken.  The planned point itself is
+    executed in the executor under its content address: N concurrent
+    identical requests share one
+    :meth:`~repro.experiments.runner.ExperimentRunner.execute` call and all N
+    receive renderings of the same report.
     """
-    request: RunRequest = parse_run_request(payload)
+    point = parse_run_request(payload)
     loop = asyncio.get_running_loop()
 
     def evaluate() -> Dict[str, object]:
-        report = state.runner.run(
-            request.scenario,
-            request.params,
-            formulas=request.formulas,
-            minimize=request.minimize,
-        )
+        (report,) = state.runner.execute([point])
         return report.to_dict()
 
     async def thunk() -> Dict[str, object]:
         return await loop.run_in_executor(state.executor, evaluate)
 
-    return await state.coalescer.run(request.digest, thunk)
+    digest = None if point.key is None else point.key.digest
+    return await state.coalescer.run(digest, thunk)
 
 
 def _ndjson(payload: Dict[str, object]) -> str:
@@ -149,12 +149,10 @@ def _ndjson(payload: Dict[str, object]) -> str:
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
-async def sweep_lines(
-    state: ServeState, payload: object
-) -> Tuple[SweepRequest, AsyncIterator[str]]:
-    """``POST /sweep`` — validate, then stream reports as NDJSON lines.
+async def sweep_lines(state: ServeState, payload: object) -> AsyncIterator[str]:
+    """``POST /sweep`` — plan, then stream the plan's reports as NDJSON lines.
 
-    Validation (including a pre-flight of every distinct grid point's
+    Planning (including a pre-flight of every distinct grid point's
     formula batch) runs before the first line, so an invalid sweep is a
     JSON error response, never a broken stream.  The returned iterator
     yields one compact ``report.to_dict()`` line per grid point in
@@ -168,10 +166,10 @@ async def sweep_lines(
     loop through an :class:`asyncio.Queue`; the loop keeps serving other
     requests (and ``/healthz``) while rows stream.  Consumer cancellation
     or shutdown flips a :class:`threading.Event` the producer checks
-    between grid points, so the generator underneath ``iter_sweep`` is
+    between grid points, so the generator underneath ``execute`` is
     closed promptly and the stream always stops at a line boundary.
     """
-    request: SweepRequest = parse_sweep_request(payload)
+    points, jobs = parse_sweep_request(payload, keyed=state.runner.store is not None)
     loop = asyncio.get_running_loop()
     queue: "asyncio.Queue[Tuple[str, object]]" = asyncio.Queue()
     stop = threading.Event()
@@ -179,13 +177,7 @@ async def sweep_lines(
     def produce() -> None:
         emitted = 0
         try:
-            stream = state.runner.iter_sweep(
-                request.scenario,
-                request.grid,
-                formulas=request.formulas,
-                minimize=request.minimize,
-                jobs=request.jobs,
-            )
+            stream = state.runner.execute(points, jobs=jobs)
             try:
                 for report in stream:
                     if stop.is_set() or state.shutdown.is_set():
@@ -232,4 +224,4 @@ async def sweep_lines(
             stop.set()
             future.cancel()
 
-    return request, lines()
+    return lines()

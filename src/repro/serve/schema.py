@@ -1,4 +1,4 @@
-"""Request validation for the evaluation service.
+"""Request validation and planning for the evaluation service.
 
 Every ``POST`` body the server accepts is validated *before* any model is
 built or an executor slot is taken, through exactly the code paths the CLI
@@ -6,8 +6,13 @@ uses: parameters coerce via :meth:`repro.experiments.registry.Parameter.coerce`
 (so a JSON ``4.0`` and a CLI ``-p n=4`` canonicalise to the same value — and
 the same store key), formulas normalise via
 :meth:`~repro.experiments.runner.ExperimentRunner.normalise_formulas`, and the
-batch runs through the :mod:`repro.logic.check` pre-flight (structured
-``REPxxx`` diagnostics travel back in the error body).
+runner's planner (:meth:`~repro.experiments.runner.ExperimentRunner.plan_point`
+for ``POST /run``, :meth:`~repro.experiments.runner.ExperimentRunner.plan`
+for ``POST /sweep``) runs the :mod:`repro.logic.check` pre-flight and keys
+the points (structured ``REPxxx`` diagnostics travel back in the error
+body).  The parsers return the plan itself, and the handlers hand it to
+:meth:`~repro.experiments.runner.ExperimentRunner.execute`: a request is
+planned once.
 
 Validation failures raise :class:`ServeRequestError`, which carries the HTTP
 status and a JSON-ready payload; the transport layer never has to interpret
@@ -16,18 +21,15 @@ library exceptions itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import CheckError, ReproError, ScenarioError
 from repro.experiments.registry import ScenarioSpec, get_scenario, scenario_names
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, PlannedPoint
 from repro.logic.syntax import Formula
 
 __all__ = [
     "ServeRequestError",
-    "RunRequest",
-    "SweepRequest",
     "parse_run_request",
     "parse_sweep_request",
 ]
@@ -179,48 +181,15 @@ def _bool_field(payload: Mapping[str, object], name: str) -> bool:
     return value
 
 
-@dataclass(frozen=True)
-class RunRequest:
-    """One validated ``POST /run`` body, ready for the runner.
+def parse_run_request(payload: object) -> PlannedPoint:
+    """Validate and plan a ``POST /run`` body end to end.
 
-    ``params`` is the *validated* assignment (defaults merged, values
-    coerced); ``formulas`` is the normalised batch or ``None`` for the
-    scenario's defaults; ``digest`` is the coalescing content address —
-    exactly the persistent store's key (:func:`repro.experiments.store.request_key`),
-    so an in-flight evaluation and a stored row answer the same set of
-    requests — or ``None`` when a formula has no canonical text form (such
-    requests simply never coalesce).
-    """
-
-    scenario: str
-    params: Dict[str, object]
-    formulas: Optional[List[Tuple[str, Formula]]]
-    minimize: bool
-    digest: Optional[str]
-
-
-@dataclass(frozen=True)
-class SweepRequest:
-    """One validated ``POST /sweep`` body, ready for ``iter_sweep``.
-
-    ``grid`` maps every axis (swept axes plus fixed parameters as
-    single-value axes, exactly like the CLI) to its coerced value list.
-    """
-
-    scenario: str
-    grid: Dict[str, List[object]]
-    formulas: Optional[List[Tuple[str, Formula]]]
-    minimize: bool
-    jobs: Optional[int]
-    point_count: int = field(default=0)
-
-
-def parse_run_request(payload: object) -> RunRequest:
-    """Validate a ``POST /run`` body end to end.
-
-    Runs the same pipeline as ``repro run``: parameter coercion, formula
-    normalisation, and the static pre-flight check — a request that fails any
-    stage raises :class:`ServeRequestError` before anything is built.
+    Runs the same planner as ``repro run``: parameter coercion, formula
+    normalisation, the static pre-flight check and the store key — a request
+    that fails any stage raises :class:`ServeRequestError` before anything is
+    built.  The point is always keyed: its key's digest is the coalescing
+    content address (``None`` when a formula has no canonical text form, and
+    such requests never coalesce), and the runner executes this same point.
     """
     body = _require_object(payload)
     _check_fields(body, ("scenario", "params", "formulas", "minimize"))
@@ -229,16 +198,9 @@ def parse_run_request(payload: object) -> RunRequest:
     batch = _normalised_batch(_formula_entries(body))
     minimize = _bool_field(body, "minimize")
     try:
-        point = ExperimentRunner.plan_point(spec, validated, batch, minimize, keyed=True)
+        return ExperimentRunner.plan_point(spec, validated, batch, minimize, keyed=True)
     except ReproError as error:
         raise _reject(error) from None
-    return RunRequest(
-        scenario=spec.name,
-        params=validated,
-        formulas=batch,
-        minimize=minimize,
-        digest=None if point.key is None else point.key.digest,
-    )
 
 
 def _grid_axes(
@@ -267,14 +229,17 @@ def _grid_axes(
     return axes
 
 
-def parse_sweep_request(payload: object) -> SweepRequest:
-    """Validate a ``POST /sweep`` body end to end.
+def parse_sweep_request(
+    payload: object, keyed: bool = False
+) -> Tuple[List[PlannedPoint], Optional[int]]:
+    """Validate and plan a ``POST /sweep`` body end to end.
 
-    Mirrors ``repro sweep``: the swept grid and the fixed parameters merge
-    into one full grid (fixed values become single-value axes), and every
-    distinct grid point's
-    formula batch is pre-flighted before the response stream starts — an
-    invalid batch is a 400 error body, never a broken NDJSON stream.
+    Mirrors ``repro sweep``: the planner merges the fixed parameters into the
+    swept grid as single-value axes and pre-flights every distinct grid
+    point's formula batch before the response stream starts — an invalid
+    batch is a 400 error body, never a broken NDJSON stream.  Returns the
+    planned points (``keyed`` when the server has a store) and the requested
+    ``jobs``; the stream executes exactly this plan.
     """
     body = _require_object(payload)
     _check_fields(
@@ -283,43 +248,21 @@ def parse_sweep_request(payload: object) -> SweepRequest:
     )
     spec = _get_scenario(body)
     axes = _grid_axes(spec, body)
-
     fixed = body.get("params", {})
     if not isinstance(fixed, Mapping):
         raise ServeRequestError(
             "'params' must be a JSON object of fixed parameter values, "
             f"got {type(fixed).__name__}"
         )
-    for name in fixed:
-        if name in axes:
-            raise ServeRequestError(
-                f"parameter {name!r} is both fixed (params) and swept (grid)"
-            )
-        try:
-            axes[str(name)] = [spec.parameter(str(name)).coerce(fixed[name])]
-        except ScenarioError as error:
-            raise _reject(error) from None
-
     batch = _normalised_batch(_formula_entries(body))
-
     minimize = _bool_field(body, "minimize")
     jobs = body.get("jobs")
     if jobs is not None and (not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 0):
         raise ServeRequestError(f"'jobs' must be a non-negative integer, got {jobs!r}")
-
-    # Plan (and so pre-flight) every grid point now, while a 400 body is
-    # still possible (the stream's 200 status is committed before iter_sweep
-    # runs).
     try:
-        points, _ = ExperimentRunner.plan(spec.name, axes, batch, minimize)
+        points, _ = ExperimentRunner.plan(
+            spec.name, axes, batch, minimize, keyed=keyed, params=fixed
+        )
     except ReproError as error:
         raise _reject(error) from None
-
-    return SweepRequest(
-        scenario=spec.name,
-        grid=axes,
-        formulas=batch,
-        minimize=minimize,
-        jobs=jobs,
-        point_count=len(points),
-    )
+    return points, jobs

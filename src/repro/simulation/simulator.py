@@ -197,8 +197,12 @@ class Simulator:
         for processor in env.processors:
             if time < wake_times[processor]:
                 continue
-            history = self._history(
-                processor, time, events, initial_states, wake_times, clocks
+            history = LocalHistory.at(
+                time,
+                events[processor],
+                initial_states[processor],
+                wake_times[processor],
+                clocks[processor],
             )
             action = self._joint.step(processor, history, time)
             if not isinstance(action, Action):
@@ -251,35 +255,6 @@ class Simulator:
                 else:
                     branch_pending.setdefault(outcome, []).append(message)
             yield (time + 1, branch_events, branch_pending, branch_choices, next_uid)
-
-    def _history(
-        self,
-        processor: Agent,
-        time: int,
-        events: Dict[Agent, Dict[int, List[Event]]],
-        initial_states: Dict[Agent, Hashable],
-        wake_times: Dict[Agent, int],
-        clocks: Dict[Agent, Clock],
-    ) -> LocalHistory:
-        wake = wake_times[processor]
-        if time < wake:
-            return LocalHistory.asleep()
-        clock = clocks[processor]
-        observed: List[Tuple[Optional[float], Event]] = []
-        for t in range(wake, time):
-            marker = clock[t] if clock is not None else None
-            for event in events[processor].get(t, ()):
-                observed.append((marker, event))
-        readings = None
-        if clock is not None:
-            readings = tuple(clock[t] for t in range(wake, time + 1))
-        return LocalHistory(
-            awake=True,
-            initial_state=initial_states[processor],
-            wake_time=clock[wake] if clock is not None else None,
-            events=tuple(observed),
-            clock_readings=readings,
-        )
 
     def _finish(
         self,

@@ -82,6 +82,39 @@ class LocalHistory:
             clock_readings=None,
         )
 
+    @staticmethod
+    def at(
+        time: int,
+        events_by_time: Mapping[int, Sequence[Event]],
+        initial_state: Hashable,
+        wake: int,
+        clock: Optional[Clock],
+    ) -> "LocalHistory":
+        """``h(p, r, t)`` at ``time`` from what ``p`` observes at each time.
+
+        ``events_by_time`` maps a time to the events ``p`` observes then;
+        ``wake`` is ``p``'s real wake-up time and ``clock`` its clock, if any.
+        Both :meth:`Run.history` and the simulator, which hands protocols
+        their histories while the run is still being built, build through
+        here, so a protocol sees exactly the history the finished run has.
+        """
+        if time < wake:
+            return LocalHistory.asleep()
+        observed: List[Tuple[Optional[float], Event]] = []
+        for t in range(wake, time):
+            marker = clock[t] if clock is not None else None
+            for event in events_by_time.get(t, ()):
+                observed.append((marker, event))
+        return LocalHistory(
+            awake=True,
+            initial_state=initial_state,
+            wake_time=clock[wake] if clock is not None else None,
+            events=tuple(observed),
+            clock_readings=(
+                None if clock is None else tuple(clock[t] for t in range(wake, time + 1))
+            ),
+        )
+
     def message_events(self) -> Tuple[Tuple[int, Event], ...]:
         """Only the send/receive events of the history."""
         return tuple(
@@ -308,26 +341,13 @@ class Run:
         if cached is not None:
             return cached
 
-        wake = self._wake_times[processor]
-        if time < wake:
-            history = LocalHistory.asleep()
-        else:
-            clock = self._clocks[processor]
-            observed: List[Tuple[Optional[float], Event]] = []
-            for t in range(wake, time):
-                marker = clock[t] if clock is not None else None
-                for event in self._events[processor].get(t, ()):
-                    observed.append((marker, event))
-            readings = None
-            if clock is not None:
-                readings = tuple(clock[t] for t in range(wake, time + 1))
-            history = LocalHistory(
-                awake=True,
-                initial_state=self._initial_states[processor],
-                wake_time=clock[wake] if clock is not None else None,
-                events=tuple(observed),
-                clock_readings=readings,
-            )
+        history = LocalHistory.at(
+            time,
+            self._events[processor],
+            self._initial_states[processor],
+            self._wake_times[processor],
+            self._clocks[processor],
+        )
         self._history_cache[key] = history
         return history
 

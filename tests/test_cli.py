@@ -172,6 +172,42 @@ def test_sweep_rejects_conflicting_axis(capsys):
     assert "both fixed" in err
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_sweep_rejected_plan_is_a_usage_error(capsys, json_flag):
+    # The planner's static pre-flight rejects the batch before any output:
+    # exit 2, as for ``repro run``, with nothing on stdout (not even ``[]``).
+    code, out, err = run_cli(
+        capsys,
+        "sweep", "muddy_children", "-g", "n=2..3", "-f", "K_zz at_least_one",
+        "--no-store", *json_flag,
+    )
+    assert code == 2
+    assert out == ""
+    assert "REP101" in err and "sweep aborted" not in err
+
+
+def test_sweep_rejected_plan_is_quarantined_under_skip(capsys):
+    code, out, _err = run_cli(
+        capsys,
+        "sweep", "muddy_children", "-g", "n=2..3", "-f", "K_zz at_least_one",
+        "--no-store", "--on-error", "skip", "--json",
+    )
+    assert code == 3
+    payload = json.loads(out)
+    assert [report["error"]["kind"] for report in payload[:-1]] == ["error", "error"]
+    assert payload[-1]["failure_summary"]["quarantined"] == 2
+
+
+def test_sweep_build_failure_stays_an_abort(capsys):
+    # Each parameter is valid on its own, so the plan passes; the builder
+    # rejects the combination mid-sweep, which is an aborted sweep (exit 1).
+    code, _out, err = run_cli(
+        capsys, "sweep", "muddy_children", "-g", "k=3..4", "-p", "n=3", "--no-store"
+    )
+    assert code == 1
+    assert "sweep aborted" in err and "between 0 and n" in err
+
+
 def test_sweep_bad_range(capsys):
     code, _, err = run_cli(capsys, "sweep", "muddy_children", "-g", "n=5..2")
     assert code == 2

@@ -385,7 +385,7 @@ def test_digest_identical_across_json_and_cli_spellings():
         {"scenario": "muddy_children", "params": {"n": "4", "k": "2"}},
         {"scenario": "muddy_children", "params": {"k": 2, "n": 4}},
     ]
-    digests = {parse_run_request(payload).digest for payload in spellings}
+    digests = {parse_run_request(payload).key.digest for payload in spellings}
     assert len(digests) == 1
     assert None not in digests
 
@@ -537,15 +537,15 @@ def test_parse_run_request_rejects_non_object():
 
 
 def test_parse_sweep_request_counts_grid_points():
-    request = parse_sweep_request(
+    points, jobs = parse_sweep_request(
         {
             "scenario": "muddy_children",
             "grid": {"n": [2, 3, 4]},
             "params": {"k": 1},
         }
     )
-    assert request.point_count == 3
-    assert request.grid["k"] == [1]
+    assert len(points) == 3 and jobs is None
+    assert [dict(point.run.params_key)["k"] for point in points] == [1, 1, 1]
 
 
 def test_parse_sweep_request_rejects_empty_axis():

@@ -505,3 +505,80 @@ class TestDeliveryInvariantsOverGeneratedProtocols:
                     ]
                     lost = [entry for entry in set(siblings) if entry.endswith(":lost")]
                     assert len(lost) == 1, (seed, run.name, position)
+
+
+# -- Section 5: a protocol sees exactly its local history -----------------------
+
+
+@pytest.fixture
+def recorded_histories(monkeypatch):
+    """Record every history handed to a protocol during enumeration.
+
+    Each ``Simulator.runs`` call appends ``(runs, seen)``, where ``seen`` maps
+    ``(processor, time)`` to the set of histories the protocol was asked
+    to act on there, over every branch of the enumeration.
+    """
+    recorded = []
+    original = Simulator.runs
+
+    def runs(self):
+        joint = self._joint
+        seen = {}
+
+        class Recorder:
+            def step(self, processor, history, time):
+                seen.setdefault((processor, time), set()).add(history)
+                return joint.step(processor, history, time)
+
+        self._joint = Recorder()
+        try:
+            result = original(self)
+        finally:
+            self._joint = joint
+        recorded.append((result, seen))
+        return result
+
+    monkeypatch.setattr(Simulator, "runs", runs)
+    return recorded
+
+
+def assert_protocols_saw_run_histories(recorded):
+    """Every ``(p, t)`` a protocol acted at: the histories it was handed are
+    exactly ``Run.history(p, t)`` over the produced runs where ``p`` is awake.
+
+    Every branch of the enumeration ends in at least one run, so a history
+    handed to a protocol that no produced run has (or the converse) means the
+    simulator and ``Run.history`` disagree about ``h(p, r, t)``.
+    """
+    checked = 0
+    for runs, seen in recorded:
+        for (processor, time), histories in seen.items():
+            produced = {run.history(processor, time) for run in runs}
+            assert histories == {h for h in produced if h.awake}, (processor, time)
+            checked += 1
+    return checked
+
+
+def test_protocols_see_run_histories_on_every_system_scenario(recorded_histories):
+    from repro.experiments.registry import KIND_SYSTEM, ScenarioSpec, all_scenarios
+
+    simulated = []
+    for spec in all_scenarios():
+        if any(parameter.required for parameter in spec.parameters):
+            continue
+        built = spec.build(spec.validate_params({}))
+        if ScenarioSpec.kind_of(built.model) == KIND_SYSTEM:
+            # Every system scenario enumerates its runs through the simulator.
+            assert assert_protocols_saw_run_histories(recorded_histories) > 0, spec.name
+            simulated.append(spec.name)
+        recorded_histories.clear()
+    assert simulated
+
+
+def test_protocols_see_run_histories_on_random_protocols(recorded_histories, fuzz_seeds):
+    from repro.simulation.fuzz import random_system
+
+    for seed in list(fuzz_seeds)[:12]:
+        for delivery in ("reliable", "unreliable", "bounded"):
+            random_system(seed, horizon=3, delivery=delivery)
+    assert assert_protocols_saw_run_histories(recorded_histories) > 0
