@@ -65,7 +65,8 @@ Exit codes (``repro sweep``; ``repro run`` exits 2 on any library error)::
     2    usage/configuration error before any evaluation, with nothing on
          stdout: unknown scenario, malformed grid, bad flag values,
          unreadable store, or a grid point the planner rejects (parameter
-         validation or the static pre-flight of its formula batch)
+         validation or the static pre-flight of its formula batch); a
+         rejected plan creates no store file
     3    the sweep completed, but one or more grid points were quarantined
          under --on-error skip, planner rejections included (details in
          the failure summary)
@@ -248,8 +249,8 @@ def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _open_store(args: argparse.Namespace):
-    """The :class:`ResultStore` the flags select, or ``None`` for no store.
+def _store_path(args: argparse.Namespace) -> Optional[str]:
+    """The result-store path the flags select, or ``None`` for no store.
 
     ``--no-store`` wins over everything (including ``--resume``): the bypass
     must always be able to run fresh, whatever the environment says.
@@ -257,12 +258,18 @@ def _open_store(args: argparse.Namespace):
     if args.no_store:
         return None
     path = args.store or os.environ.get("REPRO_STORE")
+    if path is None and args.resume:
+        raise ReproError(
+            "--resume needs a result store; pass --store PATH or set "
+            "the REPRO_STORE environment variable"
+        )
+    return path
+
+
+def _open_store(args: argparse.Namespace):
+    """The :class:`ResultStore` the flags select, or ``None`` for no store."""
+    path = _store_path(args)
     if path is None:
-        if args.resume:
-            raise ReproError(
-                "--resume needs a result store; pass --store PATH or set "
-                "the REPRO_STORE environment variable"
-            )
         return None
     from repro.experiments.store import ResultStore
 
@@ -785,17 +792,19 @@ def _report_rows(report: "ExperimentReport") -> List[Tuple[object, ...]]:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.runner import ExperimentRunner
 
+    # Planned before the store is opened: a rejected request leaves no store
+    # file behind.
+    spec = get_scenario(args.scenario)
+    point = ExperimentRunner.plan_point(
+        spec,
+        spec.validate_params(dict(args.param)),
+        ExperimentRunner.normalise_formulas(args.formula) if args.formula else None,
+        args.minimize,
+        keyed=_store_path(args) is not None,
+    )
     store = _open_store(args)
     try:
-        runner = ExperimentRunner(store=store, resume=args.resume)
-        params = dict(args.param)
-        formulas = args.formula or None
-        report = runner.run(
-            args.scenario,
-            params,
-            formulas=formulas,
-            minimize=args.minimize,
-        )
+        (report,) = ExperimentRunner(store=store, resume=args.resume).execute([point])
     finally:
         if store is not None:
             store.close()
@@ -861,18 +870,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     resolve_jobs(args.jobs)  # fail fast: a bad --jobs is a usage error, exit 2
 
+    # The whole grid is planned before the store is opened or anything is
+    # printed, so a rejected plan is a usage error (exit 2) that leaves no
+    # output and no store file behind.
+    points, settled = ExperimentRunner.plan(
+        args.scenario,
+        grid,
+        args.formula or None,
+        args.minimize,
+        keyed=_store_path(args) is not None,
+        policy=policy,
+        params=dict(args.param),
+    )
     store = _open_store(args)
     try:
-        # iter_sweep plans the whole grid before it returns, so a rejected
-        # plan is a usage error (exit 2) and nothing has been printed yet.
-        report_stream = ExperimentRunner(store=store, resume=args.resume).iter_sweep(
-            args.scenario,
-            grid,
-            formulas=args.formula or None,
-            minimize=args.minimize,
-            jobs=args.jobs,
-            policy=policy,
-            params=dict(args.param),
+        report_stream = ExperimentRunner(store=store, resume=args.resume).execute(
+            points, settled, jobs=args.jobs, policy=policy
         )
         try:
             if args.json:

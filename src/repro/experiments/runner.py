@@ -807,7 +807,6 @@ class ExperimentRunner:
         minimize: bool = False,
         jobs: Optional[int] = None,
         policy: Optional["FaultPolicy"] = None,
-        params: Optional[Mapping[str, object]] = None,
     ) -> Iterator[ExperimentReport]:
         """Stream a sweep's reports in deterministic grid order.
 
@@ -815,10 +814,9 @@ class ExperimentRunner:
         :class:`ExperimentReport` as soon as it (and every report before it in
         grid order) is finished, instead of accumulating the whole list — this
         is what lets ``repro sweep --json`` print rows while later grid points
-        are still being evaluated.  The grid is planned (:meth:`plan`, with
-        ``params`` as fixed single-value axes) before this returns, so a
-        rejected grid raises from the call itself; the returned stream is
-        :meth:`execute` over the plan.
+        are still being evaluated.  The grid is planned (:meth:`plan`) before
+        this returns, so a rejected grid raises from the call itself; the
+        returned stream is :meth:`execute` over the plan.
         """
         points, settled = self.plan(
             scenario,
@@ -827,7 +825,6 @@ class ExperimentRunner:
             minimize,
             keyed=self.store is not None,
             policy=policy,
-            params=params,
         )
         return self.execute(points, settled, jobs=jobs, policy=policy)
 
@@ -945,15 +942,14 @@ class ExperimentRunner:
         minimize: bool = False,
         jobs: Optional[int] = None,
         policy: Optional["FaultPolicy"] = None,
-        params: Optional[Mapping[str, object]] = None,
     ) -> List[ExperimentReport]:
         """Run every point of a parameter grid.
 
         ``grid`` maps parameter names to iterables of values; the sweep runs the
-        cartesian product in a stable order.  ``params`` fixes parameters that
-        are not swept; the rest keep their defaults.  With ``minimize=True``
-        every grid point is evaluated on its bisimulation quotient (computed
-        once per point and cached on the instance).
+        cartesian product (parameters absent from the grid keep their defaults)
+        in a stable order.  With ``minimize=True`` every grid point is evaluated
+        on its bisimulation quotient (computed once per point and cached on the
+        instance).
 
         ``jobs`` selects parallel execution: ``None``/``1`` evaluates in this
         process, ``N > 1`` shards the grid across ``N`` worker processes, and
@@ -971,6 +967,5 @@ class ExperimentRunner:
                 minimize=minimize,
                 jobs=jobs,
                 policy=policy,
-                params=params,
             )
         )

@@ -169,7 +169,7 @@ async def sweep_lines(state: ServeState, payload: object) -> AsyncIterator[str]:
     between grid points, so the generator underneath ``execute`` is
     closed promptly and the stream always stops at a line boundary.
     """
-    points, jobs = parse_sweep_request(payload, keyed=state.runner.store is not None)
+    points, jobs = parse_sweep_request(payload)
     loop = asyncio.get_running_loop()
     queue: "asyncio.Queue[Tuple[str, object]]" = asyncio.Queue()
     stop = threading.Event()

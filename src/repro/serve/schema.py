@@ -229,17 +229,15 @@ def _grid_axes(
     return axes
 
 
-def parse_sweep_request(
-    payload: object, keyed: bool = False
-) -> Tuple[List[PlannedPoint], Optional[int]]:
+def parse_sweep_request(payload: object) -> Tuple[List[PlannedPoint], Optional[int]]:
     """Validate and plan a ``POST /sweep`` body end to end.
 
     Mirrors ``repro sweep``: the planner merges the fixed parameters into the
     swept grid as single-value axes and pre-flights every distinct grid
     point's formula batch before the response stream starts — an invalid
     batch is a 400 error body, never a broken NDJSON stream.  Returns the
-    planned points (``keyed`` when the server has a store) and the requested
-    ``jobs``; the stream executes exactly this plan.
+    keyed planned points and the requested ``jobs``; the stream executes
+    exactly this plan.
     """
     body = _require_object(payload)
     _check_fields(
@@ -261,7 +259,7 @@ def parse_sweep_request(
         raise ServeRequestError(f"'jobs' must be a non-negative integer, got {jobs!r}")
     try:
         points, _ = ExperimentRunner.plan(
-            spec.name, axes, batch, minimize, keyed=keyed, params=fixed
+            spec.name, axes, batch, minimize, keyed=True, params=fixed
         )
     except ReproError as error:
         raise _reject(error) from None

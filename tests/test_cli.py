@@ -186,6 +186,33 @@ def test_sweep_rejected_plan_is_a_usage_error(capsys, json_flag):
     assert "REP101" in err and "sweep aborted" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "muddy_children", "-g", "n=2", "-p", "n=3"),
+        ("sweep", "muddy_children", "-g", "n=,"),
+        ("sweep", "muddy_children", "-g", "n=2..3", "-f", "K_zz at_least_one"),
+        ("run", "muddy_children", "-f", "K_zz at_least_one"),
+    ],
+    ids=["fixed-and-swept", "empty-axis", "sweep-preflight", "run-preflight"],
+)
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+def test_rejected_request_creates_no_store(capsys, tmp_path, monkeypatch, argv, via_env):
+    # The request is planned before the store is opened: a usage error must
+    # not leave an empty store file behind.
+    path = tmp_path / "new.sqlite"
+    monkeypatch.delenv("REPRO_STORE", raising=False)
+    if via_env:
+        monkeypatch.setenv("REPRO_STORE", str(path))
+        store_flags = ()
+    else:
+        store_flags = ("--store", str(path))
+    code, out, _err = run_cli(capsys, *argv, *store_flags)
+    assert code == 2
+    assert out == ""
+    assert not path.exists()
+
+
 def test_sweep_rejected_plan_is_quarantined_under_skip(capsys):
     code, out, _err = run_cli(
         capsys,
