@@ -73,6 +73,13 @@ Exit codes (``repro sweep``; ``repro run`` exits 2 on any library error)::
     130  interrupted (Ctrl-C); already-completed rows are committed to the
          store and a --json stream is closed well-formed
 
+Exit codes (``repro serve``)::
+
+    2    usage/configuration error before listening: bad --workers or
+         --port, unreadable store, or an address that cannot be bound
+         (already in use, not local); one ``error:`` line, no traceback
+    130  stopped by Ctrl-C, SIGINT or SIGTERM after a graceful shutdown
+
 Imports are scoped to the verbs.  At module level the CLI loads only the
 scenario registry, whose built-in metadata is the light
 :mod:`repro.experiments.catalogue`, so ``list`` and ``describe`` import no
@@ -1008,6 +1015,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.workers is not None and args.workers < 1:
         raise ReproError(f"--workers must be at least 1, got {args.workers}")
+    if not 0 <= args.port <= 65535:
+        raise ReproError(f"--port must be in 0..65535, got {args.port}")
     store_path = None if args.no_store else (args.store or os.environ.get("REPRO_STORE"))
     # run_server prints the bound address once listening, blocks until
     # Ctrl-C, shuts down gracefully, and re-raises KeyboardInterrupt so the

@@ -29,8 +29,9 @@ Both backends have one constructor and take the same inputs: an indexed universe
 each agent's partition as block masks, each agent's per-element class masks in
 bit-position order (the layouts :func:`~repro.engine.universe.partition_from_class_ids`
 groups out of class ids), the mask of the elements that make up the model
-(``full``; a public announcement on a cube keeps the parent's numbering and
-shrinks this mask instead) and the optional cube.  Hosts may hand the masks over
+(``full``; a public announcement keeps the parent's numbering and shrinks
+this mask instead, so every structure derived from one build evaluates over
+the same numbering) and the optional cube.  Hosts may hand the masks over
 as lazy mappings: the frozenset oracle reads the block masks, the bitset backend
 reads them only when there is no cube.  So both describe the same model; the
 differential tests check that they also agree on every formula.

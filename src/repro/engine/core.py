@@ -128,9 +128,10 @@ class EvaluationEngine:
         that cache their closures; the bitset backend reuses them.
     full:
         The mask of the elements that make up the model (default: the whole
-        universe).  A host whose model is a restriction of a larger
-        numbering passes the survivors here instead of renumbering them;
-        every extension, ``full`` included, stays inside this mask.
+        universe).  A Kripke structure passes its survivor mask here: every
+        structure derived from one build (announcements, refinements, new
+        valuations) keeps that build's numbering and only shrinks ``full``.
+        Every extension, ``full`` included, stays inside this mask.
     cube:
         Optional :class:`~repro.engine.universe.Hypercube` describing the same
         partitions as ``blocks`` by hidden index bits; the bitset backend

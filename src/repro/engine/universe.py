@@ -156,17 +156,6 @@ class IndexedUniverse:
         # Not int.bit_count: it needs Python 3.10, and the package supports 3.9.
         return bin(mask).count("1")
 
-    def subuniverse(self, survivor_mask: int) -> "Tuple[IndexedUniverse, MaskCompressor]":
-        """The universe of the elements in ``survivor_mask``, plus its remapper.
-
-        The sub-universe keeps the parent's relative element order, so a parent
-        whose order was sorted stays sorted after restriction.  The returned
-        :class:`MaskCompressor` translates parent-numbered masks into the
-        sub-universe's numbering.
-        """
-        compressor = MaskCompressor(survivor_mask)
-        return IndexedUniverse(self.elements_of(survivor_mask)), compressor
-
 
 def partition_from_class_ids(
     class_ids: Sequence[int],
@@ -453,9 +442,10 @@ class Segmentation:
 class MaskCompressor:
     """Remaps bitmasks from a parent universe onto the sub-universe of survivors.
 
-    Restriction in bitmask space is an AND against the survivor mask followed by
-    a *compression*: surviving bits are repacked contiguously, in order, so they
-    line up with the restricted structure's own :class:`IndexedUniverse`.  The
+    A *compression* is an AND against the survivor mask after which the
+    surviving bits are repacked contiguously, in order, so they line up with
+    an :class:`IndexedUniverse` of the survivors alone (a restricted Kripke
+    structure's public numbering).  The
     compressor keeps the parent-position -> child-position table and the
     survivor mask's digit flags, and remaps any mask in time linear in the
     parent's width (see :func:`select_bits`).

@@ -77,9 +77,9 @@ def public_announce(
     ``checker`` optionally reuses an existing evaluator *over the same structure*
     (and with it, its accumulated formula memo) instead of constructing a fresh
     one; a checker bound to any other structure is rejected.  The survivors
-    stay a bitmask from the evaluator to the restriction, so a
-    hypercube-shaped structure keeps its cube and only shrinks its survivor
-    mask.
+    stay a bitmask from the evaluator to the restriction, which keeps the
+    structure's numbering and partitions (a cube stays a cube) and only
+    shrinks its survivor mask.
     """
     checker = _checker_for(structure, checker)
     surviving = checker.extension_mask(fact)
@@ -201,9 +201,10 @@ class UpdateChain:
       intermediate model (queries between updates share its formula memo);
     * applies updates through the structure's derived fast path (a
       restriction to the announcement's extension mask, a split of every block
-      by the answer masks), so partition masks, world numberings and
-      proposition extensions are remapped from the parent rather than
-      recomputed;
+      by the answer masks), which keeps the world numbering of the first
+      structure: a restriction only shrinks the survivor mask, a refinement
+      splits blocks in place, and proposition extensions are shared rather
+      than recomputed;
     * returns each round's ``Knows`` extensions from :meth:`answer_round`, so
       callers read the answers off the very extensions that drove the update.
 

@@ -118,12 +118,12 @@ class ModelChecker:
         backend: Optional[str] = None,
     ):
         self._structure = structure
-        # The structure caches its world numbering, partition masks,
-        # reachability closures and proposition masks, so every checker over
-        # it shares them.  Derived structures (announcement restrictions /
-        # refinements) inherit proposition masks from their parent by
-        # remapping, so a checker over an update chain starts with its atomic
-        # extensions warm instead of rescanning the valuation.
+        # The structure caches its partition masks, reachability closures and
+        # proposition masks, so every checker over it shares them.  Derived
+        # structures (announcement restrictions, refinements) keep the world
+        # numbering and the proposition masks of the build they come from, so
+        # a checker over an update chain starts with its atomic extensions
+        # warm instead of rescanning the valuation.
         masks = structure.evaluation_masks()
         self._engine = EvaluationEngine(
             masks.universe,

@@ -8,9 +8,9 @@ propositions at each world, and one *equivalence relation* per agent (S5 semanti
 the relations arise from "has the same view", which is reflexive, symmetric and
 transitive).
 
-Relations are stored as partitions (lists of equivalence classes), which keeps the
-S5 property true by construction and makes the common-knowledge reachability
-computation a cheap union-find style pass.
+Relations are stored as partitions, which keeps the S5 property true by
+construction and makes the common-knowledge reachability computation a cheap
+union-find style pass.
 
 Construction
 ------------
@@ -29,30 +29,36 @@ A structure is built in one of two forms.
   subcubes over the index bits it cannot see
   (:class:`~repro.engine.universe.Hypercube`).  No block mask is stored; the
   bitset backend evaluates knowledge with shift-and-mask closures, and the
-  worlds, the valuation and the masks the public accessors return are built
-  from the cube only when one of them is called.
+  worlds and the valuation are built from the cube only when an accessor
+  asks for them.
 
-The frozenset view of the partitions is materialised only when a
-frozenset-level accessor asks for it.
+Either build makes a *root*: the world numbering and the valuation, which
+every structure derived from it shares.
 
 Derived structures
 ------------------
-Model *updates* — a public announcement restricting the worlds, an agent privately
-learning an observable — produce structures that differ from their parent in a
-controlled way.  :meth:`KripkeStructure.restrict` and
-:meth:`KripkeStructure.refine_agents` therefore construct *derived* structures in
-bitmask space: a restriction is an AND of every parent partition block against the
-survivor mask (remapped through a :class:`~repro.engine.universe.MaskCompressor`),
-a refinement splits blocks in place under the unchanged world numbering, and
-proposition extensions are remapped rather than rescanned.  Derived structures skip
-the constructor's validation (their invariants hold by construction), so a chain of
-updates evaluated on the bitset engine backend never leaves bitmask space.  A
-cube structure restricts by shrinking its survivor mask ``S`` under the
-unchanged root numbering, with no remapping at all.  The
-differential tests in ``tests/test_derived_structures.py`` and
-``tests/test_class_id_construction.py`` pin derived and class-id-built structures
-to be observably identical to the seed's from-scratch rebuilds
-(:mod:`repro.kripke.reference`).
+Model *updates* — a public announcement restricting the worlds, an agent
+privately learning an observable — produce structures that differ from their
+parent in a controlled way.  Every structure is a survivor mask ``S`` over its
+root's numbering plus a partition source (block masks in that numbering, or
+the cube), so no update renumbers the worlds: :meth:`KripkeStructure.restrict`
+only shrinks ``S``, a refinement splits blocks in place, and
+:meth:`KripkeStructure.with_valuation` swaps the valuation.  The evaluation
+engine takes the root numbering with ``S`` as its ``full`` mask
+(:meth:`KripkeStructure.evaluation_masks`), so a chain of updates evaluated on
+the bitset backend never leaves bitmask space.  Derived structures skip the
+constructor's validation (their invariants hold by construction).
+
+The public accessors (:meth:`~KripkeStructure.indexed_universe`,
+:meth:`~KripkeStructure.partition_masks`, :meth:`~KripkeStructure.prop_mask`...)
+answer in the ``repr``-ordered numbering of the survivors alone.  While ``S``
+is the whole root that is the root numbering; otherwise the survivors'
+masks are compressed into it (:class:`~repro.engine.universe.MaskCompressor`)
+on first use.  The frozenset view of the partitions is materialised only when
+a frozenset-level accessor asks for it.  The differential tests in
+``tests/test_derived_structures.py`` and ``tests/test_class_id_construction.py``
+pin derived and class-id-built structures to be observably identical to the
+seed's from-scratch rebuilds (:mod:`repro.kripke.reference`).
 """
 
 from __future__ import annotations
@@ -72,6 +78,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.engine.universe import (
@@ -91,6 +98,9 @@ __all__ = ["World", "KripkeStructure", "EvaluationMasks"]
 World = Hashable
 """Worlds may be any hashable value (strings, tuples, frozensets...)."""
 
+Partition = Tuple[Tuple[int, ...], Optional[Tuple[int, ...]]]
+"""An agent's block masks and, when already known, its per-position class masks."""
+
 
 class EvaluationMasks(NamedTuple):
     """A structure in the form :class:`repro.engine.EvaluationEngine` takes.
@@ -100,8 +110,8 @@ class EvaluationMasks(NamedTuple):
     ``class_at`` map each agent to its partition masks and per-position class
     masks; they are computed on first lookup, so a backend that does not
     read them costs nothing.  ``cube`` is the hidden-bit form of the same
-    partitions, when the structure has one; the class masks are then left
-    empty, since only the bitset backend reads them, and only without a cube.
+    partitions, when the structure has one; the bitset backend then reads
+    neither the class masks nor ``component_masks``.
     """
 
     universe: IndexedUniverse
@@ -116,12 +126,12 @@ class EvaluationMasks(NamedTuple):
 class _AgentMasks(Mapping):
     """A read-only agent -> masks mapping that computes each entry on first use."""
 
-    def __init__(self, agents: FrozenSet[Agent], compute: Callable[[Agent], Tuple[int, ...]]):
+    def __init__(self, agents: FrozenSet[Agent], compute: Callable[[Agent], Tuple]):
         self._agents = agents
         self._compute = compute
-        self._cache: Dict[Agent, Tuple[int, ...]] = {}
+        self._cache: Dict[Agent, Tuple] = {}
 
-    def __getitem__(self, agent: Agent) -> Tuple[int, ...]:
+    def __getitem__(self, agent: Agent) -> Tuple:
         masks = self._cache.get(agent)
         if masks is None:
             if agent not in self._agents:
@@ -137,6 +147,133 @@ class _AgentMasks(Mapping):
 
     def __len__(self) -> int:
         return len(self._agents)
+
+
+class _Memo(dict):
+    """A dict that computes a missing entry with ``compute`` and keeps it."""
+
+    def __init__(self, compute: Callable):
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self._compute(key)
+        return value
+
+
+def _clipped(blocks: Sequence[int], survivors: int) -> Tuple[int, ...]:
+    """The non-empty parts of ``blocks`` inside ``survivors``."""
+    return tuple(block & survivors for block in blocks if block & survivors)
+
+
+class _Root:
+    """The world numbering and the valuation that a build and every
+    structure derived from it share.
+
+    ``universe`` makes the numbering on first use.  The valuation is
+    ``table`` or, for a cube, the function ``facts`` the table is built from
+    on first use; ``atom`` then gives a proposition's extension straight from
+    the cube.  Extensions are cached by name in the root numbering
+    (``prop_masks``); without ``atom`` the first miss scans the table once
+    for every name.
+    """
+
+    def __init__(
+        self,
+        universe: Callable[[], IndexedUniverse],
+        table: Optional[Dict[World, FrozenSet[str]]] = None,
+        facts: Optional[Callable[[World], AbstractSet[str]]] = None,
+        atom: Optional[Callable[[str], int]] = None,
+    ):
+        self._make_universe = universe
+        self._universe: Optional[IndexedUniverse] = None
+        self._table = table
+        self._facts = facts
+        self._atom = atom
+        self.prop_masks: Dict[str, int] = {}
+        self._scanned = False
+
+    def universe(self) -> IndexedUniverse:
+        """Every root world, numbered by bit position."""
+        if self._universe is None:
+            self._universe = self._make_universe()
+        return self._universe
+
+    def table(self) -> Dict[World, FrozenSet[str]]:
+        """The propositions true at each world (absent worlds satisfy none)."""
+        if self._table is None:
+            facts = self._facts
+            self._table = {world: frozenset(facts(world)) for world in self.universe()}
+        return self._table
+
+    def prop_mask(self, name: str) -> int:
+        """The extension of ``name`` over the whole root."""
+        cached = self.prop_masks.get(name)
+        if cached is None:
+            if self._atom is not None:
+                cached = self.prop_masks[name] = self._atom(name)
+            elif self._scanned:
+                cached = 0
+            else:
+                self._scan()
+                cached = self.prop_masks.get(name, 0)
+        return cached
+
+    def _scan(self) -> None:
+        table = self.table()
+        masks = self.prop_masks
+        get = masks.get
+        bit = 1
+        for world in self.universe().elements:
+            for name in table.get(world, ()):
+                masks[name] = get(name, 0) | bit
+            bit <<= 1
+        self._scanned = True
+
+
+class _View:
+    """A structure's masks in one world numbering, each computed on first use.
+
+    ``partition(agent)`` and ``prop(name)`` give an agent's :data:`Partition`
+    and a proposition's extension in the numbering of ``universe``, in which
+    ``full`` marks the structure's worlds.  The per-world class masks, when
+    the partition does not bring them, and the G-reachability components
+    follow from the blocks.
+    """
+
+    def __init__(
+        self,
+        universe: IndexedUniverse,
+        full: int,
+        agents: FrozenSet[Agent],
+        partition: Callable[[Agent], Partition],
+        prop: Callable[[str], int],
+    ):
+        self.universe = universe
+        self.full = full
+        self.partitions = _AgentMasks(agents, partition)
+        self.blocks = _AgentMasks(agents, lambda agent: self.partitions[agent][0])
+        self.class_at = _AgentMasks(agents, self._class_masks)
+        self.props = _Memo(prop)
+        self.components = _Memo(self._components)
+
+    def _components(self, members: Tuple[Agent, ...]) -> Tuple[int, ...]:
+        # A position outside ``full`` has no class: a component of its own.
+        class_ats = [self.class_at[agent] for agent in members]
+        return tuple(part for part in reachability_components(class_ats) if part & self.full)
+
+    def _class_masks(self, agent: Agent) -> Tuple[int, ...]:
+        blocks, class_at = self.partitions[agent]
+        if class_at is not None:
+            return class_at
+        order = [0] * len(self.universe)
+        for block in blocks:
+            remaining = block
+            while remaining:
+                low = remaining & -remaining
+                order[low.bit_length() - 1] = block
+                remaining ^= low
+        return tuple(order)
 
 
 class KripkeStructure:
@@ -180,7 +317,7 @@ class KripkeStructure:
         valuation: Mapping[World, AbstractSet[str]],
         partitions: Mapping[Agent, Iterable[AbstractSet[World]]],
     ):
-        self._set_worlds_agents_valuation(worlds, agents, valuation)
+        table = self._set_worlds_agents_valuation(worlds, agents, valuation)
         world_list = list(self._worlds)
         class_ids = {
             agent: self._intern_blocks(agent, partitions.get(agent, []), world_list)
@@ -191,7 +328,7 @@ class KripkeStructure:
             raise UnknownAgentError(
                 f"partitions mention unknown agents: {sorted(map(repr, unknown_agents))}"
             )
-        self._install_class_ids(world_list, class_ids)
+        self._install_class_ids(world_list, class_ids, table)
 
     @classmethod
     def _from_class_ids(
@@ -217,8 +354,8 @@ class KripkeStructure:
         the ``repr``-sorted :meth:`indexed_universe`.
         """
         self = cls.__new__(cls)
-        self._set_worlds_agents_valuation(worlds, agents, valuation)
-        self._install_class_ids(worlds, class_ids)
+        table = self._set_worlds_agents_valuation(worlds, agents, valuation)
+        self._install_class_ids(worlds, class_ids, table)
         return self
 
     @classmethod
@@ -241,72 +378,69 @@ class KripkeStructure:
         per world; the worlds, the valuation, and the block masks are only
         built when an accessor that returns them is called.
         """
-        root = _CubeRoot(frozenset(agents), cube, make_worlds, facts, atom)
-        return _CubeStructure(root, cube.full_mask)
-
-    @classmethod
-    def _derived(
-        cls,
-        worlds: FrozenSet[World],
-        agents: FrozenSet[Agent],
-        valuation: Dict[World, FrozenSet[str]],
-        indexed: IndexedUniverse,
-        partition_masks: Mapping[Agent, Tuple[int, ...]],
-        *,
-        classes: Optional[Dict[Agent, Tuple[FrozenSet[World], ...]]] = None,
-        class_of: Optional[Dict[Agent, Dict[World, FrozenSet[World]]]] = None,
-        class_mask_orders: Optional[Dict[Agent, Tuple[int, ...]]] = None,
-        component_masks: Optional[Dict[Tuple[Agent, ...], Tuple[int, ...]]] = None,
-        prop_masks: Optional[Dict[str, int]] = None,
-        prop_masks_complete: bool = False,
-    ) -> "KripkeStructure":
-        """Trusted constructor for structures derived from an existing one.
-
-        Skips the public constructor's validation — the caller guarantees the
-        invariants (disjoint covering partitions, valuation over the worlds) hold
-        by construction.  The frozenset view of the partitions is *not* built
-        here; it materialises lazily from the masks on first use
-        (:meth:`_ensure_partitions`).
-
-        ``prop_masks`` is stored *by reference*: same-universe derivations (e.g.
-        refinements) deliberately share one proposition-mask cache with their
-        parent, because proposition extensions depend only on the universe and
-        the valuation, both unchanged.  No reference to the parent structure
-        itself is kept, so an update chain does not pin its intermediate models
-        in memory.  ``prop_masks_complete`` says the cache already holds every
-        name the valuation mentions.
-        """
         self = cls.__new__(cls)
-        self._worlds = worlds
-        self._agents = agents
-        self._valuation = valuation
-        self._class_of = class_of
-        self._classes = classes
-        self._indexed = indexed
-        self._partition_mask_cache = dict(partition_masks)
-        self._class_mask_order_cache = dict(class_mask_orders) if class_mask_orders else {}
-        self._component_mask_cache = dict(component_masks) if component_masks else {}
-        self._prop_mask_cache = prop_masks if prop_masks is not None else {}
-        self._prop_masks_complete = prop_masks_complete
+        root = _Root(lambda: IndexedUniverse(make_worlds()), facts=facts, atom=atom)
+        self._setup(frozenset(agents), root, cube.full_mask, cube)
         return self
+
+    def _setup(
+        self,
+        agents: FrozenSet[Agent],
+        root: _Root,
+        survivors: int,
+        partitions: Union[Hypercube, Mapping[Agent, Partition]],
+        worlds: Optional[FrozenSet[World]] = None,
+    ) -> None:
+        """Make this the structure of the ``survivors`` of ``root``.
+
+        ``partitions`` is a cube or each agent's :data:`Partition` in the
+        root numbering, inside ``survivors``.
+        """
+        self._agents = agents
+        self._root = root
+        self._survivors = survivors
+        self._partitions = partitions
+        self._cube = partitions if isinstance(partitions, Hypercube) else None
+        self._worlds = worlds
+        self._evaluation: Optional[_View] = None
+        self._public: Optional[_View] = None
+        self._classes: Optional[Dict[Agent, Tuple[FrozenSet[World], ...]]] = None
+        self._class_of: Optional[Dict[Agent, Dict[World, FrozenSet[World]]]] = None
+
+    def _derive(
+        self,
+        survivors: int,
+        partitions: Union[Hypercube, Mapping[Agent, Partition]],
+        root: Optional[_Root] = None,
+    ) -> "KripkeStructure":
+        """A structure over this one's root (or ``root``, which shares its numbering)."""
+        derived = KripkeStructure.__new__(KripkeStructure)
+        derived._setup(self._agents, root or self._root, survivors, partitions)
+        return derived
 
     def _set_worlds_agents_valuation(
         self,
         worlds: Iterable[World],
         agents: Iterable[Agent],
         valuation: Mapping[World, AbstractSet[str]],
-    ) -> None:
-        self._worlds: FrozenSet[World] = frozenset(worlds)
+    ) -> Dict[World, FrozenSet[str]]:
+        self._worlds: Optional[FrozenSet[World]] = frozenset(worlds)
         if not self._worlds:
             raise ModelError("a Kripke structure needs at least one world")
         self._agents: FrozenSet[Agent] = frozenset(agents)
         if not self._agents:
             raise ModelError("a Kripke structure needs at least one agent")
-        self._valuation: Dict[World, FrozenSet[str]] = {}
+        return self._valuation_table(valuation)
+
+    def _valuation_table(
+        self, valuation: Mapping[World, AbstractSet[str]]
+    ) -> Dict[World, FrozenSet[str]]:
+        table: Dict[World, FrozenSet[str]] = {}
         for world, facts in valuation.items():
-            if world not in self._worlds:
+            if world not in self.worlds:
                 raise UnknownWorldError(f"valuation mentions unknown world {world!r}")
-            self._valuation[world] = frozenset(facts)
+            table[world] = frozenset(facts)
+        return table
 
     def _intern_blocks(
         self,
@@ -348,7 +482,10 @@ class KripkeStructure:
         return ids
 
     def _install_class_ids(
-        self, world_list: Sequence[World], class_ids: Mapping[Agent, Sequence[int]]
+        self,
+        world_list: Sequence[World],
+        class_ids: Mapping[Agent, Sequence[int]],
+        table: Dict[World, FrozenSet[str]],
     ) -> None:
         """Number the worlds and group every agent's class ids into masks.
 
@@ -360,20 +497,13 @@ class KripkeStructure:
         """
         keys = [repr(world) for world in world_list]
         order = sorted(range(len(world_list)), key=keys.__getitem__)
-        self._indexed = IndexedUniverse([world_list[k] for k in order])
-        self._classes = None
-        self._class_of = None
-        self._partition_mask_cache = {}
-        self._class_mask_order_cache = {}
-        self._component_mask_cache = {}
-        self._prop_mask_cache = {}
-        self._prop_masks_complete = False
-        for agent in self._agents:
-            blocks, class_at = partition_from_class_ids(
-                list(map(class_ids[agent].__getitem__, order))
-            )
-            self._partition_mask_cache[agent] = blocks
-            self._class_mask_order_cache[agent] = class_at
+        universe = IndexedUniverse([world_list[k] for k in order])
+        partitions = {
+            agent: partition_from_class_ids(list(map(class_ids[agent].__getitem__, order)))
+            for agent in self._agents
+        }
+        root = _Root(lambda: universe, table)
+        self._setup(self._agents, root, universe.full_mask, partitions, self._worlds)
 
     def _ensure_partitions(self) -> None:
         """Materialise the frozenset view of the partitions from the masks.
@@ -401,10 +531,65 @@ class KripkeStructure:
         self._classes = classes
         self._class_of = class_of
 
+    # -- the two numberings --------------------------------------------------------
+    def _evaluation_view(self) -> _View:
+        """The masks in the root numbering, cut down to the survivors."""
+        if self._evaluation is None:
+            root = self._root
+            survivors = self._survivors
+            self._evaluation = _View(
+                root.universe(),
+                survivors,
+                self._agents,
+                self._root_partition,
+                lambda name: root.prop_mask(name) & survivors,
+            )
+        return self._evaluation
+
+    def _root_partition(self, agent: Agent) -> Partition:
+        if self._cube is None:
+            return self._partitions[agent]
+        partition = partition_from_class_ids(self._class_ids(agent))
+        if self._survivors == self._cube.full_mask:
+            return partition
+        return _clipped(partition[0], self._survivors), None
+
+    def _class_ids(self, agent: Agent) -> List[int]:
+        """``agent``'s class id at every root position, in block order."""
+        if self._cube is None:
+            blocks = self._evaluation_view().blocks[agent]
+            return class_ids_from_blocks(blocks, len(self._root.universe()))
+        # A position's class id is the position with the hidden bits cleared.
+        kept = ~self._cube.hidden[agent]
+        return [position & kept for position in range(1 << self._cube.bits)]
+
+    def _public_view(self) -> _View:
+        """The masks in the ``repr``-ordered numbering of the survivors alone."""
+        if self._public is None:
+            evaluation = self._evaluation_view()
+            survivors = self._survivors
+            if survivors == evaluation.universe.full_mask:
+                self._public = evaluation
+            else:
+                universe = IndexedUniverse(evaluation.universe.elements_of(survivors))
+                compress = MaskCompressor(survivors).compress
+                self._public = _View(
+                    universe,
+                    universe.full_mask,
+                    self._agents,
+                    lambda agent: partition_from_class_ids(
+                        list(select_bits(self._class_ids(agent), survivors))
+                    ),
+                    lambda name: compress(evaluation.props[name]),
+                )
+        return self._public
+
     # -- basic accessors -------------------------------------------------------
     @property
     def worlds(self) -> FrozenSet[World]:
         """The worlds of the structure."""
+        if self._worlds is None:
+            self._worlds = frozenset(self._root.universe().elements_of(self._survivors))
         return self._worlds
 
     @property
@@ -415,7 +600,7 @@ class KripkeStructure:
     def facts_at(self, world: World) -> FrozenSet[str]:
         """The primitive propositions true at ``world``."""
         self._require_world(world)
-        return self._valuation.get(world, frozenset())
+        return self._root.table().get(world, frozenset())
 
     def holds_at(self, proposition: str, world: World) -> bool:
         """Whether the primitive proposition named ``proposition`` is true at ``world``."""
@@ -423,9 +608,10 @@ class KripkeStructure:
 
     def propositions(self) -> FrozenSet[str]:
         """Every proposition name appearing in the valuation."""
+        table = self._root.table()
         names: Set[str] = set()
-        for facts in self._valuation.values():
-            names.update(facts)
+        for world in self.worlds:
+            names.update(table.get(world, ()))
         return frozenset(names)
 
     def partition(self, agent: Agent) -> Tuple[FrozenSet[World], ...]:
@@ -515,17 +701,13 @@ class KripkeStructure:
         )
 
     # -- indexing and bitmask views ----------------------------------------------
-    # These accessors expose the structure to the bitset evaluation backend of
-    # :mod:`repro.engine`: worlds get stable bit positions, and partitions / group
-    # reachability closures become integer masks.  The numbering and the
-    # partition masks exist from construction; the rest is computed lazily and
-    # cached, which is sound because structures are immutable.  Derived
-    # structures (restrictions / refinements) arrive with these caches already
-    # populated by remapping from their parent.
+    # These accessors answer in the public numbering: the survivors alone,
+    # ordered by ``repr``.  Every mask is computed on first use and cached,
+    # which is sound because structures are immutable.
 
     def indexed_universe(self) -> IndexedUniverse:
         """The world <-> bit-position numbering (worlds ordered by ``repr``)."""
-        return self._indexed
+        return self._public_view().universe
 
     def world_order(self) -> Tuple[World, ...]:
         """The worlds in their deterministic bit-position order."""
@@ -552,7 +734,7 @@ class KripkeStructure:
     def partition_masks(self, agent: Agent) -> Tuple[int, ...]:
         """``agent``'s indistinguishability classes as bitmasks (a disjoint cover)."""
         self._require_agent(agent)
-        return self._partition_mask_cache[agent]
+        return self._public_view().blocks[agent]
 
     def class_mask(self, agent: Agent, world: World) -> int:
         """The bitmask of ``agent``'s equivalence class of ``world``."""
@@ -568,18 +750,7 @@ class KripkeStructure:
         ``world_order()[i]`` — the layout the bitset evaluation backend consumes.
         """
         self._require_agent(agent)
-        cached = self._class_mask_order_cache.get(agent)
-        if cached is None:
-            order = [0] * len(self.indexed_universe())
-            for block in self.partition_masks(agent):
-                remaining = block
-                while remaining:
-                    low = remaining & -remaining
-                    order[low.bit_length() - 1] = block
-                    remaining ^= low
-            cached = tuple(order)
-            self._class_mask_order_cache[agent] = cached
-        return cached
+        return self._public_view().class_at[agent]
 
     def component_masks(self, group: GroupLike) -> Tuple[int, ...]:
         """The G-reachability components of ``group`` as bitmasks.
@@ -589,46 +760,18 @@ class KripkeStructure:
         of the union of the members' partitions
         (:func:`~repro.engine.universe.reachability_components`).
         """
-        members = self._require_group(group)
-        cached = self._component_mask_cache.get(members)
-        if cached is None:
-            cached = reachability_components(
-                [self.class_masks_in_order(agent) for agent in members]
-            )
-            self._component_mask_cache[members] = cached
-        return cached
+        return self._public_view().components[self._require_group(group)]
 
     def prop_mask(self, name: str) -> int:
         """The extension of the primitive proposition ``name`` as a bitmask.
 
-        The first query of a name not yet cached builds every name's mask in
-        one pass over the valuation; a name the valuation never mentions has
-        the empty extension.  Derived structures arrive with their parent's
-        already-computed masks remapped into the cache (an AND against the
-        survivor mask plus compression — see :meth:`restrict`) or share the
-        parent's cache outright (refinements), so evaluators over an update
-        chain get their atomic extensions for the price of a few bitwise
-        operations.
+        Extensions are cached per valuation over the root numbering, so every
+        structure derived from the same build (restrictions, refinements)
+        shares them.  Without a cube, the first query of a name not yet
+        cached builds every name's mask in one pass over the valuation; a
+        name the valuation never mentions has the empty extension.
         """
-        cached = self._prop_mask_cache.get(name)
-        if cached is None:
-            if not self._prop_masks_complete:
-                self._scan_prop_masks()
-            cached = self._prop_mask_cache.get(name, 0)
-        return cached
-
-    def _scan_prop_masks(self) -> None:
-        """Fill the proposition-mask cache with every name, in one pass."""
-        valuation = self._valuation
-        masks: Dict[str, int] = {}
-        get = masks.get
-        bit = 1
-        for world in self.indexed_universe().elements:
-            for name in valuation.get(world, ()):
-                masks[name] = get(name, 0) | bit
-            bit <<= 1
-        self._prop_mask_cache.update(masks)
-        self._prop_masks_complete = True
+        return self._public_view().props[name]
 
     def prop_worlds(self, name: str) -> FrozenSet[World]:
         """The set of worlds at which the primitive proposition ``name`` holds."""
@@ -641,18 +784,21 @@ class KripkeStructure:
     def evaluation_masks(self) -> EvaluationMasks:
         """The structure in the form the evaluation engine takes.
 
-        Here that is the public numbering of :meth:`indexed_universe` with
-        the partition masks, the cached closures and :meth:`prop_mask`.
+        That is the root numbering with the survivor mask ``S`` as ``full``,
+        the partition masks (in the root numbering, cut down to ``S``), the
+        cube when the structure has one, the cached closures and the
+        proposition masks.  Every structure derived from one build hands
+        over the same numbering.
         """
-        universe = self.indexed_universe()
+        view = self._evaluation_view()
         return EvaluationMasks(
-            universe,
-            universe.full_mask,
-            _AgentMasks(self._agents, self.partition_masks),
-            _AgentMasks(self._agents, self.class_masks_in_order),
-            None,
-            self.prop_mask,
-            self.component_masks,
+            view.universe,
+            self._survivors,
+            view.blocks,
+            view.class_at,
+            self._cube,
+            view.props.__getitem__,
+            view.components.__getitem__,
         )
 
     # -- derived structures ------------------------------------------------------
@@ -665,7 +811,7 @@ class KripkeStructure:
         :mod:`repro.kripke.announcement`).  Worlds that are not in the
         structure are ignored; see :meth:`restrict_mask` for the construction.
         """
-        universe = self.evaluation_masks().universe
+        universe = self._root.universe()
         return self.restrict_mask(universe.mask_of(w for w in worlds if w in universe))
 
     def restrict_mask(self, mask: int) -> "KripkeStructure":
@@ -673,48 +819,25 @@ class KripkeStructure:
 
         ``mask`` is in the numbering of :meth:`evaluation_masks` (an
         evaluator's extension mask), and its bits outside the structure are
-        ignored.  The result is a *derived* structure built in bitmask space:
-        every parent partition block is ANDed against the survivor mask and
-        remapped onto the restricted world numbering, and proposition
-        extensions are inherited from the parent via the same remapping.
-        Restricting to the full world set returns the structure itself
-        (structures are immutable).
+        ignored.  The result keeps the root numbering, the partitions and the
+        valuation, and only shrinks the survivor mask ``S`` (block masks are
+        cut down to ``S`` when first read).  Restricting to
+        the full world set returns the structure itself (structures are
+        immutable).
         """
-        parent_universe = self.indexed_universe()
-        survivor = mask & parent_universe.full_mask
-        if not survivor:
+        survivors = mask & self._survivors
+        if not survivors:
             raise ModelError("cannot restrict a structure to an empty set of worlds")
-        if survivor == parent_universe.full_mask:
+        if survivors == self._survivors:
             return self
-        child_universe, compressor = parent_universe.subuniverse(survivor)
-        partition_masks: Dict[Agent, Tuple[int, ...]] = {}
-        for agent in self._agents:
-            blocks: List[int] = []
-            for block in self.partition_masks(agent):
-                alive = block & survivor
-                if alive:
-                    blocks.append(compressor.compress(alive))
-            partition_masks[agent] = tuple(blocks)
-        kept = frozenset(child_universe.elements)
-        valuation = {
-            world: facts for world, facts in self._valuation.items() if world in kept
-        }
-        # Inherit the parent's already-computed proposition masks by remapping;
-        # props first queried after the restriction fall back to a valuation
-        # scan, so no reference to the parent needs to be retained.
-        prop_masks = {
-            name: compressor.compress(mask)
-            for name, mask in self._prop_mask_cache.items()
-        }
-        return KripkeStructure._derived(
-            kept,
-            self._agents,
-            valuation,
-            child_universe,
-            partition_masks,
-            prop_masks=prop_masks,
-            prop_masks_complete=self._prop_masks_complete,
-        )
+        if self._cube is not None:
+            return self._derive(survivors, self._cube)
+        parent = self._partitions
+
+        def clipped(agent: Agent) -> Partition:
+            return _clipped(parent[agent][0], survivors), None
+
+        return self._derive(survivors, _AgentMasks(self._agents, clipped))
 
     def refine_agent(
         self, agent: Agent, discriminator: Callable[[World], Hashable]
@@ -741,20 +864,22 @@ class KripkeStructure:
         distinguish worlds with different discriminator values.  The refinement
         happens in bitmask space under the unchanged world numbering — each
         target block is split by the discriminator's value masks — and the
-        untargeted agents' masks (plus the proposition-mask cache, which depends
-        only on the unchanged universe and valuation) are shared with the parent.
+        untargeted agents' masks (plus the proposition masks, which depend
+        only on the unchanged numbering and valuation) are shared with the parent.
 
         Refining every agent at once is equivalent to, and much cheaper than,
         chaining :meth:`refine_agent` per agent.
         """
         targets = self._require_agents(agents)
-        # Group worlds by discriminator value once; blocks split along these ids.
-        ids: Dict[Hashable, int] = {}
-        value_ids = [
-            ids.setdefault(discriminator(world), len(ids))
-            for world in self.indexed_universe().elements
-        ]
-        return self._refined(targets, partition_from_class_ids(value_ids)[1])
+        universe = self._root.universe()
+        survivors = self._survivors
+        classes: Dict[Hashable, int] = {}
+        for position, world in zip(
+            select_bits(range(len(universe)), survivors), universe.elements_of(survivors)
+        ):
+            value = discriminator(world)
+            classes[value] = classes.get(value, 0) | 1 << position
+        return self._refined(targets, list(classes.values()))
 
     def _refine_by_masks(
         self, agents: Iterable[Agent], masks: Sequence[int]
@@ -763,24 +888,18 @@ class KripkeStructure:
 
         The masks are in the numbering of :meth:`evaluation_masks` (an
         evaluator's extension masks, such as one round's public answers).
-        The universe is split into ``part & m`` and ``part & ~m`` by every
+        The survivors are split into ``part & m`` and ``part & ~m`` by every
         mask in turn, and each target block along those classes: the same
         partitions, in the same order, as :meth:`refine_agents` with the
         discriminator "which masks contain the world", with no per-world call.
         """
         targets = self._require_agents(agents)
-        universe = self.indexed_universe()
-        classes = [universe.full_mask]
-        for mask in map(self._public_mask, masks):
+        classes = [self._survivors]
+        for mask in masks:
             classes = [
                 part for whole in classes for part in (whole & mask, whole & ~mask) if part
             ]
-        class_ids = class_ids_from_blocks(classes, len(universe))
-        return self._refined(targets, [classes[class_id] for class_id in class_ids])
-
-    def _public_mask(self, mask: int) -> int:
-        """An :meth:`evaluation_masks` mask in the numbering of :meth:`indexed_universe`."""
-        return mask & self.indexed_universe().full_mask
+        return self._refined(targets, classes)
 
     def _require_agents(self, agents: Iterable[Agent]) -> Set[Agent]:
         targets: Set[Agent] = set()
@@ -789,24 +908,26 @@ class KripkeStructure:
             targets.add(agent)
         return targets
 
-    def _refined(self, targets: Set[Agent], class_at: Sequence[int]) -> "KripkeStructure":
+    def _refined(self, targets: Set[Agent], classes: Sequence[int]) -> "KripkeStructure":
         """The derived structure in which every block of the ``targets`` is
-        split along the classes of a partition of the universe.
+        split along ``classes``, a partition of the survivors into masks.
 
-        ``class_at`` gives the class mask of every bit position.  Each block
-        splits into its intersections with the classes, ordered by lowest set
-        bit, so a block inside one class costs one lookup and one AND.  The
-        structure itself is returned when no block splits.  The world
-        numbering is unchanged, so the untargeted agents' masks and the
-        proposition-mask cache are shared with this structure.
+        Each block splits into its intersections with the classes, ordered by
+        lowest set bit, so a block inside one class costs one lookup and one
+        AND.  The structure itself is returned when no block splits.  The
+        numbering, ``S`` and the valuation are unchanged, and so are the
+        untargeted agents' masks.
         """
-        partition_masks: Dict[Agent, Tuple[int, ...]] = {}
+        view = self._evaluation_view()
+        class_ids = class_ids_from_blocks(classes, len(view.universe))
+        class_at = [classes[class_id] for class_id in class_ids]
+        partitions: Dict[Agent, Partition] = {}
         changed = False
         for agent in self._agents:
-            blocks = self.partition_masks(agent)
             if agent not in targets:
-                partition_masks[agent] = blocks
+                partitions[agent] = view.partitions[agent]
                 continue
+            blocks = view.blocks[agent]
             new_blocks: List[int] = []
             append = new_blocks.append
             for block in blocks:
@@ -819,67 +940,49 @@ class KripkeStructure:
                     append(part)
                     rest ^= part
                 changed = changed or part != block
-            partition_masks[agent] = tuple(new_blocks)
+            partitions[agent] = tuple(new_blocks), None
         if not changed:
             return self
-        shared_orders = {
-            agent: order
-            for agent, order in self._class_mask_order_cache.items()
-            if agent not in targets
-        }
-        return KripkeStructure._derived(
-            self._worlds,
-            self._agents,
-            self._valuation,
-            self.indexed_universe(),
-            partition_masks,
-            class_mask_orders=shared_orders,
-            prop_masks=self._prop_mask_cache,
-        )
+        return self._derive(self._survivors, partitions)
 
     def with_valuation(
         self, valuation: Mapping[World, AbstractSet[str]]
     ) -> "KripkeStructure":
-        """A copy of the structure with a different valuation."""
-        new_valuation: Dict[World, FrozenSet[str]] = {}
-        for world, facts in valuation.items():
-            if world not in self._worlds:
-                raise UnknownWorldError(f"valuation mentions unknown world {world!r}")
-            new_valuation[world] = frozenset(facts)
-        return KripkeStructure._derived(
-            self._worlds,
-            self._agents,
-            new_valuation,
-            self.indexed_universe(),
-            {agent: self.partition_masks(agent) for agent in self._agents},
-            classes=self._classes,
-            class_of=self._class_of,
-            class_mask_orders=dict(self._class_mask_order_cache),
-            component_masks=dict(self._component_mask_cache),
+        """A copy of the structure with a different valuation.
+
+        It keeps the numbering, ``S`` and the partitions (as block masks).
+        """
+        table = self._valuation_table(valuation)
+        view = self._evaluation_view()
+        universe = view.universe
+        return self._derive(
+            self._survivors,
+            {agent: view.partitions[agent] for agent in self._agents},
+            _Root(lambda: universe, table),
         )
 
     # -- dunder helpers ----------------------------------------------------------
     def __contains__(self, world: World) -> bool:
-        return world in self._worlds
+        return world in self.worlds
 
     def __len__(self) -> int:
-        return len(self._worlds)
+        return IndexedUniverse.count(self._survivors)
 
     def __iter__(self) -> Iterator[World]:
-        return iter(self._worlds)
+        return iter(self.worlds)
 
     def __repr__(self) -> str:
         return (
-            f"KripkeStructure(worlds={len(self._worlds)}, agents={len(self._agents)}, "
+            f"KripkeStructure(worlds={len(self)}, agents={len(self._agents)}, "
             f"propositions={len(self.propositions())})"
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KripkeStructure):
             return NotImplemented
-        if self._worlds != other._worlds or self._agents != other._agents:
+        if self.worlds != other.worlds or self._agents != other._agents:
             return False
-        if any(self.facts_at(w) != other.facts_at(w) for w in self._worlds):
+        if any(self.facts_at(w) != other.facts_at(w) for w in self.worlds):
             return False
         for agent in self._agents:
             mine = {frozenset(block) for block in self.partition(agent)}
@@ -889,11 +992,11 @@ class KripkeStructure:
         return True
 
     def __hash__(self) -> int:  # pragma: no cover - structures are rarely hashed
-        return hash((self._worlds, self._agents))
+        return hash((self.worlds, self._agents))
 
     # -- validation ----------------------------------------------------------------
     def _require_world(self, world: World) -> None:
-        if world not in self._worlds:
+        if world not in self.worlds:
             raise UnknownWorldError(f"unknown world {world!r}")
 
     def _require_agent(self, agent: Agent) -> None:
@@ -908,171 +1011,3 @@ class KripkeStructure:
                 f"group mentions unknown agents: {sorted(map(repr, unknown))}"
             )
         return normalised.sorted_members()
-
-
-class _CubeRoot:
-    """What every structure restricted from one hypercube model shares."""
-
-    def __init__(
-        self,
-        agents: FrozenSet[Agent],
-        cube: Hypercube,
-        make_worlds: Callable[[], Sequence[World]],
-        facts: Callable[[World], AbstractSet[str]],
-        atom: Callable[[str], int],
-    ):
-        self.agents = agents
-        self.cube = cube
-        self.facts = facts
-        self.atom = atom
-        self._make_worlds = make_worlds
-        self._universe: Optional[IndexedUniverse] = None
-
-    def universe(self) -> IndexedUniverse:
-        """Every position's world, in cube order (built on first use)."""
-        if self._universe is None:
-            self._universe = IndexedUniverse(self._make_worlds())
-        return self._universe
-
-
-class _CubeStructure(KripkeStructure):
-    """A hypercube-shaped structure: the muddy children and their restrictions.
-
-    Worlds are numbered by cube position, and agent ``a``'s classes are the
-    subcubes over its hidden bits (:class:`~repro.engine.universe.Hypercube`),
-    cut down to the survivor mask ``S`` of the public announcements made so
-    far.  Evaluation runs on the root numbering with ``S`` as the universe's
-    full mask (:meth:`evaluation_masks`), and :meth:`restrict_mask` only
-    shrinks ``S``.
-
-    The public accessors answer exactly as a generic structure over the same
-    worlds would: the worlds, the valuation, the ``repr``-ordered universe of
-    the survivors, their block masks and proposition masks are built from
-    the cube on first use, and the inherited methods (``refine_agents``,
-    ``with_valuation``, ``__eq__``...) read them as usual.
-    """
-
-    def __init__(self, root: _CubeRoot, survivors: int):
-        self._root = root
-        self._survivors = survivors
-        self._agents = root.agents
-        self._classes = None
-        self._class_of = None
-        self._partition_mask_cache = {}
-        self._class_mask_order_cache = {}
-        self._component_mask_cache = {}
-        self._prop_mask_cache = {}
-        self._prop_masks_complete = False
-        self._lazy_worlds: Optional[FrozenSet[World]] = None
-        self._lazy_valuation: Optional[Dict[World, FrozenSet[str]]] = None
-        self._lazy_indexed: Optional[IndexedUniverse] = None
-        self._compressor: Optional[MaskCompressor] = None
-
-    # The generic fields the inherited methods read, built on first use.
-    @property
-    def _worlds(self) -> FrozenSet[World]:
-        if self._lazy_worlds is None:
-            self._lazy_worlds = frozenset(self.indexed_universe().elements)
-        return self._lazy_worlds
-
-    @property
-    def _valuation(self) -> Dict[World, FrozenSet[str]]:
-        if self._lazy_valuation is None:
-            facts = self._root.facts
-            self._lazy_valuation = {
-                world: frozenset(facts(world)) for world in self.indexed_universe()
-            }
-        return self._lazy_valuation
-
-    @property
-    def _indexed(self) -> IndexedUniverse:
-        if self._lazy_indexed is None:
-            root = self._root.universe()
-            if self._survivors == root.full_mask:
-                self._lazy_indexed = root
-            else:
-                self._lazy_indexed = IndexedUniverse(root.elements_of(self._survivors))
-        return self._lazy_indexed
-
-    def _survivor_positions(self) -> List[int]:
-        return list(select_bits(range(self._survivors.bit_length()), self._survivors))
-
-    def _compress(self, mask: int) -> int:
-        if self._survivors == self._root.cube.full_mask:
-            return mask
-        if self._compressor is None:
-            self._compressor = MaskCompressor(self._survivors)
-        return self._compressor.compress(mask)
-
-    def __len__(self) -> int:
-        return IndexedUniverse.count(self._survivors)
-
-    # -- public masks, in the numbering of indexed_universe() -------------------
-    def partition_masks(self, agent: Agent) -> Tuple[int, ...]:
-        """``agent``'s indistinguishability classes as bitmasks (a disjoint cover)."""
-        self._require_agent(agent)
-        cached = self._partition_mask_cache.get(agent)
-        if cached is None:
-            # A survivor's class id is its position with the hidden bits
-            # cleared; grouped in survivor order that is the public numbering.
-            kept = ~self._root.cube.hidden[agent]
-            cached, order = partition_from_class_ids(
-                [position & kept for position in self._survivor_positions()]
-            )
-            self._partition_mask_cache[agent] = cached
-            self._class_mask_order_cache[agent] = order
-        return cached
-
-    def prop_mask(self, name: str) -> int:
-        """The extension of the primitive proposition ``name`` as a bitmask."""
-        cached = self._prop_mask_cache.get(name)
-        if cached is None:
-            cached = self._prop_mask_cache[name] = self._compress(
-                self._root.atom(name) & self._survivors
-            )
-        return cached
-
-    # -- evaluation and announcements, in the cube numbering ------------------
-    def evaluation_masks(self) -> EvaluationMasks:
-        """The cube, the root numbering and the survivor mask ``S`` as ``full``.
-
-        The block masks handed over are in the root numbering too, restricted
-        to ``S``; only a backend that reads them (the frozenset oracle) builds
-        them.  No backend reads class masks next to a cube, so there are none.
-        """
-        return EvaluationMasks(
-            self._root.universe(),
-            self._survivors,
-            _AgentMasks(self._agents, self._root_blocks),
-            {},
-            self._root.cube,
-            self._root_prop_mask,
-            None,
-        )
-
-    def restrict_mask(self, mask: int) -> "KripkeStructure":
-        """The substructure induced by the worlds of ``mask`` (cube numbering).
-
-        It shares the cube and the root numbering: only ``S`` shrinks.
-        """
-        survivors = mask & self._survivors
-        if not survivors:
-            raise ModelError("cannot restrict a structure to an empty set of worlds")
-        if survivors == self._survivors:
-            return self
-        return _CubeStructure(self._root, survivors)
-
-    def _public_mask(self, mask: int) -> int:
-        """A cube-numbering mask in the compressed public numbering."""
-        return self._compress(mask & self._survivors)
-
-    def _root_prop_mask(self, name: str) -> int:
-        return self._root.atom(name) & self._survivors
-
-    def _root_blocks(self, agent: Agent) -> Tuple[int, ...]:
-        kept = ~self._root.cube.hidden[agent]
-        blocks: Dict[int, int] = {}
-        for position in self._survivor_positions():
-            class_id = position & kept
-            blocks[class_id] = blocks.get(class_id, 0) | 1 << position
-        return tuple(blocks.values())

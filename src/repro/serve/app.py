@@ -54,6 +54,17 @@ class _HttpError(Exception):
         self.error_type = error_type
 
 
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    """One line of the request head; an over-long line is a 400."""
+    try:
+        line = await reader.readline()
+    except ValueError:  # past the reader's own limit
+        raise _HttpError(400, f"{what} too long") from None
+    if len(line) > _MAX_HEADER_LINE:
+        raise _HttpError(400, f"{what} too long")
+    return line
+
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -114,9 +125,13 @@ class ServeApp:
             max_workers=self.max_workers, thread_name_prefix="repro-serve"
         )
         self.state = ServeState(runner=runner, executor=executor)
-        self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port
-        )
+        try:
+            self._server = await asyncio.start_server(
+                self._on_connection, self.host, self.port
+            )
+        except (OSError, OverflowError) as error:
+            await self.stop()
+            raise ReproError(f"cannot listen on {self.host}:{self.port}: {error}") from None
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
@@ -205,26 +220,22 @@ class ServeApp:
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
         """Parse one request; ``None`` on clean EOF between requests."""
         try:
-            line = await reader.readline()
-        except (ConnectionError, asyncio.LimitOverrunError):
+            line = await _read_line(reader, "request line")
+        except ConnectionError:
             return None
         if not line:
             return None
-        if len(line) > _MAX_HEADER_LINE:
-            raise _HttpError(400, "request line too long")
         parts = line.decode("latin-1").strip().split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/1"):
             raise _HttpError(400, f"malformed request line {line!r}")
         method, path, _version = parts
         headers: Dict[str, str] = {}
         for _ in range(_MAX_HEADERS):
-            line = await reader.readline()
+            line = await _read_line(reader, "header line")
             if not line:
                 raise _HttpError(400, "connection closed inside headers")
             if line in (b"\r\n", b"\n"):
                 break
-            if len(line) > _MAX_HEADER_LINE:
-                raise _HttpError(400, "header line too long")
             name, sep, value = line.decode("latin-1").partition(":")
             if not sep:
                 raise _HttpError(400, f"malformed header line {line!r}")

@@ -117,7 +117,7 @@ def test_kripke_prop_masks_match_per_name_scan(seed):
     structure.prop_mask(rng.choice(names))
     if structure.propositions():
         # The first query filled in every name the valuation mentions.
-        assert set(structure._prop_mask_cache) >= structure.propositions()
+        assert set(structure._root.prop_masks) >= structure.propositions()
     _assert_prop_masks_match_scan(structure, rng.choice(names))
     kept = rng.sample(sorted(structure.worlds), rng.randint(1, len(structure)))
     restricted = structure.restrict(kept)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 
 import pytest
 
@@ -372,3 +373,31 @@ def test_sweep_minimize_flag(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload and all(report["minimized"] for report in payload)
+
+
+# -- serve ---------------------------------------------------------------------
+
+
+def test_serve_rejects_an_out_of_range_port(capsys):
+    code, out, err = run_cli(capsys, "serve", "--port", "99999", "--no-store")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: --port must be in 0..65535, got 99999"]
+
+
+def test_serve_on_a_busy_port_is_a_usage_error(capsys, monkeypatch):
+    from repro.serve import app
+
+    # The foreground server would take over the test process's SIGTERM.
+    monkeypatch.setattr(app, "_install_signal_handlers", lambda: None)
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        port = holder.getsockname()[1]
+        code, out, err = run_cli(
+            capsys, "serve", "--host", "127.0.0.1", "--port", str(port), "--no-store"
+        )
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")

@@ -72,8 +72,22 @@ def assert_accessors_equal(cube, generic):
         assert cube.class_masks_in_order(agent) == generic.class_masks_in_order(agent)
     for name in _vocabulary(sorted(generic.agents)):
         assert cube.prop_mask(name) == generic.prop_mask(name), name
+    agents = sorted(generic.agents)
+    groups = list(dict.fromkeys([tuple(agents), tuple(agents[:2]), (agents[-1],)]))
+    for group in groups:
+        assert cube.component_masks(group) == generic.component_masks(group), group
+        assert cube.connected_components(group) == generic.connected_components(group)
     for world in generic.world_order():
         assert cube.facts_at(world) == generic.facts_at(world)
+        assert cube.world_index(world) == generic.world_index(world)
+        for agent in agents:
+            assert cube.class_mask(agent, world) == generic.class_mask(agent, world)
+        for group in groups:
+            assert cube.joint_class(group, world) == generic.joint_class(group, world)
+            assert cube.reachable(group, world) == generic.reachable(group, world)
+            assert cube.reachable_within(group, world, 1) == generic.reachable_within(
+                group, world, 1
+            )
 
 
 @pytest.mark.parametrize("n", range(1, 11))

@@ -34,6 +34,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -312,6 +313,39 @@ def test_unknown_route_and_bad_method(server):
         assert response.status == 405
     finally:
         conn.close()
+
+
+def raw_exchange(server, data):
+    """Send raw bytes and read the reply until the server closes."""
+    with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+        sock.sendall(data)
+        chunks = []
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:  # the server dropped unread input
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize("size", [20_000, 70_000])
+@pytest.mark.parametrize("what", ["request line", "header line"])
+def test_over_long_head_lines_get_a_400(server, size, what):
+    """Past 64 KiB the stream reader raises instead of returning the line;
+    that too is answered with the JSON 400, and the server keeps serving."""
+    filler = b"a" * size
+    if what == "request line":
+        request = b"GET /" + filler + b" HTTP/1.1\r\n\r\n"
+    else:
+        request = b"GET /healthz HTTP/1.1\r\nX-Big: " + filler + b"\r\n\r\n"
+    reply = raw_exchange(server, request)
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert json.loads(body)["error"]["message"] == f"{what} too long"
+    assert get(server, "/healthz")[0] == 200
 
 
 def test_sweep_conflicting_fixed_and_swept_param(server):

@@ -4,8 +4,10 @@
 Five rules, each scoped to where the pattern actually bites:
 
 ``LNT001`` — no ``frozenset(...)`` construction in the mask-space hot paths of
-``src/repro/engine/universe.py`` and ``src/repro/kripke/bisimulation.py``
-(whose refinement signatures are int masks of block ids).  The bitset
+``src/repro/engine/universe.py``, ``src/repro/kripke/bisimulation.py``
+(whose refinement signatures are int masks of block ids) and
+``src/repro/kripke/announcement.py`` (whose update chain hands evaluator
+masks straight to the structure).  The bitset
 backend's whole point is that
 set algebra stays on integer masks; materialising a ``frozenset`` mid-pipeline
 silently reintroduces the allocation cost the backend exists to avoid.  The
@@ -66,6 +68,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MASK_SPACE_FILES = (
     "src/repro/engine/universe.py",
     "src/repro/kripke/bisimulation.py",
+    "src/repro/kripke/announcement.py",
 )
 
 #: Modules that run (or drive) worker-side sweep code (LNT002).
