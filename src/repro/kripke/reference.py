@@ -36,8 +36,9 @@ from typing import (
     Set,
 )
 
+from repro.engine.universe import IndexedUniverse
 from repro.errors import ModelError, UnknownAgentError, UnknownWorldError
-from repro.kripke.structure import KripkeStructure, World
+from repro.kripke.structure import KripkeStructure, World, _Root
 from repro.logic.agents import Agent
 
 __all__ = [
@@ -129,10 +130,10 @@ def constructor_rebuild(
 ) -> KripkeStructure:
     """The seed's validating ``KripkeStructure`` constructor.
 
-    It validates every agent's blocks as frozensets, adds a singleton class
-    for each world no block mentions, and hands the classes over as class
-    ids (a class's index), so the masks come from
-    :meth:`KripkeStructure._from_class_ids`.
+    It builds every agent's ``class_of`` map eagerly and hashes every block into
+    a partition mask; the per-world class masks are left to
+    :meth:`KripkeStructure.class_masks_in_order`, which derives them from those
+    partition masks.
     """
     world_set = frozenset(worlds)
     if not world_set:
@@ -145,10 +146,11 @@ def constructor_rebuild(
         if world not in world_set:
             raise UnknownWorldError(f"valuation mentions unknown world {world!r}")
         valuation_map[world] = frozenset(facts)
-    world_list = sorted(world_set, key=repr)
-    class_ids = {}
+    classes = {}
+    class_of = {}
     for agent in agent_set:
         seen: Set[World] = set()
+        class_map: Dict[World, FrozenSet[World]] = {}
         all_classes: List[FrozenSet[World]] = []
         for block in (frozenset(block) for block in partitions.get(agent, [])):
             if not block:
@@ -166,15 +168,35 @@ def constructor_rebuild(
                 )
             seen.update(block)
             all_classes.append(block)
-        all_classes.extend(frozenset({world}) for world in world_set - seen)
-        class_id = {world: index for index, block in enumerate(all_classes) for world in block}
-        class_ids[agent] = [class_id[world] for world in world_list]
+            for world in block:
+                class_map[world] = block
+        for world in world_set - seen:
+            singleton = frozenset({world})
+            all_classes.append(singleton)
+            class_map[world] = singleton
+        class_of[agent] = class_map
+        classes[agent] = tuple(all_classes)
     unknown_agents = set(partitions) - set(agent_set)
     if unknown_agents:
         raise UnknownAgentError(
             f"partitions mention unknown agents: {sorted(map(repr, unknown_agents))}"
         )
-    return KripkeStructure._from_class_ids(world_list, agent_set, valuation_map, class_ids)
+    universe = IndexedUniverse(sorted(world_set, key=repr))
+    partition_masks = {
+        agent: (tuple(universe.mask_of(block) for block in blocks), None)
+        for agent, blocks in classes.items()
+    }
+    structure = KripkeStructure.__new__(KripkeStructure)
+    structure._setup(
+        agent_set,
+        _Root(lambda: universe, valuation_map),
+        universe.full_mask,
+        partition_masks,
+        world_set,
+    )
+    structure._classes = classes
+    structure._class_of = class_of
+    return structure
 
 
 def restrict_rebuild(

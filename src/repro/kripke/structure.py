@@ -820,8 +820,8 @@ class KripkeStructure:
         ``mask`` is in the numbering of :meth:`evaluation_masks` (an
         evaluator's extension mask), and its bits outside the structure are
         ignored.  The result keeps the root numbering, the partitions and the
-        valuation, and only shrinks the survivor mask ``S`` (block masks are
-        cut down to ``S`` when first read).  Restricting to
+        valuation, and only shrinks the survivor mask ``S``; the block masks
+        are cut down to ``S``.  Restricting to
         the full world set returns the structure itself (structures are
         immutable).
         """
@@ -832,12 +832,11 @@ class KripkeStructure:
             return self
         if self._cube is not None:
             return self._derive(survivors, self._cube)
-        parent = self._partitions
-
-        def clipped(agent: Agent) -> Partition:
-            return _clipped(parent[agent][0], survivors), None
-
-        return self._derive(survivors, _AgentMasks(self._agents, clipped))
+        partitions = self._partitions
+        return self._derive(
+            survivors,
+            {agent: (_clipped(partitions[agent][0], survivors), None) for agent in self._agents},
+        )
 
     def refine_agent(
         self, agent: Agent, discriminator: Callable[[World], Hashable]

@@ -115,24 +115,32 @@ class ServeApp:
         self._store = None
 
     async def start(self) -> None:
-        """Open the store, build the resident state, bind the socket."""
-        if self.store_path is not None:
-            from repro.experiments.store import ResultStore
+        """Bind the socket, open the store, build the resident state, serve.
 
-            self._store = ResultStore(self.store_path)
-        runner = ExperimentRunner(store=self._store, resume=self._store is not None)
-        executor = ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="repro-serve"
-        )
-        self.state = ServeState(runner=runner, executor=executor)
+        The bind comes first, so an address that cannot be bound raises a
+        :class:`~repro.errors.ReproError` before any store file is created.
+        """
         try:
             self._server = await asyncio.start_server(
-                self._on_connection, self.host, self.port
+                self._on_connection, self.host, self.port, start_serving=False
             )
         except (OSError, OverflowError) as error:
-            await self.stop()
             raise ReproError(f"cannot listen on {self.host}:{self.port}: {error}") from None
         self.port = self._server.sockets[0].getsockname()[1]
+        try:
+            if self.store_path is not None:
+                from repro.experiments.store import ResultStore
+
+                self._store = ResultStore(self.store_path)
+            runner = ExperimentRunner(store=self._store, resume=self._store is not None)
+            executor = ThreadPoolExecutor(
+                max_workers=self.max_workers, thread_name_prefix="repro-serve"
+            )
+            self.state = ServeState(runner=runner, executor=executor)
+        except BaseException:
+            await self.stop()
+            raise
+        await self._server.start_serving()
 
     async def stop(self) -> None:
         """Graceful shutdown: close the listener, stop streams, drain, close."""

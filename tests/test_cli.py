@@ -385,19 +385,21 @@ def test_serve_rejects_an_out_of_range_port(capsys):
     assert err.splitlines() == ["error: --port must be in 0..65535, got 99999"]
 
 
-def test_serve_on_a_busy_port_is_a_usage_error(capsys, monkeypatch):
+def test_serve_on_a_busy_port_is_a_usage_error(capsys, monkeypatch, tmp_path):
     from repro.serve import app
 
     # The foreground server would take over the test process's SIGTERM.
     monkeypatch.setattr(app, "_install_signal_handlers", lambda: None)
+    store = tmp_path / "new.sqlite"
     with socket.socket() as holder:
         holder.bind(("127.0.0.1", 0))
         holder.listen()
         port = holder.getsockname()[1]
         code, out, err = run_cli(
-            capsys, "serve", "--host", "127.0.0.1", "--port", str(port), "--no-store"
+            capsys, "serve", "--host", "127.0.0.1", "--port", str(port), "--store", str(store)
         )
     assert code == 2
     assert out == ""
     [line] = err.splitlines()
     assert line.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
+    assert not store.exists()
