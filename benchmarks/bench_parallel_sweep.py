@@ -18,19 +18,34 @@ when at least four CPUs are actually available to this process (and never in
 ``--benchmark-disable`` smoke runs); the row-for-row equivalence of the
 parallel and serial sweeps is asserted unconditionally, here and — across
 backends and scenario kinds — in ``tests/test_parallel_sweep.py``.
+
+``--jobs`` is a ceiling: a sweep starts in-process and hands the rest of
+its grid to the pool only once the work measured so far pays for the
+pool's start-up.  ``test_light_grid_stays_in_process`` is the cliff gate
+for the other side of that rule: on a light ``random_protocol`` grid,
+``jobs=2`` must not be slower than 1/:data:`LIGHT_RATIO_FLOOR` times the
+serial sweep (forking a pool per sweep made it about 3x slower).  It uses
+no benchmark fixture, so it runs under ``--benchmark-disable`` too.
 """
 
 import os
+import statistics
 import time
 
 import pytest
 
 from repro.engine import set_default_backend
 from repro.experiments import ExperimentRunner
+from repro.experiments import runner as runner_module
 from repro.logic.syntax import CT, CDiamond, CEps, EDiamond, EEps, Always, Eventually, Knows, Prop
 
 SPEEDUP_FLOOR = 2.0
 JOBS = 4
+
+LIGHT_RATIO_FLOOR = 0.8
+"""Least median (serial time / ``jobs=2`` time) the light grid may show."""
+LIGHT_GRID = {"seed": list(range(8))}
+PAIRS = 9
 
 SCENARIO = "coordinated_attack"
 BACKEND = "frozenset"  # the temporal reference path: eval-dominated grid points
@@ -59,9 +74,9 @@ def reference_backend():
     set_default_backend(previous)
 
 
-def run_sweep(jobs, grid=None):
+def run_sweep(jobs, grid=None, runner=None):
     """One end-to-end sweep — fresh runner, so nothing is cached across calls."""
-    return ExperimentRunner().sweep(
+    return (runner or ExperimentRunner()).sweep(
         SCENARIO,
         grid if grid is not None else GRID,
         formulas=FORMULAS,
@@ -105,11 +120,42 @@ def _best_of(callable_, repetitions=2):
 # -- measurements ---------------------------------------------------------------
 
 
-def test_parallel_matches_serial_rows():
-    """Sharded execution is observably the serial sweep: same reports, same order."""
+def test_parallel_matches_serial_rows(monkeypatch):
+    """Sharded execution is observably the serial sweep: same reports, same order.
+
+    The small grid is too light to pay for a pool, so the pool's start-up
+    cost is set to zero: the first point runs in-process, the rest on the pool.
+    """
+    monkeypatch.setattr(runner_module, "POOL_START_SECONDS", 0.0)
     serial = run_sweep(jobs=1, grid=SMALL_GRID)
-    parallel = run_sweep(jobs=JOBS, grid=SMALL_GRID)
+    runner = ExperimentRunner()
+    parallel = run_sweep(jobs=JOBS, grid=SMALL_GRID, runner=runner)
+    assert runner.pool_starts == 1
     assert comparable_rows(parallel) == comparable_rows(serial)
+
+
+def test_light_grid_stays_in_process():
+    """The cliff gate: a light ``jobs=2`` grid is about as fast as serial.
+
+    Each pair times one serial and one ``jobs=2`` sweep of :data:`LIGHT_GRID`
+    (4-30 ms in all) on fresh runners, after one warm-up pair pays the
+    imports; the gate reads the median per-pair ratio, so a slow spell of
+    the host hits both sides of a pair.  Such a spell can also make the
+    measured work look heavy enough to start a pool in one pair, which is
+    why the gate reads times and not pool starts.
+    """
+
+    def seconds(jobs):
+        start = time.perf_counter()
+        ExperimentRunner().sweep("random_protocol", LIGHT_GRID, jobs=jobs)
+        return time.perf_counter() - start
+
+    seconds(1), seconds(2)
+    ratio = statistics.median(seconds(1) / seconds(2) for _ in range(PAIRS))
+    assert ratio >= LIGHT_RATIO_FLOOR, (
+        f"a light jobs=2 sweep should take at most 1/{LIGHT_RATIO_FLOOR} of the "
+        f"serial time; median ratio {ratio:.2f} over {PAIRS} pairs"
+    )
 
 
 @pytest.mark.parametrize("jobs", (1, JOBS))

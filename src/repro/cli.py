@@ -20,10 +20,12 @@ service from the shell::
 
 Every subcommand takes ``--json`` for machine-readable output.  ``run`` and
 ``sweep`` evaluate on the engine's ``bitset`` production backend (the
-``frozenset`` oracle is for tests only), and ``sweep`` takes ``--jobs N`` to
-shard the grid across ``N`` worker processes (``--jobs 0`` = one per CPU) with
-the same deterministic output order as a serial sweep; its ``--json`` output
-streams one report at a time as grid points finish.
+``frozenset`` oracle is for tests only), and ``sweep`` takes ``--jobs N`` as
+a ceiling on worker processes (``--jobs 0`` = one per CPU): the grid starts
+in-process and moves to a pool of up to ``N`` workers once the work measured
+so far pays for the pool's start-up, with the same deterministic output order
+as a serial sweep either way; its ``--json`` output streams one report at a
+time as grid points finish.
 
 ``run`` and ``sweep`` also take ``--store PATH`` (default: the
 ``REPRO_STORE`` environment variable) to record every evaluated report in a
@@ -85,8 +87,8 @@ scenario registry, whose built-in metadata is the light
 :mod:`repro.experiments.catalogue`, so ``list`` and ``describe`` import no
 scenario module and no model stack.  ``run`` and ``sweep`` import the runner,
 which loads a scenario's module on its first build; the store loads only with
-a store, the process pool (:mod:`repro.experiments.supervise`) only for
-``--jobs N`` or a watchdog, ``check`` the static checker, and ``serve`` the
+a store, the process pool (:mod:`repro.experiments.supervise`) only once a
+``--jobs N`` sweep's measured work pays for it or for a watchdog, ``check`` the static checker, and ``serve`` the
 service.  ``docs/architecture.md`` has the whole table.
 
 Formulas passed with ``-f`` are parsed by :func:`repro.logic.parser.parse`,
@@ -435,8 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "shard the grid across N worker processes (0 = one per CPU; "
-            "default: run in-process). Reports keep the serial sweep's "
+            "allow up to N worker processes (0 = one per CPU; default: run "
+            "in-process); the pool starts only once the work measured so "
+            "far pays for its start-up. Reports keep the serial sweep's "
             "deterministic grid order either way."
         ),
     )

@@ -85,6 +85,8 @@ __all__ = [
     "ExperimentRunner",
     "PlannedPoint",
     "DEFAULT_MAX_CACHED_INSTANCES",
+    "POOL_START_SECONDS",
+    "pool_pays",
 ]
 
 Evaluator = Union["ModelChecker", "ViewBasedInterpretation"]
@@ -99,6 +101,32 @@ warm — while still guaranteeing that a huge cartesian grid (thousands of
 points) cannot grow the process without bound: once the cache is full, the
 least recently used instance (with its evaluators and their memos) is evicted.
 """
+
+POOL_START_SECONDS = 0.025
+"""What starting the sweep pool costs, in seconds: the break-even of :func:`pool_pays`.
+
+Measured with Python 3.11 on Linux, for a two-worker
+:class:`~repro.experiments.supervise.SweepSupervisor` pool: on one CPU,
+forking the bare pool costs about 13 ms, the worker initializer and its
+first round trips 11 ms, and the shutdown 3.6 ms; on two CPUs the whole
+overhead over in-process evaluation is about 15 ms.  Starting a pool for
+less work than this makes a ``jobs > 1`` sweep slower than a serial one.
+"""
+
+
+def pool_pays(remaining: int, mean_seconds: float, jobs: int) -> bool:
+    """Whether handing ``remaining`` grid points to a pool of ``jobs`` pays.
+
+    ``mean_seconds`` is the measured in-process time per point so far.  With
+    ``w = min(jobs, remaining)`` workers the pool saves the share
+    ``1 - 1/w`` of the remaining work, and it pays once that saving exceeds
+    :data:`POOL_START_SECONDS` — the ski-rental break-even (Karlin et al.,
+    "Competitive snoopy caching", 1988): a grid that turns out heavy loses at
+    most one point's time before the pool starts.  One worker never pays,
+    so neither ``jobs=1`` nor a lone remaining point starts a pool.
+    """
+    workers = min(jobs, remaining)
+    return workers > 1 and remaining * mean_seconds * (1 - 1 / workers) > POOL_START_SECONDS
 
 
 class ScenarioInstance:
@@ -394,7 +422,9 @@ class ExperimentRunner:
     fully resumed sweep is exactly ``eval_count == 0``.  Supervised sweeps add
     ``retries`` (re-attempts of failed grid points) and ``quarantined``
     (points given up on under ``on_error="skip"``); both stay 0 under the
-    default fail-fast policy.
+    default fail-fast policy.  ``pool_starts`` counts the worker pools
+    started for this runner's sweeps (restarts after a crash included), so a
+    ``jobs > 1`` sweep that stayed in-process leaves it unchanged.
     """
 
     def __init__(
@@ -414,6 +444,7 @@ class ExperimentRunner:
         self.store_hits = 0
         self.retries = 0
         self.quarantined = 0
+        self.pool_starts = 0
         self._instances: "OrderedDict[Tuple[str, Tuple[Tuple[str, object], ...]], ScenarioInstance]" = (
             OrderedDict()
         )
@@ -843,13 +874,19 @@ class ExperimentRunner:
 
         1. **Partition**: look every key up in the store once (with
            ``resume``); recorded points are served without building anything.
-        2. **Execute** the misses: in this process (so this runner's instance
-           cache stays warm) for ``jobs=1`` without a watchdog, and for a lone
-           miss under the fail-fast policy; otherwise on the
-           :class:`~repro.experiments.supervise.SweepSupervisor` process pool.
-           The yielded order and every report row are the same either way.
+        2. **Execute** the misses.  Under the default fail-fast policy without
+           a watchdog they run in this process, in grid order, so this
+           runner's instance cache stays warm; ``jobs`` is a ceiling, and the
+           remaining misses go to the
+           :class:`~repro.experiments.supervise.SweepSupervisor` process pool
+           only once the time measured per point so far says the pool pays
+           for its start-up (:func:`pool_pays`).  A watchdog, or a supervised
+           policy with ``jobs > 1``, starts the pool at once for its crash
+           isolation.  The yielded order and every report row are the same
+           either way.
         3. **Merge** in grid order, persisting healthy rows only and updating
-           ``eval_count``/``store_hits``/``retries``/``quarantined``.
+           ``eval_count``/``store_hits``/``retries``/``quarantined``/
+           ``pool_starts``.
 
         ``policy`` (a :class:`~repro.experiments.policy.FaultPolicy`)
         governs failing points in both executors: retries with backoff, a
@@ -872,21 +909,10 @@ class ExperimentRunner:
             else:
                 settled[point.index] = report
 
-        supervisor = None
-        if policy.timeout_per_point is None and (
-            jobs == 1 or (len(misses) <= 1 and not policy.supervised)
-        ):
-            stream = self._execute_here(misses, policy)
+        if policy.timeout_per_point is not None or (policy.supervised and jobs > 1):
+            stream = self._execute_pooled(misses, jobs, policy)
         else:
-            from repro.experiments.supervise import SweepSupervisor
-
-            supervisor = SweepSupervisor(
-                [point.run for point in misses],
-                jobs=jobs,
-                policy=policy,
-                max_cached_instances=self.max_cached_instances,
-            )
-            stream = supervisor.run()
+            stream = self._execute_here(misses, jobs, policy)
 
         keys = {point.index: point.key for point in misses}
         try:
@@ -898,21 +924,49 @@ class ExperimentRunner:
                 yield report
         finally:
             stream.close()
-            if supervisor is not None:
-                with self._lock:
-                    self.retries += supervisor.retries
-                    self.quarantined += supervisor.quarantined
+
+    def _execute_pooled(
+        self, points: Sequence[PlannedPoint], jobs: int, policy: "FaultPolicy"
+    ) -> Iterator[ExperimentReport]:
+        """The pool executor: ``points`` on a :class:`SweepSupervisor` pool.
+
+        The supervisor's counters are folded into this runner's when the
+        stream ends, however it ends.
+        """
+        from repro.experiments.supervise import SweepSupervisor
+
+        supervisor = SweepSupervisor(
+            [point.run for point in points],
+            jobs=jobs,
+            policy=policy,
+            max_cached_instances=self.max_cached_instances,
+        )
+        try:
+            yield from supervisor.run()
+        finally:
+            with self._lock:
+                self.retries += supervisor.retries
+                self.quarantined += supervisor.quarantined
+                self.pool_starts += supervisor.pool_starts
 
     def _execute_here(
-        self, points: Sequence[PlannedPoint], policy: "FaultPolicy"
+        self, points: Sequence[PlannedPoint], jobs: int, policy: "FaultPolicy"
     ) -> Iterator[ExperimentReport]:
         """The in-process executor: evaluate ``points`` on this runner.
 
         Applies the same fault-policy rule as the supervisor
         (:func:`~repro.experiments.policy.settle_failure`), minus what needs
-        a pool: no watchdog and no crash recovery.
+        a pool: no watchdog and no crash recovery.  Before each point it asks
+        :func:`pool_pays` whether the rest should go to a pool of ``jobs``
+        workers instead, judged by the evaluation time measured so far; with
+        ``jobs=1`` it never does.
         """
-        for point in points:
+        busy = 0.0
+        for done, point in enumerate(points):
+            if done and pool_pays(len(points) - done, busy / done, jobs):
+                yield from self._execute_pooled(points[done:], jobs, policy)
+                return
+            start = time.perf_counter()
             attempts: List[Dict[str, object]] = []
             report = None
             while report is None:
@@ -932,6 +986,7 @@ class ExperimentRunner:
                         with self._lock:
                             self.retries += 1
                         time.sleep(policy.backoff_seconds(len(attempts)))
+            busy += time.perf_counter() - start
             yield report
 
     def sweep(
@@ -951,12 +1006,15 @@ class ExperimentRunner:
         on its bisimulation quotient (computed once per point and cached on the
         instance).
 
-        ``jobs`` selects parallel execution: ``None``/``1`` evaluates in this
-        process, ``N > 1`` shards the grid across ``N`` worker processes, and
-        ``0`` means one worker per CPU.  The report list is in the same
-        deterministic grid order either way, with identical rows — only the
-        timing fields (``build_seconds``/``eval_seconds``) reflect where the
-        work actually ran.  ``policy`` governs failing points exactly as in
+        ``jobs`` is a ceiling on parallel execution: ``None``/``1`` evaluates
+        in this process, ``N > 1`` allows sharding the grid across up to ``N``
+        worker processes, and ``0`` means one worker per CPU.  The pool starts
+        only once the work measured so far pays for its start-up (see
+        :meth:`execute`), so a light grid stays in this process.  The report
+        list is in the same deterministic grid order either way, with
+        identical rows — only the timing fields
+        (``build_seconds``/``eval_seconds``) reflect where the work actually
+        ran.  ``policy`` governs failing points exactly as in
         :meth:`execute`, which documents the pipeline.
         """
         return list(

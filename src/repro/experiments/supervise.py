@@ -4,8 +4,11 @@
 process pool (``tools/lint_repo.py`` rule LNT004 keeps it that way).  The
 runner's sweep pipeline — plan, partition against the store, execute, merge
 (see :meth:`~repro.experiments.runner.ExperimentRunner.execute`) — hands
-it the store misses whenever a sweep needs a pool: ``jobs > 1`` or a
-watchdog.  The policy decides how a failing grid point degrades:
+it the store misses whenever a sweep needs a pool: a watchdog, a
+supervised ``jobs > 1`` sweep, or a fail-fast ``jobs > 1`` sweep whose
+measured work so far says the pool pays for its start-up
+(:func:`~repro.experiments.runner.pool_pays`).  The policy decides how a
+failing grid point degrades:
 
 * **Fail fast** (the default policy, :attr:`FaultPolicy.supervised` false) —
   the first failure in grid order is re-raised unchanged, after every row
@@ -168,9 +171,10 @@ class SweepSupervisor:
 
     The public surface is :meth:`run` — a generator yielding one report per
     spec, healthy or quarantined, in grid order — plus the counters ``retries``
-    (re-attempts performed), ``quarantined`` (points given up on) and
-    ``pool_restarts`` (pools discarded after a crash or watchdog kill), which
-    the runner folds into its own totals.  A supervisor runs its specs once.
+    (re-attempts performed), ``quarantined`` (points given up on),
+    ``pool_starts`` (pools started, restarts included) and ``pool_restarts``
+    (pools discarded after a crash or watchdog kill); the runner folds the
+    first three into its own totals.  A supervisor runs its specs once.
     """
 
     def __init__(
@@ -194,6 +198,7 @@ class SweepSupervisor:
         )
         self.retries = 0
         self.quarantined = 0
+        self.pool_starts = 0
         self.pool_restarts = 0
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pending: Deque[_Unit] = deque()
@@ -223,6 +228,7 @@ class SweepSupervisor:
                 initializer=_init_worker,
                 initargs=(self.max_cached_instances, get_default_backend()),
             )
+            self.pool_starts += 1
         return self._pool
 
     def _discard_pool(self) -> None:

@@ -43,6 +43,8 @@ __all__ = ["ServeApp", "ServerThread", "run_server"]
 _MAX_HEADER_LINE = 16 * 1024
 _MAX_HEADERS = 100
 _MAX_BODY = 16 * 1024 * 1024
+_DRAIN_BYTES = 1024 * 1024
+_DRAIN_SECONDS = 1.0
 
 
 class _HttpError(Exception):
@@ -63,6 +65,34 @@ async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
     if len(line) > _MAX_HEADER_LINE:
         raise _HttpError(400, f"{what} too long")
     return line
+
+
+async def _drain(reader: asyncio.StreamReader) -> None:
+    """Read and drop what the client still sends, up to ``_DRAIN_BYTES``."""
+    left = _DRAIN_BYTES
+    while left > 0:
+        chunk = await reader.read(min(left, 64 * 1024))
+        if not chunk:
+            return
+        left -= len(chunk)
+
+
+async def _close_after_refusal(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> None:
+    """Half-close, then drain the unread request before the socket closes.
+
+    Closing a socket with input still unread makes the kernel send a reset,
+    which can destroy the refusal the client has not read yet.  The drain is
+    bounded in bytes and time, so a client that keeps sending cannot hold
+    the connection open.
+    """
+    if writer.can_write_eof():
+        writer.write_eof()
+    try:
+        await asyncio.wait_for(_drain(reader), _DRAIN_SECONDS)
+    except (asyncio.TimeoutError, ConnectionError):
+        pass
 
 
 _REASONS = {
@@ -204,6 +234,7 @@ class ServeApp:
                         },
                         keep_alive=False,
                     )
+                    await _close_after_refusal(reader, writer)
                     return
                 if request is None:
                     return

@@ -85,9 +85,10 @@ def handle_healthz(state: ServeState) -> Dict[str, object]:
 def handle_stats(state: ServeState) -> Dict[str, object]:
     """``GET /stats`` — the counters the coalescing/caching invariants live on.
 
-    ``eval_count`` and ``store_hits`` come straight from the resident
-    runner; ``coalesce`` reports leaders (misses), followers (hits) and the
-    number of evaluations currently in flight.  The serve tests and the CI
+    ``eval_count``, ``store_hits`` and ``pool_starts`` (worker pools the
+    served ``jobs > 1`` sweeps actually started) come straight from the
+    resident runner; ``coalesce`` reports leaders (misses), followers (hits)
+    and the number of evaluations currently in flight.  The serve tests and the CI
     load driver assert against exactly this payload.
     """
     return {
@@ -95,6 +96,7 @@ def handle_stats(state: ServeState) -> Dict[str, object]:
         "sweeps_streamed": state.sweeps_streamed,
         "eval_count": state.runner.eval_count,
         "store_hits": state.runner.store_hits,
+        "pool_starts": state.runner.pool_starts,
         "cached_instances": state.runner.cached_instances,
         "coalesce": {
             "hits": state.coalescer.hits,

@@ -89,6 +89,32 @@ def engine_backend(request):
         set_default_backend(previous)
 
 
+@pytest.fixture
+def pool_after_first_point(monkeypatch):
+    """Make every ``jobs > 1`` sweep hand its misses to the pool after one point.
+
+    A ``jobs > 1`` sweep starts in-process and moves to the pool only once
+    the measured work pays for the pool's start-up
+    (:func:`repro.experiments.runner.pool_pays`), which the test grids never
+    reach.  With ``POOL_START_SECONDS`` at 0 the first in-process point
+    always pays for it, as long as at least two points remain.  Returns a
+    callable counting the pools the test's sweeps started, so a test can
+    assert that it really reached the pool.
+    """
+    from repro.experiments import runner, supervise
+
+    monkeypatch.setattr(runner, "POOL_START_SECONDS", 0.0)
+    supervisors = []
+    run = supervise.SweepSupervisor.run
+
+    def recording_run(self):
+        supervisors.append(self)
+        return run(self)
+
+    monkeypatch.setattr(supervise.SweepSupervisor, "run", recording_run)
+    return lambda: sum(supervisor.pool_starts for supervisor in supervisors)
+
+
 @pytest.fixture(scope="session")
 def muddy_model():
     """The 8-world muddy-children model for three children."""

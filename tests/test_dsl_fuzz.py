@@ -126,23 +126,29 @@ def test_distinct_seeds_usually_differ():
 # -- serial vs parallel sweeps over the registered family -----------------------
 
 
-def test_parallel_sweep_matches_serial_on_fuzzed_scenario(fuzz_seeds):
+def test_parallel_sweep_matches_serial_on_fuzzed_scenario(
+    fuzz_seeds, pool_after_first_point
+):
     """``--jobs`` workers rebuild generated protocols and match the serial rows."""
     seeds = list(fuzz_seeds)[:4]
     grid = {"seed": seeds, "delivery": ["reliable", "unreliable"]}
     serial = ExperimentRunner().sweep("random_protocol", grid)
     parallel = ExperimentRunner().sweep("random_protocol", grid, jobs=2)
+    assert pool_after_first_point() == 1
     assert comparable(parallel) == comparable(serial)
 
 
-def test_parallel_sweep_matches_serial_both_backends(fuzz_seeds):
+def test_parallel_sweep_matches_serial_both_backends(
+    fuzz_seeds, pool_after_first_point
+):
     """Same identity under each engine default backend (workers follow it)."""
-    seeds = list(fuzz_seeds)[:2]
+    seeds = list(fuzz_seeds)[:3]
     grid = {"seed": seeds, "delivery": ["async"]}
-    for backend in BACKENDS:
+    for started, backend in enumerate(BACKENDS, start=1):
         set_default_backend(backend)  # the autouse fixture restores the default
         serial = ExperimentRunner().sweep("random_protocol", grid)
         parallel = ExperimentRunner().sweep("random_protocol", grid, jobs=2)
+        assert pool_after_first_point() == started
         assert {report.backend for report in parallel} == {backend}
         assert comparable(parallel) == comparable(serial)
 

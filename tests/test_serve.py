@@ -124,6 +124,7 @@ def test_stats_shape(server):
     assert status == 200
     assert payload["eval_count"] == 0
     assert payload["store_hits"] == 0
+    assert payload["pool_starts"] == 0
     assert payload["coalesce"] == {"hits": 0, "misses": 0, "inflight": 0}
 
 
@@ -184,6 +185,25 @@ def test_sweep_rows_match_cli_sweep_json(server, capsys):
     assert len(served_rows) == len(cli_rows)
     for served, expected in zip(served_rows, cli_rows):
         assert comparable(served) == comparable(expected)
+
+
+def test_light_served_jobs_sweep_starts_no_pool(server):
+    """A light ``"jobs": 2`` sweep runs on the resident runner, whose
+    instance cache keeps its points, and ``GET /stats`` shows no pool."""
+    status, body = post(
+        server,
+        "/sweep",
+        {"scenario": "muddy_children", "grid": {"n": [2, 3, 4]}, "jobs": 2},
+    )
+    assert status == 200
+    assert json.loads(body.decode().splitlines()[-1]) == {
+        "sweep_complete": True,
+        "rows": 3,
+    }
+    _status, stats = get(server, "/stats")
+    assert stats["pool_starts"] == 0
+    assert stats["eval_count"] == 3
+    assert stats["cached_instances"] == 3
 
 
 @pytest.mark.parametrize(
@@ -316,26 +336,29 @@ def test_unknown_route_and_bad_method(server):
 
 
 def raw_exchange(server, data):
-    """Send raw bytes and read the reply until the server closes."""
+    """Send raw bytes and read the reply until a clean EOF.
+
+    A ``ConnectionResetError`` fails the caller: the server must not drop
+    input it left unread, or a client still sending can lose the reply.
+    """
     with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
         sock.sendall(data)
         chunks = []
         while True:
-            try:
-                chunk = sock.recv(65536)
-            except ConnectionResetError:  # the server dropped unread input
-                break
+            chunk = sock.recv(65536)
             if not chunk:
                 break
             chunks.append(chunk)
     return b"".join(chunks)
 
 
-@pytest.mark.parametrize("size", [20_000, 70_000])
+@pytest.mark.parametrize("size", [20_000, 70_000, 200_000])
 @pytest.mark.parametrize("what", ["request line", "header line"])
 def test_over_long_head_lines_get_a_400(server, size, what):
     """Past 64 KiB the stream reader raises instead of returning the line;
-    that too is answered with the JSON 400, and the server keeps serving."""
+    that too is answered with the JSON 400, then a clean EOF — even with
+    most of a 200,000-byte line still unread — and the server keeps
+    serving."""
     filler = b"a" * size
     if what == "request line":
         request = b"GET /" + filler + b" HTTP/1.1\r\n\r\n"

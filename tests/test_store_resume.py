@@ -15,6 +15,9 @@ In both cases the rows recorded before the failure must be durable, a resumed
 sweep must evaluate *only* the missing grid points (pinned via the runner's
 ``eval_count``), and the merged rows must be identical — timing fields
 excepted — to a sweep that never failed, serially and under ``--jobs 2``.
+The in-process ``--jobs 2`` cases take the ``pool_after_first_point``
+fixture (``tests/conftest.py``), so their misses after the first really run
+on the pool.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ def fragile_scenario():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_worker_failure_then_resume_matches_uninterrupted(
-    fragile_scenario, tmp_path, monkeypatch, jobs
+    fragile_scenario, tmp_path, monkeypatch, jobs, pool_after_first_point
 ):
     expected = ExperimentRunner().sweep(fragile_scenario, GRID)
     assert len(expected) == GRID_POINTS
@@ -106,6 +109,7 @@ def test_worker_failure_then_resume_matches_uninterrupted(
         with pytest.raises(ScenarioError, match="injected transient failure"):
             runner.sweep(fragile_scenario, GRID, jobs=jobs)
         recorded = store.stats()["rows"]
+    assert runner.pool_starts == (jobs > 1)
     # The poison point (n=4) can never have been recorded; rows
     # streamed back before the failure must have been.  Under --jobs the
     # failing chunk may take neighbours down with it, so the exact count is
@@ -281,12 +285,15 @@ def test_concurrent_sweeps_sharing_one_store_match_isolated_runs(tmp_path):
         assert comparable(merged) == comparable(expected)
 
 
-def test_store_shared_between_serial_and_parallel_runs(tmp_path):
+def test_store_shared_between_serial_and_parallel_runs(
+    tmp_path, pool_after_first_point
+):
     """Rows recorded by a parallel sweep resume a serial one, and vice versa."""
     path = str(tmp_path / "results.sqlite")
     with ResultStore(path) as store:
         parallel_runner = ExperimentRunner(store=store)
         fresh = parallel_runner.sweep("muddy_children", GRID, jobs=2)
+        assert parallel_runner.pool_starts == 1
         assert parallel_runner.eval_count == len(fresh)
 
     with ResultStore(path) as store:
@@ -302,15 +309,17 @@ def test_store_shared_between_serial_and_parallel_runs(tmp_path):
         assert comparable(grown[:3]) == comparable(fresh)
 
 
-def test_every_executor_keeps_rows_and_counters_in_parity(tmp_path):
+def test_every_executor_keeps_rows_and_counters_in_parity(
+    tmp_path, pool_after_first_point
+):
     """Counter-parity differential across the sweep executors.
 
     The same half-recorded grid, resumed serially, at ``jobs=2`` and under a
     supervising policy (in process and pooled): identical rows, identical
     ``eval_count``/``store_hits`` and ``from_store`` flags, and a second
-    resume evaluates nothing.
+    resume evaluates nothing.  Both ``jobs=2`` modes reach the pool.
     """
-    grid = {"n": [2, 3, 4, 5]}
+    grid = {"n": [2, 3, 4, 5, 6]}
     supervising = FaultPolicy(on_error="skip", retries=1, retry_backoff=0.001)
     modes = {
         "serial": {},
@@ -332,6 +341,7 @@ def test_every_executor_keeps_rows_and_counters_in_parity(tmp_path):
             again = resumed.sweep(
                 "muddy_children", grid, **options
             )
+        assert runner.pool_starts == ("jobs" in options), name
         outcomes[name] = (
             comparable(reports),
             [report.from_store for report in reports],
@@ -341,7 +351,7 @@ def test_every_executor_keeps_rows_and_counters_in_parity(tmp_path):
         )
     for name in modes:
         assert outcomes[name] == outcomes["serial"], name
-    assert outcomes["serial"][1] == [True, False, True, False]
-    assert outcomes["serial"][2] == (2, 2)
-    assert outcomes["serial"][3] == (0, 4)
+    assert outcomes["serial"][1] == [True, False, True, False, False]
+    assert outcomes["serial"][2] == (3, 2)
+    assert outcomes["serial"][3] == (0, 5)
     assert outcomes["serial"][4] == outcomes["serial"][0]
