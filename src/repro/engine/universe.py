@@ -28,7 +28,6 @@ from repro.errors import ModelError
 __all__ = [
     "Hypercube",
     "IndexedUniverse",
-    "MaskCompressor",
     "Segmentation",
     "bit_flags",
     "class_ids_from_blocks",
@@ -438,47 +437,3 @@ class Segmentation:
             covered += step
         return mask
 
-
-class MaskCompressor:
-    """Remaps bitmasks from a parent universe onto the sub-universe of survivors.
-
-    A *compression* is an AND against the survivor mask after which the
-    surviving bits are repacked contiguously, in order, so they line up with
-    an :class:`IndexedUniverse` of the survivors alone (a restricted Kripke
-    structure's public numbering).  The
-    compressor keeps the parent-position -> child-position table and the
-    survivor mask's digit flags, and remaps any mask in time linear in the
-    parent's width (see :func:`select_bits`).
-    """
-
-    __slots__ = ("survivor_mask", "_child_of", "_selectors", "_width")
-
-    def __init__(self, survivor_mask: int):
-        if survivor_mask < 0:
-            raise ModelError("survivor mask must be non-negative")
-        self.survivor_mask = survivor_mask
-        self._width = survivor_mask.bit_length()
-        # _child_of[parent position] = the child position, for sparse masks;
-        # dense ones keep the digits of the positions flagged in _selectors.
-        self._child_of: Dict[int, int] = {
-            parent: child
-            for child, parent in enumerate(select_bits(range(self._width), survivor_mask))
-        }
-        self._selectors = bit_flags(survivor_mask)
-
-    def __len__(self) -> int:
-        return len(self._child_of)
-
-    def compress(self, mask: int) -> int:
-        """Remap a parent-numbered ``mask`` (clipped to the survivors) to child bits."""
-        mask &= self.survivor_mask
-        child_of = self._child_of
-        result = 0
-        for _ in range(_PEEL_LIMIT):
-            if not mask:
-                return result
-            low = mask & -mask
-            result |= 1 << child_of[low.bit_length() - 1]
-            mask ^= low
-        digits = bin(mask)[:1:-1].ljust(self._width, "0").encode()
-        return result | int(bytes(compress(digits, self._selectors))[::-1], 2)

@@ -238,24 +238,22 @@ class SweepSupervisor:
         sleeping, and the interpreter's atexit hook would then block on joining
         it.  The worker processes are reached through the executor's private
         ``_processes`` map — stable since 3.7 and the only handle there is —
-        and killed outright; the pool object is discarded either way.
+        and killed outright; the pool object is discarded either way.  The
+        killed workers are then reaped by the executor's manager thread alone,
+        which ``shutdown(wait=True)`` waits for: a second thread joining the
+        same processes could lose the ``waitpid`` race and leave a dead child
+        registered in :func:`multiprocessing.active_children`.
         """
         pool, self._pool = self._pool, None
         if pool is None:
             return
-        processes = list((getattr(pool, "_processes", None) or {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for process in processes:
+        for process in list((getattr(pool, "_processes", None) or {}).values()):
             try:
                 if process.is_alive():
                     process.kill()
             except (OSError, ValueError):  # pragma: no cover - already reaped
                 pass
-        for process in processes:
-            try:
-                process.join(timeout=5)
-            except (OSError, ValueError, AssertionError):  # pragma: no cover
-                pass
+        pool.shutdown(wait=True, cancel_futures=True)
 
     def _restart_pool(self, reason: str, suspect: _Unit) -> None:
         """Discard the pool, counting the restart against the policy budget."""

@@ -24,9 +24,10 @@ the on/off ablation in ``benchmarks/bench_bisimulation.py``.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, List, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Sequence, Tuple
 
-from repro.engine.universe import class_ids_from_blocks, partition_from_class_ids
+from repro.engine.universe import class_ids_from_blocks, select_bits
+from repro.errors import UnknownWorldError
 from repro.kripke.structure import KripkeStructure, World
 
 __all__ = [
@@ -37,63 +38,79 @@ __all__ = [
 ]
 
 
-def _bisimulation_block_masks(structure: KripkeStructure) -> Tuple[int, ...]:
-    """The coarsest bisimulation-stable partition, as bitmasks.
+class _Refinement:
+    """The coarsest bisimulation of one structure, as one block id per world.
+
+    ``worlds`` are the structure's worlds in the order of its numbering (the
+    survivors of :meth:`KripkeStructure.evaluation_masks`, or the root's own
+    sequence when the structure is the whole root), and ``class_ids`` gives
+    each agent's class id at each of them, an index into its block masks.
+    Both are computed once and serve the refinement and the quotient.
 
     Signature refinement in class-id space: start from the valuation
     partition; in each round, OR one bit per world into its ``a``-class's
     mask of block ids (for every agent ``a``), then renumber the worlds by
     (block id, per-agent class mask).  A round that leaves the block count
     unchanged leaves the partition unchanged, so it is stable.  Blocks are
-    returned in the order of their first world.
+    numbered in the order of their first world (``block_of``), and
+    ``classes`` lists them as frozensets in that order.
     """
-    universe = structure.indexed_universe()
-    size = len(universe)
 
-    # Initial partition: group worlds by their valuation.
-    by_valuation: Dict[FrozenSet[str], int] = {}
-    block_of = [
-        by_valuation.setdefault(structure.facts_at(world), len(by_valuation))
-        for world in universe.elements
-    ]
-    count = len(by_valuation)
-    if count == size:  # a partition into singletons is stable
-        return partition_from_class_ids(block_of)[0]
+    def __init__(self, structure: KripkeStructure):
+        masks = structure.evaluation_masks()
+        universe, full = masks.universe, masks.full
+        size = len(universe)
+        agents = sorted(structure.agents, key=repr)
+        self.class_ids = {
+            agent: class_ids_from_blocks(masks.blocks[agent], size) for agent in agents
+        }
+        if full == universe.full_mask:
+            self.worlds: Sequence[World] = universe.elements
+        else:
+            self.worlds = list(universe.elements_of(full))
+            for agent, ids in self.class_ids.items():
+                self.class_ids[agent] = list(select_bits(ids, full))
+        self.facts = list(map(structure.facts_at, self.worlds))
+        self.block_of = self._refine([len(masks.blocks[agent]) for agent in agents])
+        members: List[List[World]] = [[] for _ in range(max(self.block_of) + 1)]
+        for world, block in zip(self.worlds, self.block_of):
+            members[block].append(world)
+        self.classes: Tuple[FrozenSet[World], ...] = tuple(map(frozenset, members))
 
-    partitions = [
-        structure.partition_masks(agent)
-        for agent in sorted(structure.agents, key=repr)
-    ]
-    class_ids = [class_ids_from_blocks(blocks, size) for blocks in partitions]
-    while True:
-        bits = [1 << block for block in block_of]
-        columns: List[List[int]] = [block_of]
-        for ids, blocks in zip(class_ids, partitions):
-            met = [0] * len(blocks)
-            for class_id, bit in zip(ids, bits):
-                met[class_id] |= bit
-            columns.append(list(map(met.__getitem__, ids)))
-        signatures: Dict[Tuple[int, ...], int] = {}
-        block_of = [
-            signatures.setdefault(signature, len(signatures))
-            for signature in zip(*columns)
-        ]
-        if len(signatures) in (count, size):
-            return partition_from_class_ids(block_of)[0]
-        count = len(signatures)
+    def _refine(self, class_counts: List[int]) -> List[int]:
+        size = len(self.worlds)
+        # Initial partition: group worlds by their valuation.
+        by_valuation: Dict[FrozenSet[str], int] = {}
+        block_of = [by_valuation.setdefault(facts, len(by_valuation)) for facts in self.facts]
+        count = len(by_valuation)
+        if count == size:  # a partition into singletons is stable
+            return block_of
+        while True:
+            bits = [1 << block for block in block_of]
+            columns: List[List[int]] = [block_of]
+            for ids, classes in zip(self.class_ids.values(), class_counts):
+                met = [0] * classes
+                for class_id, bit in zip(ids, bits):
+                    met[class_id] |= bit
+                columns.append(list(map(met.__getitem__, ids)))
+            signatures: Dict[Tuple[int, ...], int] = {}
+            block_of = [
+                signatures.setdefault(signature, len(signatures))
+                for signature in zip(*columns)
+            ]
+            if len(signatures) in (count, size):
+                return block_of
+            count = len(signatures)
 
 
 def bisimulation_classes(structure: KripkeStructure) -> Tuple[FrozenSet[World], ...]:
     """The coarsest partition of the worlds into bisimilarity classes.
 
-    Computed by signature refinement over class ids and bitmasks (see
-    :func:`_bisimulation_block_masks`); the result is converted to frozensets
-    at the boundary.
+    Computed by signature refinement over class ids (see
+    :class:`_Refinement`); the classes come in the order of their first
+    world.
     """
-    universe = structure.indexed_universe()
-    return tuple(
-        universe.to_frozenset(mask) for mask in _bisimulation_block_masks(structure)
-    )
+    return _Refinement(structure).classes
 
 
 def are_bisimilar(structure: KripkeStructure, world_a: World, world_b: World) -> bool:
@@ -102,12 +119,12 @@ def are_bisimilar(structure: KripkeStructure, world_a: World, world_b: World) ->
     Unknown worlds raise :class:`~repro.errors.UnknownWorldError`, matching
     every other world-taking accessor of the structure.
     """
-    bit_a = 1 << structure.world_index(world_a)
-    bit_b = 1 << structure.world_index(world_b)
-    for mask in _bisimulation_block_masks(structure):
-        if mask & bit_a:
-            return bool(mask & bit_b)
-    raise AssertionError("every world lies in some block")  # pragma: no cover
+    for world in (world_a, world_b):
+        if world not in structure:
+            raise UnknownWorldError(f"unknown world {world!r}")
+    refinement = _Refinement(structure)
+    block = dict(zip(refinement.worlds, refinement.block_of))
+    return block[world_a] == block[world_b]
 
 
 def quotient(structure: KripkeStructure) -> Tuple[KripkeStructure, Dict[World, FrozenSet[World]]]:
@@ -125,29 +142,21 @@ def quotient(structure: KripkeStructure) -> Tuple[KripkeStructure, Dict[World, F
     and the structure is built from the ids by
     :meth:`KripkeStructure._from_class_ids`.
     """
-    universe = structure.indexed_universe()
-    size = len(universe)
-    class_masks = _bisimulation_block_masks(structure)
-    block_of = class_ids_from_blocks(class_masks, size)
-    classes = tuple(universe.to_frozenset(mask) for mask in class_masks)
-    class_of: Dict[World, FrozenSet[World]] = {}
-    for block in classes:
-        class_of.update(dict.fromkeys(block, block))
-
-    valuation = {
-        block: structure.facts_at(universe.elements[(mask & -mask).bit_length() - 1])
-        for block, mask in zip(classes, class_masks)
-    }
+    refinement = _Refinement(structure)
+    classes, block_of = refinement.classes, refinement.block_of
+    class_of = {world: classes[block] for world, block in zip(refinement.worlds, block_of)}
+    valuation: Dict[FrozenSet[World], FrozenSet[str]] = {}
+    for facts, block in zip(refinement.facts, block_of):
+        valuation.setdefault(classes[block], facts)
 
     class_ids: Dict[Hashable, List[int]] = {}
-    for agent in structure.agents:
-        agent_of = class_ids_from_blocks(structure.partition_masks(agent), size)
+    for agent, agent_of in refinement.class_ids.items():
         # One pass over the worlds builds the agent class -> intersecting
         # classes map (each (agent class, class) pair once).
         intersecting: Dict[int, List[int]] = {}
         for agent_class, index in dict.fromkeys(zip(agent_of, block_of)):
             intersecting.setdefault(agent_class, []).append(index)
-        ids = [-1] * len(class_masks)
+        ids = [-1] * len(classes)
         group_id = 0
         for group in intersecting.values():
             if ids[group[0]] < 0:

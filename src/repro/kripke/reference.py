@@ -131,9 +131,9 @@ def constructor_rebuild(
     """The seed's validating ``KripkeStructure`` constructor.
 
     It builds every agent's ``class_of`` map eagerly and hashes every block into
-    a partition mask; the per-world class masks are left to
-    :meth:`KripkeStructure.class_masks_in_order`, which derives them from those
-    partition masks.
+    a partition mask; the per-world class masks are left to the ``class_at``
+    of :meth:`KripkeStructure.evaluation_masks`, which derives them from
+    those partition masks.
     """
     world_set = frozenset(worlds)
     if not world_set:

@@ -23,7 +23,8 @@ A structure is built in one of two forms.
   the Kripke export of a system; the public constructor validates its partition
   blocks and interns them into ids.  Either way one pass per agent groups the
   ids into the partition masks and the per-world class masks the bitset engine
-  backend consumes, under the ``repr``-sorted world numbering.
+  backend consumes, under the ``repr``-sorted world numbering, whatever order
+  the worlds come in.
 * As a *cube* (:meth:`KripkeStructure._from_cube`, the muddy children): world
   ``p`` is the ``p``-th boolean tuple, and each agent's classes are the
   subcubes over the index bits it cannot see
@@ -49,13 +50,13 @@ engine takes the root numbering with ``S`` as its ``full`` mask
 the bitset backend never leaves bitmask space.  Derived structures skip the
 constructor's validation (their invariants hold by construction).
 
-The public accessors (:meth:`~KripkeStructure.indexed_universe`,
-:meth:`~KripkeStructure.partition_masks`, :meth:`~KripkeStructure.prop_mask`...)
-answer in the ``repr``-ordered numbering of the survivors alone.  While ``S``
-is the whole root that is the root numbering; otherwise the survivors'
-masks are compressed into it (:class:`~repro.engine.universe.MaskCompressor`)
-on first use.  The frozenset view of the partitions is materialised only when
-a frozenset-level accessor asks for it.  The differential tests in
+That is the structure's one numbering: every mask it takes or hands out
+(:meth:`~KripkeStructure.evaluation_masks`,
+:meth:`~KripkeStructure.restrict_mask`, an evaluator's extension masks) is in
+its root's numbering, with ``S`` marking its own worlds.  The frozenset-level
+accessors (``partition``, ``reachable``, ``prop_worlds``...) read the same
+masks; the frozenset view of the partitions is materialised only when one of
+them asks for it.  The differential tests in
 ``tests/test_derived_structures.py`` and ``tests/test_class_id_construction.py``
 pin derived and class-id-built structures to be observably identical to the
 seed's from-scratch rebuilds (:mod:`repro.kripke.reference`).
@@ -84,14 +85,13 @@ from typing import (
 from repro.engine.universe import (
     Hypercube,
     IndexedUniverse,
-    MaskCompressor,
     class_ids_from_blocks,
     partition_from_class_ids,
     reachability_components,
     select_bits,
 )
 from repro.errors import ModelError, UnknownAgentError, UnknownWorldError
-from repro.logic.agents import Agent, Group, GroupLike, as_group
+from repro.logic.agents import Agent, GroupLike, as_group
 
 __all__ = ["World", "KripkeStructure", "EvaluationMasks"]
 
@@ -206,7 +206,7 @@ class _Root:
             self._table = {world: frozenset(facts(world)) for world in self.universe()}
         return self._table
 
-    def prop_mask(self, name: str) -> int:
+    def extension(self, name: str) -> int:
         """The extension of ``name`` over the whole root."""
         cached = self.prop_masks.get(name)
         if cached is None:
@@ -351,7 +351,7 @@ class KripkeStructure:
         ``w ^ e_i``, so its id is the index with the child's bit cleared).  The
         caller guarantees distinct ``worlds`` and one id per world for every
         agent; the worlds may come in any order, and the bit numbering is still
-        the ``repr``-sorted :meth:`indexed_universe`.
+        the ``repr``-sorted numbering of :meth:`evaluation_masks`.
         """
         self = cls.__new__(cls)
         table = self._set_worlds_agents_valuation(worlds, agents, valuation)
@@ -372,7 +372,7 @@ class KripkeStructure:
         Used by :func:`repro.kripke.builders.others_attribute_model`.  World
         ``p`` is ``make_worlds()[p]``, and ``cube`` gives each agent the index
         bits it cannot see.  ``make_worlds()`` must list the worlds in
-        ``repr`` order, so the public numbering is the cube's own.
+        ``repr`` order, as every root numbering does.
         ``atom(name)`` is a proposition's extension as a mask over all
         ``2**cube.bits`` positions, and ``facts(world)`` the same valuation
         per world; the worlds, the valuation, and the block masks are only
@@ -403,7 +403,6 @@ class KripkeStructure:
         self._cube = partitions if isinstance(partitions, Hypercube) else None
         self._worlds = worlds
         self._evaluation: Optional[_View] = None
-        self._public: Optional[_View] = None
         self._classes: Optional[Dict[Agent, Tuple[FrozenSet[World], ...]]] = None
         self._class_of: Optional[Dict[Agent, Dict[World, FrozenSet[World]]]] = None
 
@@ -492,7 +491,7 @@ class KripkeStructure:
         The ids are permuted into bit-position order and grouped by
         :func:`~repro.engine.universe.partition_from_class_ids`, which yields
         the partition masks (ordered by class id) and the per-world class
-        masks :meth:`class_masks_in_order` serves.  The frozenset view of the
+        masks of :meth:`evaluation_masks`.  The frozenset view of the
         partitions is left to :meth:`_ensure_partitions`.
         """
         keys = [repr(world) for world in world_list]
@@ -515,13 +514,11 @@ class KripkeStructure:
         """
         if self._classes is not None:
             return
-        universe = self.indexed_universe()
+        view = self._evaluation_view()
         classes: Dict[Agent, Tuple[FrozenSet[World], ...]] = {}
         class_of: Dict[Agent, Dict[World, FrozenSet[World]]] = {}
         for agent in self._agents:
-            blocks = tuple(
-                universe.to_frozenset(mask) for mask in self.partition_masks(agent)
-            )
+            blocks = tuple(map(view.universe.to_frozenset, view.blocks[agent]))
             classes[agent] = blocks
             class_map: Dict[World, FrozenSet[World]] = {}
             for block in blocks:
@@ -531,7 +528,9 @@ class KripkeStructure:
         self._classes = classes
         self._class_of = class_of
 
-    # -- the two numberings --------------------------------------------------------
+    # -- the masks ---------------------------------------------------------------
+    # Every mask is in the root numbering, computed on first use and cached,
+    # which is sound because structures are immutable.
     def _evaluation_view(self) -> _View:
         """The masks in the root numbering, cut down to the survivors."""
         if self._evaluation is None:
@@ -542,47 +541,22 @@ class KripkeStructure:
                 survivors,
                 self._agents,
                 self._root_partition,
-                lambda name: root.prop_mask(name) & survivors,
+                lambda name: root.extension(name) & survivors,
             )
         return self._evaluation
 
     def _root_partition(self, agent: Agent) -> Partition:
-        if self._cube is None:
+        cube = self._cube
+        if cube is None:
             return self._partitions[agent]
-        partition = partition_from_class_ids(self._class_ids(agent))
-        if self._survivors == self._cube.full_mask:
+        # A position's class id is the position with the hidden bits cleared.
+        kept = ~cube.hidden[agent]
+        partition = partition_from_class_ids(
+            [position & kept for position in range(1 << cube.bits)]
+        )
+        if self._survivors == cube.full_mask:
             return partition
         return _clipped(partition[0], self._survivors), None
-
-    def _class_ids(self, agent: Agent) -> List[int]:
-        """``agent``'s class id at every root position, in block order."""
-        if self._cube is None:
-            blocks = self._evaluation_view().blocks[agent]
-            return class_ids_from_blocks(blocks, len(self._root.universe()))
-        # A position's class id is the position with the hidden bits cleared.
-        kept = ~self._cube.hidden[agent]
-        return [position & kept for position in range(1 << self._cube.bits)]
-
-    def _public_view(self) -> _View:
-        """The masks in the ``repr``-ordered numbering of the survivors alone."""
-        if self._public is None:
-            evaluation = self._evaluation_view()
-            survivors = self._survivors
-            if survivors == evaluation.universe.full_mask:
-                self._public = evaluation
-            else:
-                universe = IndexedUniverse(evaluation.universe.elements_of(survivors))
-                compress = MaskCompressor(survivors).compress
-                self._public = _View(
-                    universe,
-                    universe.full_mask,
-                    self._agents,
-                    lambda agent: partition_from_class_ids(
-                        list(select_bits(self._class_ids(agent), survivors))
-                    ),
-                    lambda name: compress(evaluation.props[name]),
-                )
-        return self._public
 
     # -- basic accessors -------------------------------------------------------
     @property
@@ -640,13 +614,12 @@ class KripkeStructure:
         """
         members = self._require_group(group)
         self._require_world(world)
-        position = self.indexed_universe().index_of(world)
-        result: Optional[int] = None
+        view = self._evaluation_view()
+        position = view.universe.index_of(world)
+        result = self._survivors
         for agent in members:
-            mask = self.class_masks_in_order(agent)[position]
-            result = mask if result is None else result & mask
-        assert result is not None  # groups are non-empty
-        return self.indexed_universe().to_frozenset(result)
+            result &= view.class_at[agent][position]
+        return view.universe.to_frozenset(result)
 
     def reachable(self, group: GroupLike, world: World) -> FrozenSet[World]:
         """Worlds G-reachable from ``world`` in any finite number of steps.
@@ -658,10 +631,11 @@ class KripkeStructure:
         """
         members = self._require_group(group)
         self._require_world(world)
-        bit = self.indexed_universe().bit(world)
-        for component in self.component_masks(Group(members)):
+        view = self._evaluation_view()
+        bit = view.universe.bit(world)
+        for component in view.components[members]:
             if component & bit:
-                return self.indexed_universe().to_frozenset(component)
+                return view.universe.to_frozenset(component)
         raise AssertionError("every world lies in some component")  # pragma: no cover
 
     def reachable_within(
@@ -676,8 +650,9 @@ class KripkeStructure:
             raise ModelError("steps must be non-negative")
         members = self._require_group(group)
         self._require_world(world)
-        universe = self.indexed_universe()
-        class_orders = [self.class_masks_in_order(agent) for agent in members]
+        view = self._evaluation_view()
+        universe = view.universe
+        class_orders = [view.class_at[agent] for agent in members]
         current = universe.bit(world)
         for _ in range(steps):
             nxt = current
@@ -694,76 +669,19 @@ class KripkeStructure:
         return universe.to_frozenset(current)
 
     def connected_components(self, group: GroupLike) -> Tuple[FrozenSet[World], ...]:
-        """The partition of the worlds into G-reachability components."""
-        universe = self.indexed_universe()
-        return tuple(
-            universe.to_frozenset(mask) for mask in self.component_masks(group)
-        )
+        """The partition of the worlds into G-reachability components.
 
-    # -- indexing and bitmask views ----------------------------------------------
-    # These accessors answer in the public numbering: the survivors alone,
-    # ordered by ``repr``.  Every mask is computed on first use and cached,
-    # which is sound because structures are immutable.
-
-    def indexed_universe(self) -> IndexedUniverse:
-        """The world <-> bit-position numbering (worlds ordered by ``repr``)."""
-        return self._public_view().universe
-
-    def world_order(self) -> Tuple[World, ...]:
-        """The worlds in their deterministic bit-position order."""
-        return self.indexed_universe().elements
-
-    def world_index(self, world: World) -> int:
-        """The bit position assigned to ``world``."""
-        self._require_world(world)
-        return self.indexed_universe().index_of(world)
-
-    def world_mask(self, worlds: Iterable[World]) -> int:
-        """The bitmask whose set bits are exactly ``worlds``."""
-        universe = self.indexed_universe()
-        mask = 0
-        for world in worlds:
-            self._require_world(world)
-            mask |= universe.bit(world)
-        return mask
-
-    def worlds_from_mask(self, mask: int) -> FrozenSet[World]:
-        """The set of worlds encoded by ``mask``."""
-        return self.indexed_universe().to_frozenset(mask)
-
-    def partition_masks(self, agent: Agent) -> Tuple[int, ...]:
-        """``agent``'s indistinguishability classes as bitmasks (a disjoint cover)."""
-        self._require_agent(agent)
-        return self._public_view().blocks[agent]
-
-    def class_mask(self, agent: Agent, world: World) -> int:
-        """The bitmask of ``agent``'s equivalence class of ``world``."""
-        self._require_agent(agent)
-        self._require_world(world)
-        position = self.indexed_universe().index_of(world)
-        return self.class_masks_in_order(agent)[position]
-
-    def class_masks_in_order(self, agent: Agent) -> Tuple[int, ...]:
-        """``agent``'s class masks, one per world, in bit-position order.
-
-        ``class_masks_in_order(a)[i]`` is the mask of ``a``'s equivalence class of
-        ``world_order()[i]`` — the layout the bitset evaluation backend consumes.
+        Components are the connected components of the union of the members'
+        partitions (:func:`~repro.engine.universe.reachability_components`);
+        ``C_G phi`` holds on exactly the union of those inside the extension
+        of ``phi`` (Section 6).
         """
-        self._require_agent(agent)
-        return self._public_view().class_at[agent]
+        view = self._evaluation_view()
+        components = view.components[self._require_group(group)]
+        return tuple(map(view.universe.to_frozenset, components))
 
-    def component_masks(self, group: GroupLike) -> Tuple[int, ...]:
-        """The G-reachability components of ``group`` as bitmasks.
-
-        ``C_G phi`` holds on exactly the union of the components contained in the
-        extension of ``phi`` (Section 6).  Components are the connected components
-        of the union of the members' partitions
-        (:func:`~repro.engine.universe.reachability_components`).
-        """
-        return self._public_view().components[self._require_group(group)]
-
-    def prop_mask(self, name: str) -> int:
-        """The extension of the primitive proposition ``name`` as a bitmask.
+    def prop_worlds(self, name: str) -> FrozenSet[World]:
+        """The set of worlds at which the primitive proposition ``name`` holds.
 
         Extensions are cached per valuation over the root numbering, so every
         structure derived from the same build (restrictions, refinements)
@@ -771,11 +689,8 @@ class KripkeStructure:
         cached builds every name's mask in one pass over the valuation; a
         name the valuation never mentions has the empty extension.
         """
-        return self._public_view().props[name]
-
-    def prop_worlds(self, name: str) -> FrozenSet[World]:
-        """The set of worlds at which the primitive proposition ``name`` holds."""
-        return self.indexed_universe().to_frozenset(self.prop_mask(name))
+        view = self._evaluation_view()
+        return view.universe.to_frozenset(view.props[name])
 
     def group_members(self, group: GroupLike) -> Tuple[Agent, ...]:
         """Validate ``group`` against this structure and return its sorted members."""

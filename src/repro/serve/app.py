@@ -441,7 +441,6 @@ def run_server(
     port: int = 8750,
     store_path: Optional[str] = None,
     max_workers: Optional[int] = None,
-    ready_message: bool = True,
 ) -> None:
     """Run the service in the foreground until interrupted (``repro serve``).
 
@@ -460,8 +459,7 @@ def run_server(
             host=host, port=port, store_path=store_path, max_workers=max_workers
         )
         await app.start()
-        if ready_message:
-            print(f"repro serve: listening on http://{app.host}:{app.port}", flush=True)
+        print(f"repro serve: listening on http://{app.host}:{app.port}", flush=True)
         try:
             await app.serve_forever()
         finally:

@@ -2,15 +2,16 @@
 
 Both hosts give :class:`~repro.engine.EvaluationEngine` a proposition's
 extension (the valuation's ``pi``) as a bitmask over the engine's universe:
-``ModelChecker`` passes ``KripkeStructure.prop_mask``, and
+``ModelChecker`` passes the ``prop_mask`` of
+``KripkeStructure.evaluation_masks()``, and
 ``ViewBasedInterpretation`` builds every fact's mask in one pass over the
 points.  Here each mask, and the extension the engine reads off it on each
 backend, is compared with the per-element scan of ``facts_at`` on every
 registered scenario, on a system with a custom valuation, and for a
-proposition no valuation mentions.  ``KripkeStructure.prop_mask`` builds
-every name's mask in one pass on the first query; it is compared with the
-per-name scan on random structures, their restrictions and refinements, and
-every Kripke scenario.
+proposition no valuation mentions.  A structure's ``prop_mask`` builds every
+name's mask in one pass on the first query; it is compared with the per-name
+scan over the root numbering on random structures, their restrictions and
+refinements, and every Kripke scenario.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def _host(model, backend, valuation=None):
     """The evaluator, its atom hook and the scan's ``facts_at`` per element."""
     if ScenarioSpec.kind_of(model) == KIND_KRIPKE:
         checker = ModelChecker(model, backend=backend)
-        return checker, model.prop_mask, model.facts_at
+        return checker, model.evaluation_masks().prop_mask, model.facts_at
     interpretation = ViewBasedInterpretation(model, valuation=valuation, backend=backend)
     return interpretation, interpretation._prop_extension, interpretation.valuation.facts_at
 
@@ -90,21 +91,26 @@ def test_system_with_custom_valuation(valuation, backend):
     _assert_atoms_match_scan(SYSTEM, backend, valuation)
 
 
-# -- KripkeStructure.prop_mask: one pass against the per-name scan --------------
+# -- a structure's prop_mask: one pass against the per-name scan ---------------
 
 
 def _per_name_scan(structure, name):
+    """``name``'s extension in the root numbering, one survivor at a time."""
     mask = 0
-    for position, world in enumerate(structure.world_order()):
-        if name in structure.facts_at(world):
+    for position, world in enumerate(structure.evaluation_masks().universe):
+        if world in structure and name in structure.facts_at(world):
             mask |= 1 << position
     return mask
 
 
 def _assert_prop_masks_match_scan(structure, first):
-    structure.prop_mask(first)
+    prop_mask = structure.evaluation_masks().prop_mask
+    prop_mask(first)
     for name in sorted(structure.propositions()) + [UNKNOWN, first]:
-        assert structure.prop_mask(name) == _per_name_scan(structure, name), name
+        assert prop_mask(name) == _per_name_scan(structure, name), name
+        assert structure.prop_worlds(name) == frozenset(
+            world for world in structure.worlds if name in structure.facts_at(world)
+        ), name
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -114,7 +120,7 @@ def test_kripke_prop_masks_match_per_name_scan(seed):
         seed, n_worlds=rng.randint(1, 16), n_agents=rng.randint(1, 3), n_props=rng.randint(1, 5)
     )
     names = sorted(structure.propositions()) + [UNKNOWN]
-    structure.prop_mask(rng.choice(names))
+    structure.evaluation_masks().prop_mask(rng.choice(names))
     if structure.propositions():
         # The first query filled in every name the valuation mentions.
         assert set(structure._root.prop_masks) >= structure.propositions()

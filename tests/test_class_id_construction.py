@@ -43,12 +43,17 @@ SEEDS = (11, 22, 33, 44, 55)
 
 
 def assert_same_construction(built, rebuilt, seed=0):
-    """``built`` and the seed-code ``rebuilt`` agree on every public view."""
+    """``built`` and the seed-code ``rebuilt`` agree on every public view.
+
+    Both are whole roots, so their masks share the ``repr``-sorted numbering.
+    """
     assert built == rebuilt
-    assert built.world_order() == rebuilt.world_order()
+    built_masks, rebuilt_masks = built.evaluation_masks(), rebuilt.evaluation_masks()
+    assert built_masks.universe.elements == rebuilt_masks.universe.elements
+    assert built_masks.full == rebuilt_masks.full == built_masks.universe.full_mask
     for agent in built.agents:
-        assert built.class_masks_in_order(agent) == rebuilt.class_masks_in_order(agent)
-        assert set(built.partition_masks(agent)) == set(rebuilt.partition_masks(agent))
+        assert built_masks.class_at[agent] == rebuilt_masks.class_at[agent]
+        assert set(built_masks.blocks[agent]) == set(rebuilt_masks.blocks[agent])
         assert set(built.partition(agent)) == set(rebuilt.partition(agent))
         for world in built.worlds:
             assert built.equivalence_class(agent, world) == rebuilt.equivalence_class(
@@ -140,7 +145,7 @@ def test_observed_variable_model_with_unsorted_domain():
     variables = {"x": [2, 10], "y": ["b", "a"]}
     observes = {"a": {"x"}, "b": {"y"}}
     built = observed_variable_model(["a", "b"], variables, observes)
-    assert built.world_order()[0] == (("x", 10), ("y", "a"))
+    assert built.evaluation_masks().universe.elements[0] == (("x", 10), ("y", "a"))
     assert_same_construction(
         built, observed_variable_rebuild(["a", "b"], variables, observes)
     )

@@ -23,14 +23,16 @@ import random
 import pytest
 
 from _engine_gen import formula_suite, random_structure
-from repro.errors import ModelError
+from repro.engine import set_default_backend
+from repro.errors import ModelError, UnknownWorldError
+from repro.experiments.registry import get_scenario
 from repro.kripke.announcement import (
     UpdateChain,
     announce_sequence,
     public_announce,
     simultaneous_answers,
 )
-from repro.kripke.bisimulation import bisimulation_classes, minimize, quotient
+from repro.kripke.bisimulation import are_bisimilar, bisimulation_classes, minimize, quotient
 from repro.kripke.builders import others_attribute_model
 from repro.kripke.checker import ModelChecker
 from repro.kripke.reference import (
@@ -66,15 +68,31 @@ def naive_simultaneous_answers(structure, answers, backend):
 
 
 def assert_observably_identical(derived, rebuilt, seed=0):
-    """Every public observation of ``derived`` matches the from-scratch rebuild."""
+    """Every public observation of ``derived`` matches the from-scratch rebuild.
+
+    ``derived`` keeps its build's numbering while the rebuild numbers its own
+    worlds alone, so their masks are compared through the worlds they hold.
+    """
     assert derived == rebuilt
     assert derived.worlds == rebuilt.worlds
     assert derived.propositions() == rebuilt.propositions()
+    masks = derived.evaluation_masks()
+    universe = masks.universe
+    assert universe.to_frozenset(masks.full) == rebuilt.worlds
     for agent in derived.agents:
         assert set(derived.partition(agent)) == set(rebuilt.partition(agent))
-        # Mask-level view agrees with the rebuild's own (freshly derived) masks.
-        assert set(derived.partition_masks(agent)) == set(rebuilt.partition_masks(agent))
-        assert derived.class_masks_in_order(agent) == rebuilt.class_masks_in_order(agent)
+        # The mask-level view, in the root numbering, holds the rebuild's classes.
+        blocks = masks.blocks[agent]
+        assert all(block and not block & ~masks.full for block in blocks)
+        assert set(map(universe.to_frozenset, blocks)) == set(rebuilt.partition(agent))
+        for position, world in enumerate(universe):
+            class_mask = masks.class_at[agent][position]
+            if world in rebuilt:
+                assert universe.to_frozenset(class_mask) == rebuilt.equivalence_class(
+                    agent, world
+                )
+            else:
+                assert not class_mask & masks.full
     for world in derived.worlds:
         assert derived.facts_at(world) == rebuilt.facts_at(world)
         for agent in derived.agents:
@@ -109,7 +127,7 @@ def _survivors(rng, structure):
 
 
 def _discriminator(rng, structure, buckets=3):
-    order = structure.world_order()
+    order = sorted(structure.worlds, key=repr)
     labels = {world: rng.randrange(buckets) for world in order}
     return lambda world: labels[world]
 
@@ -262,12 +280,12 @@ def answer_vector_refinement(structure, answers, backend):
 def split_blocks_by_value(structure, agent, discriminator):
     """``agent``'s blocks, each split in place by discriminator value, the
     parts in order of their lowest world: the refinement order, spelled out
-    world by world."""
-    order = structure.world_order()
+    world by world, in the root numbering."""
+    masks = structure.evaluation_masks()
     blocks = []
-    for block in structure.partition_masks(agent):
+    for block in masks.blocks[agent]:
         parts = {}
-        for position, world in enumerate(order):
+        for position, world in enumerate(masks.universe):
             if block >> position & 1:
                 value = discriminator(world)
                 parts[value] = parts.get(value, 0) | 1 << position
@@ -301,11 +319,11 @@ def test_mask_answer_rounds_match_the_answer_vector_refinement(seed, backend):
             slow = answer_vector_refinement(structure, answers, backend)
             assert (fast is structure) == (slow is structure)
             vector = answer_vector(structure, answers, backend)
+            fast_blocks = fast.evaluation_masks().blocks
             for agent in agents:
-                assert fast.partition_masks(agent) == slow.partition_masks(agent)
-                assert fast.partition_masks(agent) == split_blocks_by_value(
-                    structure, agent, vector
-                )
+                assert fast_blocks[agent] == slow.evaluation_masks().blocks[agent]
+                assert fast_blocks[agent] == split_blocks_by_value(structure, agent, vector)
+                assert fast.partition(agent) == slow.partition(agent)
             structure = fast
 
 
@@ -457,12 +475,88 @@ def test_quotient_matches_the_definition_on_small_structures():
             assert world in class_of[world] and class_of[world] in reduced
 
 
-def test_quotient_of_derived_structure_matches_quotient_of_rebuild():
-    structure = others_attribute_model(("a", "b", "c"))
-    survivors = {w for w in structure.worlds if any(w)}
-    derived = structure.restrict(survivors)
-    rebuilt = restrict_rebuild(structure, survivors)
+def _restrict_refine_chain(seed, backend):
+    """A seeded chain that restricts first, then restricts or refines, with
+    its from-scratch rebuild; announcements go through ``backend``."""
+    rng = random.Random(f"quotient-chain/{seed}")
+    fast = random_structure(seed, n_worlds=16, n_agents=3, n_props=2)
+    slow = restrict_rebuild(fast, fast.worlds)
+    for step in range(4):
+        if step == 0 or rng.random() < 0.5:
+            fact = Prop(rng.choice(sorted(fast.propositions()) or ["p0"]))
+            if rng.random() < 0.5:
+                fact = ~fact
+            survivors = ModelChecker(fast, backend=backend).extension(fact)
+            if not survivors:
+                continue
+            fast = public_announce(fast, fact, checker=ModelChecker(fast, backend=backend))
+            slow = restrict_rebuild(slow, survivors)
+        else:
+            discriminator = _discriminator(rng, fast, buckets=2)
+            agent = rng.choice(sorted(fast.agents))
+            fast = fast.refine_agent(agent, discriminator)
+            slow = refine_agent_rebuild(slow, agent, discriminator)
+    return fast, slow
+
+
+def _announced_muddy_cube(backend):
+    """``muddy_children`` at n=6 after the father's announcement, and its rebuild."""
+    previous = set_default_backend(backend)
+    try:
+        spec = get_scenario("muddy_children")
+        model = spec.build(spec.validate_params({"n": 6, "announced": True})).model
+    finally:
+        set_default_backend(previous)
+    cube = others_attribute_model(tuple(sorted(model.agents)))
+    return model, restrict_rebuild(cube, model.worlds)
+
+
+_QUOTIENT_CASES = [
+    pytest.param(lambda backend, seed=seed: _restrict_refine_chain(seed, backend), id=f"chain-{seed}")
+    for seed in SEEDS
+] + [pytest.param(_announced_muddy_cube, id="announced-muddy-cube-n6")]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("make", _QUOTIENT_CASES)
+def test_quotient_of_derived_structure_matches_quotient_of_rebuild(make, backend):
+    """Bisimulation reads a derived structure's survivors in its build's
+    numbering; its quotient, classes and class map match the rebuild's, and
+    the quotient keeps every formula's truth on ``backend``."""
+    derived, rebuilt = make(backend)
+    assert derived == rebuilt
+    assert derived.evaluation_masks().full != derived.evaluation_masks().universe.full_mask
+    reduced, class_of = quotient(derived)
+    rebuilt_reduced, rebuilt_class_of = quotient(rebuilt)
+    assert reduced == rebuilt_reduced
+    assert class_of == rebuilt_class_of
     assert minimize(derived) == minimize(rebuilt)
+    assert bisimulation_classes(derived) == bisimulation_classes(rebuilt)
+    assert set(bisimulation_classes(derived)) == bisimulation_classes_fixpoint(rebuilt)
+    agents = sorted(derived.agents, key=repr)
+    suite = formula_suite(7, sorted(derived.propositions()) or ["p0"], agents, 20)
+    extensions = ModelChecker(derived, backend=backend).extensions(suite)
+    reduced_extensions = ModelChecker(reduced, backend=backend).extensions(suite)
+    for formula, extension, reduced_extension in zip(suite, extensions, reduced_extensions):
+        assert extension == frozenset(
+            world for world in derived.worlds if class_of[world] in reduced_extension
+        ), formula
+
+
+@pytest.mark.parametrize("make", _QUOTIENT_CASES)
+def test_are_bisimilar_on_a_restricted_structure(make):
+    derived, rebuilt = make("bitset")
+    worlds = sorted(derived.worlds, key=repr)
+    for world_a in worlds[:6]:
+        for world_b in worlds:
+            assert are_bisimilar(derived, world_a, world_b) == are_bisimilar(
+                rebuilt, world_a, world_b
+            ), (world_a, world_b)
+    gone = next(world for world in derived.evaluation_masks().universe if world not in derived)
+    with pytest.raises(UnknownWorldError):
+        are_bisimilar(derived, gone, worlds[0])
+    with pytest.raises(UnknownWorldError):
+        are_bisimilar(derived, worlds[0], gone)
 
 
 def test_minimize_collapses_duplicated_worlds():
@@ -501,9 +595,6 @@ def test_public_announce_rejects_checker_over_other_structure():
 
 
 def test_are_bisimilar_rejects_unknown_worlds():
-    from repro.errors import UnknownWorldError
-    from repro.kripke.bisimulation import are_bisimilar
-
     structure = others_attribute_model(("a", "b"))
     with pytest.raises(UnknownWorldError):
         are_bisimilar(structure, "nope", (True, True))

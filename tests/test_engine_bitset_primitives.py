@@ -5,8 +5,11 @@ Three invariants the bitset backend's correctness rests on:
 * mask <-> frozenset conversions are mutually inverse bijections;
 * each agent's partition masks form a disjoint cover of the universe;
 * the G-reachability component masks agree with :meth:`KripkeStructure.reachable`;
-* the one-pass digit-string conversions (mask <-> elements, compression,
-  class ids) and the hypercube closure agree with bit-by-bit loops.
+* the one-pass digit-string conversions (mask <-> elements, class ids) and
+  the hypercube closure agree with bit-by-bit loops.
+
+The structure-level masks are those of
+:meth:`KripkeStructure.evaluation_masks`, in the build's root numbering.
 
 Plus a cost regression on indexing a system's views: the complete-history view
 is indexed from interned history ids, with no ``view()`` call, no
@@ -21,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from _engine_gen import random_structure
 from repro.engine import BitsetBackend, IndexedUniverse
-from repro.engine.universe import Hypercube, MaskCompressor, bit_flags, class_ids_from_blocks
+from repro.engine.universe import Hypercube, bit_flags, class_ids_from_blocks
 from repro.errors import ModelError
 from repro.experiments import get_scenario
 from repro.logic.agents import Group
@@ -93,13 +96,6 @@ def test_digit_conversions_match_bit_peeling(size):
         assert list(bit_flags(mask)) == [
             1 if position in members else 0 for position in range(max(mask.bit_length(), 1))
         ]
-        survivors = rng.getrandbits(size)
-        compressor = MaskCompressor(survivors)
-        kept = _peeled_positions(survivors)
-        assert len(compressor) == len(kept)
-        expected = sum(1 << child for child, parent in enumerate(kept) if mask >> parent & 1)
-        assert compressor.compress(mask) == expected
-        assert MaskCompressor(mask).compress(mask) == (1 << len(positions)) - 1
         blocks = [mask, ((1 << size) - 1) ^ mask]
         ids = class_ids_from_blocks([block for block in blocks if block], size)
         live = [block for block in blocks if block]
@@ -151,6 +147,11 @@ def test_universe_order_fixes_bit_positions():
 # ---------------------------------------------------------------------------
 
 
+def _with_a_restriction(structure):
+    """``structure`` and its restriction to every other world (by ``repr``)."""
+    return [structure, structure.restrict(sorted(structure.worlds, key=repr)[::2])]
+
+
 @settings(**_SETTINGS)
 @given(
     seed=st.integers(min_value=0, max_value=2**20),
@@ -158,19 +159,20 @@ def test_universe_order_fixes_bit_positions():
     n_agents=st.integers(min_value=1, max_value=4),
 )
 def test_partition_masks_form_a_disjoint_cover(seed, n_worlds, n_agents):
-    structure = random_structure(seed, n_worlds=n_worlds, n_agents=n_agents)
-    full = (1 << len(structure.worlds)) - 1
-    for agent in structure.agents:
-        masks = structure.partition_masks(agent)
-        union = 0
-        total_bits = 0
-        for mask in masks:
-            assert mask, "partition blocks are non-empty"
-            assert union & mask == 0, "partition blocks overlap"
-            union |= mask
-            total_bits += mask.bit_count()
-        assert union == full, "partition blocks do not cover the universe"
-        assert total_bits == len(structure.worlds)
+    for structure in _with_a_restriction(
+        random_structure(seed, n_worlds=n_worlds, n_agents=n_agents)
+    ):
+        masks = structure.evaluation_masks()
+        for agent in structure.agents:
+            union = 0
+            total_bits = 0
+            for mask in masks.blocks[agent]:
+                assert mask, "partition blocks are non-empty"
+                assert union & mask == 0, "partition blocks overlap"
+                union |= mask
+                total_bits += bin(mask).count("1")
+            assert union == masks.full, "partition blocks do not cover the worlds"
+            assert total_bits == len(structure.worlds)
 
 
 @settings(**_SETTINGS)
@@ -180,13 +182,21 @@ def test_partition_masks_form_a_disjoint_cover(seed, n_worlds, n_agents):
     data=st.data(),
 )
 def test_structure_world_mask_round_trip(seed, n_worlds, data):
+    """A set of worlds, its mask in the root numbering and the restriction to
+    that mask all name the same worlds."""
     structure = random_structure(seed, n_worlds=n_worlds)
-    subset = data.draw(st.sets(st.sampled_from(structure.world_order())))
-    mask = structure.world_mask(subset)
-    assert structure.worlds_from_mask(mask) == frozenset(subset)
-    assert structure.world_mask(structure.worlds_from_mask(mask)) == mask
+    universe = structure.evaluation_masks().universe
+    subset = data.draw(st.sets(st.sampled_from(universe.elements)))
+    mask = universe.mask_of(subset)
+    assert universe.to_frozenset(mask) == frozenset(subset)
+    if subset:
+        restricted = structure.restrict_mask(mask)
+        assert restricted.worlds == frozenset(subset)
+        assert restricted.evaluation_masks().full == mask
+        assert restricted.evaluation_masks().universe is universe
+        assert structure.restrict(subset).evaluation_masks().full == mask
     with pytest.raises(ModelError):
-        structure.world_mask(["not-a-world"])
+        structure.restrict(["not-a-world"])
 
 
 @settings(**_SETTINGS)
@@ -195,13 +205,14 @@ def test_structure_world_mask_round_trip(seed, n_worlds, data):
     n_worlds=st.integers(min_value=1, max_value=16),
 )
 def test_class_mask_matches_equivalence_class(seed, n_worlds):
-    structure = random_structure(seed, n_worlds=n_worlds)
-    for agent in structure.agents:
-        for world in structure.worlds:
-            mask = structure.class_mask(agent, world)
-            assert structure.worlds_from_mask(mask) == structure.equivalence_class(
-                agent, world
-            )
+    for structure in _with_a_restriction(random_structure(seed, n_worlds=n_worlds)):
+        masks = structure.evaluation_masks()
+        for agent in structure.agents:
+            for world in structure.worlds:
+                mask = masks.class_at[agent][masks.universe.index_of(world)]
+                assert masks.universe.to_frozenset(mask) == structure.equivalence_class(
+                    agent, world
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +234,25 @@ def test_component_masks_match_reachable(seed, n_worlds, n_agents, data):
         st.sets(st.sampled_from(agents), min_size=1, max_size=len(agents))
     )
     group = Group(members)
-    components = structure.component_masks(group)
-    # The components partition the universe...
-    union = 0
-    for mask in components:
-        assert union & mask == 0
-        union |= mask
-    assert union == (1 << len(structure.worlds)) - 1
-    # ...and the component containing each world is exactly its reachable set.
-    for world in structure.worlds:
-        bit = 1 << structure.world_index(world)
-        (component,) = [mask for mask in components if mask & bit]
-        assert structure.worlds_from_mask(component) == structure.reachable(
-            group, world
+    for structure in _with_a_restriction(structure):
+        masks = structure.evaluation_masks()
+        components = masks.component_masks(structure.group_members(group))
+        # The components partition the worlds...
+        union = 0
+        for mask in components:
+            assert union & mask == 0
+            union |= mask
+        assert union == masks.full
+        assert tuple(map(masks.universe.to_frozenset, components)) == (
+            structure.connected_components(group)
         )
+        # ...and the component containing each world is exactly its reachable set.
+        for world in structure.worlds:
+            bit = masks.universe.bit(world)
+            (component,) = [mask for mask in components if mask & bit]
+            assert masks.universe.to_frozenset(component) == structure.reachable(
+                group, world
+            )
 
 
 @settings(**_SETTINGS)
@@ -255,13 +271,14 @@ def test_backend_components_match_structure_reachable(seed, n_worlds, data):
             key=repr,
         )
     )
+    masks = structure.evaluation_masks()
     # No component_source: the backend computes its own closure.
     backend = BitsetBackend(
-        structure.indexed_universe(),
-        {agent: structure.partition_masks(agent) for agent in structure.agents},
-        {agent: structure.class_masks_in_order(agent) for agent in structure.agents},
+        masks.universe,
+        {agent: masks.blocks[agent] for agent in structure.agents},
+        {agent: masks.class_at[agent] for agent in structure.agents},
     )
-    body = data.draw(st.sets(st.sampled_from(structure.world_order())))
+    body = data.draw(st.sets(st.sampled_from(masks.universe.elements)))
     body_mask = backend.from_frozenset(body)
     expected = frozenset(
         w

@@ -11,8 +11,10 @@ tests pin that path to two independent references:
   frozenset oracle, for every extension along chains of public announcements;
 * the generic class-id structure over the same worlds
   (:func:`~repro.kripke.reference.others_attribute_class_ids`), restricted
-  through the generic path, for every public accessor (numbering, partitions, masks,
-  valuation, ``==``), which must answer exactly as before.
+  through the generic path, for every public accessor (numbering, partitions,
+  valuation, ``==``) and every mask of ``evaluation_masks()``, which must
+  answer exactly as before.  Both keep the numbering of the 2^n cube, so their
+  masks compare directly.
 
 A mechanism test checks that building and evaluating a ``kripke_sweep``-style
 batch never builds a block, a reachability component or a per-world
@@ -63,25 +65,27 @@ def assert_accessors_equal(cube, generic):
     assert cube == generic and generic == cube
     assert len(cube) == len(generic)
     assert cube.worlds == generic.worlds
-    assert cube.world_order() == generic.world_order()
-    assert cube.indexed_universe().elements == generic.indexed_universe().elements
+    cube_masks, generic_masks = cube.evaluation_masks(), generic.evaluation_masks()
+    assert cube_masks.universe.elements == generic_masks.universe.elements
+    assert cube_masks.full == generic_masks.full
     assert cube.propositions() == generic.propositions()
     for agent in sorted(generic.agents):
         assert cube.partition(agent) == generic.partition(agent)
-        assert cube.partition_masks(agent) == generic.partition_masks(agent)
-        assert cube.class_masks_in_order(agent) == generic.class_masks_in_order(agent)
+        assert cube_masks.blocks[agent] == generic_masks.blocks[agent]
+        assert cube_masks.class_at[agent] == generic_masks.class_at[agent]
     for name in _vocabulary(sorted(generic.agents)):
-        assert cube.prop_mask(name) == generic.prop_mask(name), name
+        assert cube_masks.prop_mask(name) == generic_masks.prop_mask(name), name
+        assert cube.prop_worlds(name) == generic.prop_worlds(name), name
     agents = sorted(generic.agents)
     groups = list(dict.fromkeys([tuple(agents), tuple(agents[:2]), (agents[-1],)]))
     for group in groups:
-        assert cube.component_masks(group) == generic.component_masks(group), group
+        members = generic.group_members(group)
+        assert cube_masks.component_masks(members) == generic_masks.component_masks(
+            members
+        ), group
         assert cube.connected_components(group) == generic.connected_components(group)
-    for world in generic.world_order():
+    for world in generic_masks.universe.elements_of(generic_masks.full):
         assert cube.facts_at(world) == generic.facts_at(world)
-        assert cube.world_index(world) == generic.world_index(world)
-        for agent in agents:
-            assert cube.class_mask(agent, world) == generic.class_mask(agent, world)
         for group in groups:
             assert cube.joint_class(group, world) == generic.joint_class(group, world)
             assert cube.reachable(group, world) == generic.reachable(group, world)
@@ -195,8 +199,9 @@ def test_derived_structures_of_a_cube_take_the_generic_path():
     assert_accessors_equal(refined, announced_generic.refine_agents(["a", "b"], split))
     relabelled = announced.with_valuation({w: {"p"} for w in announced.worlds if w[2]})
     assert relabelled.evaluation_masks().cube is None
-    assert relabelled.prop_mask("p") == announced.prop_mask("muddy_c")
-    assert relabelled.prop_mask("at_least_one") == 0
+    prop_mask = relabelled.evaluation_masks().prop_mask
+    assert prop_mask("p") == announced.evaluation_masks().prop_mask("muddy_c")
+    assert prop_mask("at_least_one") == 0
 
 
 # -- mechanism -------------------------------------------------------------------
@@ -258,4 +263,4 @@ def test_mechanism_guard_trips_on_the_generic_path(monkeypatch):
         lambda ids: pytest.fail("grouped the blocks"),
     )
     with pytest.raises(pytest.fail.Exception):
-        model.partition_masks("a")
+        model.partition("a")

@@ -371,6 +371,25 @@ def test_abandoning_the_parallel_stream_early_does_not_finish_the_grid(
     assert runner.eval_count == 2
 
 
+def test_abandoned_pools_leave_no_live_children_twenty_times_over(
+    pool_after_first_point,
+):
+    """Each abandoned stream reaps its killed workers before ``close`` returns.
+
+    Only the executor's manager thread may reap them: when a second thread
+    joined the same processes, the loser of the ``waitpid`` race left a dead
+    worker listed in ``multiprocessing.active_children()`` now and then;
+    twenty abandons in a row showed it on almost every run.
+    """
+    for attempt in range(20):
+        runner = ExperimentRunner()
+        stream = runner.iter_sweep("muddy_children", {"n": [2, 3, 4, 5, 6]}, jobs=2)
+        assert [next(stream).params["n"] for _ in range(2)] == [2, 3]
+        stream.close()
+        assert runner.pool_starts == 1, attempt
+        assert multiprocessing.active_children() == [], attempt
+
+
 def test_jobs_sweep_honours_the_cache_bound(pool_after_first_point):
     """A pooled sweep on a runner with a tiny instance-cache bound: workers
     get the parent's bound and still evaluate every point in grid order."""

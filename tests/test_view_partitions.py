@@ -171,14 +171,14 @@ def test_to_kripke_matches_frozenset_block_export(system, backend):
         _public_constructor_export(interpretation),
     ):
         assert exported == expected
-        assert exported.world_order() == expected.world_order()
+        exported_masks, expected_masks = exported.evaluation_masks(), expected.evaluation_masks()
+        assert exported_masks.universe.elements == expected_masks.universe.elements
+        assert exported_masks.full == expected_masks.full
         for processor in system.processors:
             assert exported.partition(processor) == expected.partition(processor)
-            assert exported.partition_masks(processor) == expected.partition_masks(processor)
-            assert exported.class_masks_in_order(processor) == expected.class_masks_in_order(
-                processor
-            )
-        for world in expected.world_order():
+            assert exported_masks.blocks[processor] == expected_masks.blocks[processor]
+            assert exported_masks.class_at[processor] == expected_masks.class_at[processor]
+        for world in expected_masks.universe.elements:
             assert exported.facts_at(world) == expected.facts_at(world)
 
 
