@@ -14,6 +14,11 @@ derived-structure chain is at least **3x** faster than the seed rebuild loop on
 the n=10 full chain with the bitset backend.  The pytest-benchmark timings
 measure both paths on both backends (plus the fast path at n=12) for the
 ablation.
+
+``test_small_restriction_pays_for_its_survivors`` gates the other end: an
+announcement that keeps 13 of 4096 worlds keeps the root numbering, so its
+G-reachability components must be searched from the survivors alone; they
+cost at most :data:`RESTRICTION_RATIO_CEILING` times those of the rebuild.
 """
 
 import statistics
@@ -23,7 +28,11 @@ import pytest
 
 from repro.kripke.builders import others_attribute_model
 from repro.kripke.checker import ModelChecker
-from repro.kripke.reference import refine_agent_rebuild, restrict_rebuild
+from repro.kripke.reference import (
+    others_attribute_class_ids,
+    refine_agent_rebuild,
+    restrict_rebuild,
+)
 from repro.logic.syntax import Knows, Prop
 from repro.scenarios.muddy_children import run_muddy_children
 
@@ -31,6 +40,12 @@ BACKENDS = ("frozenset", "bitset")
 N = 10
 SPEEDUP_FLOOR = 3.0
 PAIRS = 3
+
+# The all-agent components of 13 worlds kept from a 12-agent, 4096-world
+# block-mask structure measured about 4.5x those of their rebuild once the
+# search started from the survivors (about 190x when it covered the root).
+RESTRICTION_RATIO_CEILING = 9.0
+RESTRICTION_PAIRS = 15
 
 
 # -- the seed rebuild path --------------------------------------------------------
@@ -139,4 +154,36 @@ def test_fast_path_speedup_over_seed_rebuild():
     assert ratio >= SPEEDUP_FLOOR, (
         f"the derived-structure chain should be at least {SPEEDUP_FLOOR}x faster "
         f"than the seed rebuild path; median ratio {ratio:.2f} over {PAIRS} pairs"
+    )
+
+
+def _components_seconds(structure, group):
+    start = time.perf_counter()
+    structure.evaluation_masks().component_masks(group)
+    return time.perf_counter() - start
+
+
+def test_small_restriction_pays_for_its_survivors():
+    """Ratio gate: the all-agent G-reachability components of a small
+    announcement's result cost at most :data:`RESTRICTION_RATIO_CEILING`
+    times those of its from-scratch rebuild (median of
+    :data:`RESTRICTION_PAIRS` pairs), though the restriction keeps its
+    4096-world root numbering."""
+    agents = [f"c{i:02d}" for i in range(12)]
+    structure = others_attribute_class_ids(agents)
+    survivors = {world for world in structure.worlds if sum(world) <= 1}
+    group = tuple(agents)
+    ratios = []
+    for _ in range(RESTRICTION_PAIRS):
+        # Fresh structures: the components are cached per structure.
+        restricted = structure.restrict(survivors)
+        rebuilt = restrict_rebuild(structure, survivors)
+        ratios.append(
+            _components_seconds(restricted, group) / _components_seconds(rebuilt, group)
+        )
+    ratio = statistics.median(ratios)
+    assert ratio <= RESTRICTION_RATIO_CEILING, (
+        f"a 13-world restriction's components should cost at most "
+        f"{RESTRICTION_RATIO_CEILING}x its rebuild's; median ratio {ratio:.2f} "
+        f"over {RESTRICTION_PAIRS} pairs"
     )

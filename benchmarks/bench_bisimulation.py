@@ -27,6 +27,12 @@ fixture, so it also runs under ``--benchmark-disable``, which is how CI runs
 this directory.  Besides the minimal muddy n=10 model, whose valuation already
 separates every world, it covers a 200-world chain whose valuation separates only
 its two ends, so the refinement runs about a hundred rounds.
+
+Two more gates run under ``--benchmark-disable``.  The quotient of a muddy
+model is the model relabelled, so a minimised muddy n=10 point must evaluate
+on the model's own cube, and a cold minimised ``ExperimentRunner.run`` of that
+point must cost at most :data:`MINIMIZE_RATIO_CEILING` times the cold plain
+run (median of :data:`MINIMIZE_PAIRS` pairs).
 """
 
 import statistics
@@ -47,6 +53,12 @@ COPIES = 4
 
 RATIO_FLOOR = 1.0
 PAIRS = 9
+
+# A minimised muddy n=10 run measured about 7x the plain run once the discrete
+# quotient became the cube relabelled (about 28x when it was rebuilt).
+MINIMIZE_POINT = {"n": 10, "k": 2, "announced": True}
+MINIMIZE_RATIO_CEILING = 14.0
+MINIMIZE_PAIRS = 15
 
 
 def _inflated_muddy_model():
@@ -189,3 +201,35 @@ def test_runner_minimize_flag_round_trip():
     assert [row.satisfiable for row in plain.rows] == [
         row.satisfiable for row in reduced.rows
     ]
+
+
+def test_minimised_muddy_point_evaluates_on_the_cube():
+    """The muddy valuation tells every world apart, so the quotient is the
+    model relabelled, and its evaluator runs the cube kernels."""
+    instance = ExperimentRunner().instance("muddy_children", MINIMIZE_POINT)
+    reduced, class_of = instance.minimized()
+    evaluator = instance.evaluator(minimize=True)
+    assert evaluator.structure is reduced
+    cube = instance.model.evaluation_masks().cube
+    assert cube is not None and reduced.evaluation_masks().cube is cube
+    assert len(reduced) == len(instance.model) == len(class_of)
+
+
+def _run_seconds(minimize):
+    runner = ExperimentRunner()
+    start = time.perf_counter()
+    runner.run("muddy_children", MINIMIZE_POINT, minimize=minimize)
+    return time.perf_counter() - start
+
+
+def test_minimised_run_costs_at_most_a_few_plain_runs():
+    """Ratio gate: a cold minimised run of the muddy n=10 point is at most
+    :data:`MINIMIZE_RATIO_CEILING` times the cold plain run (median of
+    :data:`MINIMIZE_PAIRS` back-to-back pairs)."""
+    _run_seconds(True)  # imports and caches outside the pairs
+    ratios = [_run_seconds(True) / _run_seconds(False) for _ in range(MINIMIZE_PAIRS)]
+    ratio = statistics.median(ratios)
+    assert ratio <= MINIMIZE_RATIO_CEILING, (
+        f"a minimised muddy n=10 run should cost at most {MINIMIZE_RATIO_CEILING}x "
+        f"the plain run; median ratio {ratio:.2f} over {MINIMIZE_PAIRS} pairs"
+    )

@@ -42,7 +42,12 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, Hashable, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError
-from repro.engine.universe import Hypercube, IndexedUniverse, reachability_components
+from repro.engine.universe import (
+    Hypercube,
+    IndexedUniverse,
+    reachability_components,
+    select_bits,
+)
 
 __all__ = [
     "EngineBackend",
@@ -401,7 +406,7 @@ class BitsetBackend(EngineBackend):
                 components = tuple(self._component_source(members))
             else:
                 components = reachability_components(
-                    [self._class_at[agent] for agent in members]
+                    [self._class_at[agent] for agent in members], self._full_mask
                 )
             self._component_masks[members] = components
         result = 0
@@ -447,11 +452,12 @@ class BitsetBackend(EngineBackend):
 
         The intersection of equivalence relations is again an equivalence relation,
         so the per-element intersections form a partition and ``D_G`` reduces to the
-        same blocks-inside-body scan as ``K_i``.
+        same blocks-inside-body scan as ``K_i``.  Only the elements of ``full``
+        are visited: no other position has a class.
         """
         class_ats = [self._class_at[agent] for agent in members]
         seen: Dict[int, None] = {}
-        for position in range(len(self._universe)):
+        for position in select_bits(range(len(self._universe)), self._full_mask):
             joint = class_ats[0][position]
             for class_at in class_ats[1:]:
                 joint &= class_at[position]

@@ -193,18 +193,20 @@ def class_ids_from_blocks(blocks: Sequence[int], size: int) -> List[int]:
     return ids
 
 
-def reachability_components(class_ats: Sequence[Sequence[int]]) -> Tuple[int, ...]:
-    """The G-reachability components of a universe, as masks.
+def reachability_components(class_ats: Sequence[Sequence[int]], within: int) -> Tuple[int, ...]:
+    """The G-reachability components of the elements of ``within``, as masks.
 
     ``class_ats`` holds one sequence per member of G: the member's class mask
-    of each element, in bit-position order.  Two elements share a component
+    of each element, indexed by bit position.  Two elements share a component
     when a chain of the members' classes links them (Section 6), so ``C_G
     phi`` is the union of the components inside ``phi``.  A breadth-first
     search in mask space: each element enters a frontier once and ORs in its
     members' classes, so the work grows with elements x members, not with
-    blocks x components.
+    blocks x components.  ``within`` must be closed under the classes (a
+    structure's survivors); the search starts only from its elements, so it
+    reads no class of any other position.
     """
-    remaining = (1 << len(class_ats[0])) - 1
+    remaining = within
     components: List[int] = []
     while remaining:
         component = 0

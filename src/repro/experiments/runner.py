@@ -752,7 +752,7 @@ class ExperimentRunner:
         focus = instance.focus
         if run.minimize:
             reduced, _ = instance.minimized()
-            universe = len(reduced.worlds)
+            universe = len(reduced)
             focus = instance.focus_class(focus)
         else:
             universe = instance.universe_size

@@ -16,19 +16,28 @@ computes, per agent class, one int mask of the block ids the class meets, gives
 every world the signature (its block id, its classes' masks) and renumbers the
 blocks by signature.  A round can only split blocks, and the rounds stop when the
 block count stops growing.  Each round costs O(worlds x agents) mask operations.
+When the valuation already tells every world apart no round runs, and the
+partition into singletons costs one pass over the valuation.
 The frozenset transcription of the same refinement,
 :func:`repro.kripke.reference.bisimulation_classes_fixpoint`, is the test oracle.
-The effect of minimisation on muddy-children-style model checking is measured by
-the on/off ablation in ``benchmarks/bench_bisimulation.py``.
+
+A structure whose classes are all singletons (the muddy children and the
+cheating husbands) is its own quotient up to renaming each world ``w`` to
+``{w}``, so :func:`quotient` relabels it rather than rebuilding it, and the
+quotient keeps the structure's numbering, survivor mask and partition source,
+the cube included.  The effect of minimisation on muddy-children-style model
+checking is measured by the on/off ablation and the ratio gate in
+``benchmarks/bench_bisimulation.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from repro.engine.universe import class_ids_from_blocks, select_bits
 from repro.errors import UnknownWorldError
 from repro.kripke.structure import KripkeStructure, World
+from repro.logic.agents import Agent
 
 __all__ = [
     "bisimulation_classes",
@@ -43,52 +52,65 @@ class _Refinement:
 
     ``worlds`` are the structure's worlds in the order of its numbering (the
     survivors of :meth:`KripkeStructure.evaluation_masks`, or the root's own
-    sequence when the structure is the whole root), and ``class_ids`` gives
-    each agent's class id at each of them, an index into its block masks.
-    Both are computed once and serve the refinement and the quotient.
+    sequence when the structure is the whole root), and ``facts`` their
+    valuation, read straight from the root's table (``None`` for no fact).
 
     Signature refinement in class-id space: start from the valuation
     partition; in each round, OR one bit per world into its ``a``-class's
     mask of block ids (for every agent ``a``), then renumber the worlds by
     (block id, per-agent class mask).  A round that leaves the block count
     unchanged leaves the partition unchanged, so it is stable.  Blocks are
-    numbered in the order of their first world (``block_of``), and
-    ``classes`` lists them as frozensets in that order.
+    numbered in the order of their first world (``block_of``).  When the
+    valuation already tells every world apart (``discrete``) no round runs,
+    and the per-agent class ids (:meth:`class_ids`) are never computed.
     """
 
     def __init__(self, structure: KripkeStructure):
-        masks = structure.evaluation_masks()
+        self.structure = structure
+        self.masks = masks = structure.evaluation_masks()
         universe, full = masks.universe, masks.full
-        size = len(universe)
-        agents = sorted(structure.agents, key=repr)
-        self.class_ids = {
-            agent: class_ids_from_blocks(masks.blocks[agent], size) for agent in agents
-        }
         if full == universe.full_mask:
             self.worlds: Sequence[World] = universe.elements
         else:
             self.worlds = list(universe.elements_of(full))
-            for agent, ids in self.class_ids.items():
-                self.class_ids[agent] = list(select_bits(ids, full))
-        self.facts = list(map(structure.facts_at, self.worlds))
-        self.block_of = self._refine([len(masks.blocks[agent]) for agent in agents])
+        # Absent worlds and worlds with no fact alike satisfy nothing.
+        get = structure._root.table().get
+        self.facts = [get(world) or None for world in self.worlds]
+        by_valuation: Dict[Optional[FrozenSet[str]], int] = {}
+        self.block_of = [by_valuation.setdefault(facts, len(by_valuation)) for facts in self.facts]
+        self.discrete = len(by_valuation) == len(self.worlds)
+        self._class_ids: Optional[Dict[Agent, Sequence[int]]] = None
+        if not self.discrete:  # a partition into singletons is stable
+            self.block_of = self._rounds(len(by_valuation))
+
+    def class_ids(self) -> Dict[Agent, Sequence[int]]:
+        """Each agent's class id at each of ``worlds``, an index into its block masks."""
+        if self._class_ids is None:
+            masks, full = self.masks, self.masks.full
+            whole = full == masks.universe.full_mask
+            class_ids: Dict[Agent, Sequence[int]] = {}
+            for agent in sorted(self.structure.agents, key=repr):
+                ids = class_ids_from_blocks(masks.blocks[agent], len(masks.universe))
+                class_ids[agent] = ids if whole else list(select_bits(ids, full))
+            self._class_ids = class_ids
+        return self._class_ids
+
+    def classes(self) -> Tuple[FrozenSet[World], ...]:
+        """The bisimulation classes, in the order of their first world."""
         members: List[List[World]] = [[] for _ in range(max(self.block_of) + 1)]
         for world, block in zip(self.worlds, self.block_of):
             members[block].append(world)
-        self.classes: Tuple[FrozenSet[World], ...] = tuple(map(frozenset, members))
+        return tuple(map(frozenset, members))
 
-    def _refine(self, class_counts: List[int]) -> List[int]:
+    def _rounds(self, count: int) -> List[int]:
         size = len(self.worlds)
-        # Initial partition: group worlds by their valuation.
-        by_valuation: Dict[FrozenSet[str], int] = {}
-        block_of = [by_valuation.setdefault(facts, len(by_valuation)) for facts in self.facts]
-        count = len(by_valuation)
-        if count == size:  # a partition into singletons is stable
-            return block_of
+        block_of = self.block_of
+        blocks = self.masks.blocks
+        agent_ids = [(ids, len(blocks[agent])) for agent, ids in self.class_ids().items()]
         while True:
             bits = [1 << block for block in block_of]
             columns: List[List[int]] = [block_of]
-            for ids, classes in zip(self.class_ids.values(), class_counts):
+            for ids, classes in agent_ids:
                 met = [0] * classes
                 for class_id, bit in zip(ids, bits):
                     met[class_id] |= bit
@@ -110,7 +132,7 @@ def bisimulation_classes(structure: KripkeStructure) -> Tuple[FrozenSet[World], 
     :class:`_Refinement`); the classes come in the order of their first
     world.
     """
-    return _Refinement(structure).classes
+    return _Refinement(structure).classes()
 
 
 def are_bisimilar(structure: KripkeStructure, world_a: World, world_b: World) -> bool:
@@ -134,6 +156,15 @@ def quotient(structure: KripkeStructure) -> Tuple[KripkeStructure, Dict[World, F
     together with the mapping from original worlds to their class, so callers can
     translate query results back.
 
+    When every class is a singleton (the valuation tells every world apart,
+    as in the muddy children and cheating husbands models), the quotient is
+    ``structure`` with each world ``w`` renamed ``{w}``
+    (:meth:`KripkeStructure._relabelled`): the same survivor mask over the
+    same positions, the same partition source (a cube stays a cube) and
+    the parent's proposition masks.  That holds as long as the renamed
+    root is still in ``repr`` order, the numbering every build gives;
+    otherwise the quotient is rebuilt as below.
+
     Two quotient worlds are indistinguishable to an agent iff some pair of
     their members is.  Per agent, one pass over the members of every class
     maps each agent block to the classes it meets; by stability every class
@@ -143,14 +174,19 @@ def quotient(structure: KripkeStructure) -> Tuple[KripkeStructure, Dict[World, F
     :meth:`KripkeStructure._from_class_ids`.
     """
     refinement = _Refinement(structure)
-    classes, block_of = refinement.classes, refinement.block_of
+    if refinement.discrete:
+        relabelled = _relabelled_quotient(refinement)
+        if relabelled is not None:
+            return relabelled
+    classes, block_of = refinement.classes(), refinement.block_of
     class_of = {world: classes[block] for world, block in zip(refinement.worlds, block_of)}
     valuation: Dict[FrozenSet[World], FrozenSet[str]] = {}
     for facts, block in zip(refinement.facts, block_of):
-        valuation.setdefault(classes[block], facts)
+        if facts:
+            valuation.setdefault(classes[block], facts)
 
     class_ids: Dict[Hashable, List[int]] = {}
-    for agent, agent_of in refinement.class_ids.items():
+    for agent, agent_of in refinement.class_ids().items():
         # One pass over the worlds builds the agent class -> intersecting
         # classes map (each (agent class, class) pair once).
         intersecting: Dict[int, List[int]] = {}
@@ -169,6 +205,20 @@ def quotient(structure: KripkeStructure) -> Tuple[KripkeStructure, Dict[World, F
         classes, structure.agents, valuation, class_ids
     )
     return quotient_structure, class_of
+
+
+def _relabelled_quotient(
+    refinement: _Refinement,
+) -> Optional[Tuple[KripkeStructure, Dict[World, FrozenSet[World]]]]:
+    """The discrete quotient as its structure relabelled, or ``None`` when the
+    singleton labels of the root would leave ``repr`` order."""
+    universe, full = refinement.masks.universe, refinement.masks.full
+    labels = list(map(frozenset, zip(universe.elements)))  # root world w -> {w}
+    keys = list(map(repr, labels))
+    if keys != sorted(keys):
+        return None
+    reduced = refinement.structure._relabelled(labels)
+    return reduced, dict(zip(refinement.worlds, select_bits(labels, full)))
 
 
 def minimize(structure: KripkeStructure) -> KripkeStructure:

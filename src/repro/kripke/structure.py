@@ -102,22 +102,29 @@ Partition = Tuple[Tuple[int, ...], Optional[Tuple[int, ...]]]
 """An agent's block masks and, when already known, its per-position class masks."""
 
 
+ClassMasks = Union[Tuple[int, ...], Mapping[int, int]]
+"""An agent's class mask by bit position: a tuple over the whole root, or,
+for a structure that keeps only part of its root, a mapping that holds the
+survivors only and reads 0 anywhere else."""
+
+
 class EvaluationMasks(NamedTuple):
     """A structure in the form :class:`repro.engine.EvaluationEngine` takes.
 
     ``universe`` numbers the worlds and ``full`` marks the structure's own
     worlds in that numbering; every mask below is in it.  ``blocks`` and
-    ``class_at`` map each agent to its partition masks and per-position class
-    masks; they are computed on first lookup, so a backend that does not
-    read them costs nothing.  ``cube`` is the hidden-bit form of the same
-    partitions, when the structure has one; the bitset backend then reads
-    neither the class masks nor ``component_masks``.
+    ``class_at`` map each agent to its partition masks and its class mask by
+    bit position (0 outside ``full``); they are computed on first lookup, so
+    a backend that does not read them costs nothing.  ``cube`` is the
+    hidden-bit form of the same partitions, when the structure has one; the
+    bitset backend then reads neither the class masks nor
+    ``component_masks``.
     """
 
     universe: IndexedUniverse
     full: int
     blocks: Mapping[Agent, Tuple[int, ...]]
-    class_at: Mapping[Agent, Tuple[int, ...]]
+    class_at: Mapping[Agent, ClassMasks]
     cube: Optional[Hypercube]
     prop_mask: Callable[[str], int]
     component_masks: Optional[Callable[[Tuple[Agent, ...]], Tuple[int, ...]]]
@@ -161,6 +168,14 @@ class _Memo(dict):
         return value
 
 
+class _SurvivorMasks(dict):
+    """Class masks by bit position, filled for the survivors only: any other
+    position has no class (mask 0), as in a root-wide tuple of class masks."""
+
+    def __missing__(self, position: int) -> int:
+        return 0
+
+
 def _clipped(blocks: Sequence[int], survivors: int) -> Tuple[int, ...]:
     """The non-empty parts of ``blocks`` inside ``survivors``."""
     return tuple(block & survivors for block in blocks if block & survivors)
@@ -173,9 +188,9 @@ class _Root:
     ``universe`` makes the numbering on first use.  The valuation is
     ``table`` or, for a cube, the function ``facts`` the table is built from
     on first use; ``atom`` then gives a proposition's extension straight from
-    the cube.  Extensions are cached by name in the root numbering
-    (``prop_masks``); without ``atom`` the first miss scans the table once
-    for every name.
+    the cube (or, for a relabelled root, from the root it renames).
+    Extensions are cached by name in the root numbering (``prop_masks``);
+    without ``atom`` the first miss scans the table once for every name.
     """
 
     def __init__(
@@ -258,22 +273,25 @@ class _View:
         self.components = _Memo(self._components)
 
     def _components(self, members: Tuple[Agent, ...]) -> Tuple[int, ...]:
-        # A position outside ``full`` has no class: a component of its own.
+        # The search starts from ``full`` alone, so it pays for the survivors only.
         class_ats = [self.class_at[agent] for agent in members]
-        return tuple(part for part in reachability_components(class_ats) if part & self.full)
+        return reachability_components(class_ats, self.full)
 
-    def _class_masks(self, agent: Agent) -> Tuple[int, ...]:
+    def _class_masks(self, agent: Agent) -> ClassMasks:
         blocks, class_at = self.partitions[agent]
         if class_at is not None:
             return class_at
-        order = [0] * len(self.universe)
+        # A tuple over the root when every position survives; otherwise only
+        # the survivors are filled, so a small restriction pays for them alone.
+        whole = self.full == self.universe.full_mask
+        masks = [0] * len(self.universe) if whole else _SurvivorMasks()
         for block in blocks:
             remaining = block
             while remaining:
                 low = remaining & -remaining
-                order[low.bit_length() - 1] = block
+                masks[low.bit_length() - 1] = block
                 remaining ^= low
-        return tuple(order)
+        return tuple(masks) if whole else masks
 
 
 class KripkeStructure:
@@ -873,6 +891,29 @@ class KripkeStructure:
             self._survivors,
             {agent: view.partitions[agent] for agent in self._agents},
             _Root(lambda: universe, table),
+        )
+
+    def _relabelled(self, labels: Sequence[World]) -> "KripkeStructure":
+        """This structure with root world ``p`` renamed ``labels[p]``.
+
+        Used by :func:`repro.kripke.bisimulation.quotient` when every class is
+        a singleton.  ``labels`` must be distinct and in ``repr`` order, as
+        every root numbering is.  The result keeps ``S``, the partition
+        source (a cube stays a cube, block masks are shared) and the
+        valuation, whose extensions it reads through this root's.
+        """
+        root = self._root
+        table = root.table()
+        relabelled = {
+            label: table[world]
+            for label, world in zip(labels, root.universe().elements)
+            if world in table
+        }
+        universe = IndexedUniverse(labels)
+        return self._derive(
+            self._survivors,
+            self._partitions,
+            _Root(lambda: universe, relabelled, atom=root.extension),
         )
 
     # -- dunder helpers ----------------------------------------------------------

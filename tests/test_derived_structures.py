@@ -32,11 +32,13 @@ from repro.kripke.announcement import (
     public_announce,
     simultaneous_answers,
 )
+from repro.kripke import bisimulation
 from repro.kripke.bisimulation import are_bisimilar, bisimulation_classes, minimize, quotient
-from repro.kripke.builders import others_attribute_model
+from repro.kripke.builders import others_attribute_model, shared_memory_model
 from repro.kripke.checker import ModelChecker
 from repro.kripke.reference import (
     bisimulation_classes_fixpoint,
+    others_attribute_class_ids,
     refine_agent_rebuild,
     restrict_rebuild,
 )
@@ -145,6 +147,25 @@ def test_restrict_matches_from_scratch_rebuild(seed):
     assert_observably_identical(
         structure.restrict(survivors), restrict_rebuild(structure, survivors), seed
     )
+
+
+def test_small_restriction_of_a_large_root_matches_its_rebuild():
+    """The 13 worlds with at most one muddy child, kept from the 4096 of a
+    12-agent block-mask structure: the components of every group, searched
+    from the survivors alone, are the rebuild's."""
+    agents = [f"c{i:02d}" for i in range(12)]
+    structure = others_attribute_class_ids(agents)
+    survivors = {world for world in structure.worlds if sum(world) <= 1}
+    restricted = structure.restrict(survivors)
+    rebuilt = restrict_rebuild(structure, survivors)
+    assert_observably_identical(restricted, rebuilt)
+    masks, rebuilt_masks = restricted.evaluation_masks(), rebuilt.evaluation_masks()
+    for group in (tuple(agents), tuple(agents[:2]), (agents[5],)):
+        components = masks.component_masks(group)
+        assert all(component and not component & ~masks.full for component in components)
+        assert set(map(masks.universe.to_frozenset, components)) == set(
+            map(rebuilt_masks.universe.to_frozenset, rebuilt_masks.component_masks(group))
+        )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -475,6 +496,180 @@ def test_quotient_matches_the_definition_on_small_structures():
             assert world in class_of[world] and class_of[world] in reduced
 
 
+# ---------------------------------------------------------------------------
+# The discrete quotient: the structure relabelled
+# ---------------------------------------------------------------------------
+
+
+def _scenario_model(name, params, backend):
+    previous = set_default_backend(backend)
+    try:
+        spec = get_scenario(name)
+        return spec.build(spec.validate_params(params)).model
+    finally:
+        set_default_backend(previous)
+
+
+def _own_fact_valuation(worlds):
+    return {world: {f"at_{world!r}"} for world in worlds}
+
+
+def _with_own_facts(backend):
+    """A random block-mask structure whose new valuation tells every world apart."""
+    structure = random_structure(5, n_worlds=10, n_agents=3, n_props=2)
+    return structure.with_valuation(_own_fact_valuation(structure.worlds))
+
+
+def _at_most_one_muddy(backend):
+    """7 of the 64 worlds of the muddy n=6 cube: a sparse survivor mask."""
+    cube = others_attribute_model(tuple(f"c{i}" for i in range(6)))
+    return cube.restrict({world for world in cube.worlds if sum(world) <= 1})
+
+
+_DISCRETE_CASES = (
+    [
+        pytest.param(
+            lambda backend, n=n, announced=announced: _scenario_model(
+                "muddy_children", {"n": n, "k": 1, "announced": announced}, backend
+            ),
+            id=f"muddy-n{n}{'-announced' if announced else ''}",
+        )
+        for n in range(1, 9)
+        for announced in (False, True)
+    ]
+    + [
+        pytest.param(
+            lambda backend: _scenario_model("cheating_husbands", {"n": 5, "k": 2}, backend),
+            id="cheating-husbands-n5",
+        ),
+        pytest.param(
+            lambda backend: shared_memory_model(
+                ["a", "b"], range(6), lambda w: {f"p{w % 3}", f"q{w // 3}"}
+            ),
+            id="shared-memory",
+        ),
+        pytest.param(_with_own_facts, id="with-valuation"),
+        pytest.param(_at_most_one_muddy, id="muddy-n6-at-most-one-muddy"),
+    ]
+)
+
+
+def _assert_quotient_keeps_truth(structure, reduced, class_of, backend, seed=7):
+    agents = sorted(structure.agents, key=repr)
+    suite = formula_suite(seed, sorted(structure.propositions()) or ["p0"], agents, 20)
+    extensions = ModelChecker(structure, backend=backend).extensions(suite)
+    reduced_extensions = ModelChecker(reduced, backend=backend).extensions(suite)
+    for formula, extension, reduced_extension in zip(suite, extensions, reduced_extensions):
+        assert extension == frozenset(
+            world for world in structure.worlds if class_of[world] in reduced_extension
+        ), formula
+
+
+@pytest.mark.parametrize("make", _DISCRETE_CASES)
+def test_discrete_quotient_is_the_structure_relabelled(make):
+    """A structure whose valuation tells every world apart is its own
+    quotient: every world renamed ``{w}`` over the same positions, ``S`` and
+    partition source (a cube stays a cube), equal to the quotient built from
+    the definition, on both backends."""
+    expected = None
+    for backend in BACKENDS:
+        structure = make(backend)
+        reduced, class_of = quotient(structure)
+        if expected is None:
+            expected = _quotient_by_definition(structure)
+        assert reduced == expected
+        assert class_of == {world: frozenset({world}) for world in structure.worlds}
+        masks, reduced_masks = structure.evaluation_masks(), reduced.evaluation_masks()
+        assert reduced_masks.cube is masks.cube
+        assert reduced_masks.full == masks.full
+        assert reduced_masks.universe.elements == tuple(
+            frozenset({world}) for world in masks.universe.elements
+        )
+        assert len(reduced) == len(structure)
+        _assert_quotient_keeps_truth(structure, reduced, class_of, backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_discrete_quotient_out_of_repr_order_is_rebuilt(backend):
+    """``{12}`` sorts before ``{1}`` although ``12`` sorts after ``1``, so the
+    renamed root would leave ``repr`` order: the quotient is rebuilt, and its
+    numbering is the one every build gives."""
+    structure = KripkeStructure(
+        [1, 2, 12], ["a", "b"], _own_fact_valuation([1, 2, 12]), {"a": [{1, 12}], "b": [{2, 12}]}
+    )
+    assert repr(frozenset({12})) < repr(frozenset({1}))
+    reduced, class_of = quotient(structure)
+    assert reduced == _quotient_by_definition(structure)
+    masks = reduced.evaluation_masks()
+    assert masks.cube is None
+    assert masks.universe.elements == tuple(sorted(reduced.worlds, key=repr))
+    assert masks.full == masks.universe.full_mask
+    _assert_quotient_keeps_truth(structure, reduced, class_of, backend)
+    assert class_of == {world: frozenset({world}) for world in structure.worlds}
+
+
+def _inflated(base, copies):
+    """``base`` with every world cloned ``copies`` times, the clones
+    indistinguishable to every agent."""
+    worlds = [(world, copy) for world in base.worlds for copy in range(copies)]
+    valuation = {(world, copy): base.facts_at(world) for world, copy in worlds}
+    partitions = {
+        agent: [
+            {(world, copy) for world in block for copy in range(copies)}
+            for block in base.partition(agent)
+        ]
+        for agent in base.agents
+    }
+    return KripkeStructure(worlds, base.agents, valuation, partitions)
+
+
+def _chain(length):
+    """Worlds ``0 .. length-1`` linked by alternating ``a``/``b`` pairs, ``p``
+    true at both ends: only refinement rounds from the ends inward pair each
+    world with its mirror."""
+    return KripkeStructure(
+        range(length),
+        ["a", "b"],
+        {0: {"p"}, length - 1: {"p"}},
+        {
+            "a": [{i, i + 1} for i in range(0, length - 1, 2)],
+            "b": [{i, i + 1} for i in range(1, length - 1, 2)],
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "make, classes",
+    [
+        pytest.param(
+            lambda: _inflated(others_attribute_model(tuple(f"child_{i}" for i in range(7))), 4),
+            128,
+            id="inflated-512",
+        ),
+        pytest.param(lambda: _chain(200), 100, id="chain-200"),
+    ],
+)
+def test_collapsing_quotients_still_run_class_id_rounds(make, classes, monkeypatch):
+    """Structures with bisimilar worlds keep the class-id refinement rounds
+    and the rebuilt quotient."""
+    rounds = []
+    original = bisimulation._Refinement._rounds
+
+    def counted(self, count):
+        rounds.append(count)
+        return original(self, count)
+
+    monkeypatch.setattr(bisimulation._Refinement, "_rounds", counted)
+    structure = make()
+    reduced, class_of = quotient(structure)
+    assert rounds
+    assert len(reduced) == classes
+    masks = reduced.evaluation_masks()
+    assert masks.cube is None and len(masks.universe) == classes
+    assert set(reduced.worlds) == bisimulation_classes_fixpoint(structure)
+    assert all(world in class_of[world] for world in structure.worlds)
+
+
 def _restrict_refine_chain(seed, backend):
     """A seeded chain that restricts first, then restricts or refines, with
     its from-scratch rebuild; announcements go through ``backend``."""
@@ -561,18 +756,9 @@ def test_are_bisimilar_on_a_restricted_structure(make):
 
 def test_minimize_collapses_duplicated_worlds():
     base = others_attribute_model(("a", "b"))
-    # Inflate: two indistinguishable copies of every world; the quotient must
-    # fold the copies back together.
-    worlds = [(w, tag) for w in base.worlds for tag in (0, 1)]
-    valuation = {(w, tag): base.facts_at(w) for w, tag in worlds}
-    partitions = {
-        agent: [
-            {(w, tag) for w in block for tag in (0, 1)}
-            for block in base.partition(agent)
-        ]
-        for agent in base.agents
-    }
-    inflated = KripkeStructure(worlds, base.agents, valuation, partitions)
+    # Two indistinguishable copies of every world; the quotient must fold the
+    # copies back together.
+    inflated = _inflated(base, 2)
     reduced = minimize(inflated)
     assert len(reduced) == len(base)
     formula = C(tuple(sorted(base.agents)), Prop("at_least_one"))
