@@ -163,13 +163,3 @@ class ChaosInjectedError(ChaosError):
     other point failure (retry, quarantine, abort), while tests can assert
     that a quarantined point failed for exactly the injected reason.
     """
-
-
-class TraceError(ReproError):
-    """Raised when a recorded JSONL event log cannot be ingested.
-
-    Covers malformed lines (bad JSON, missing fields, unknown line types) and
-    semantic violations: events before their run header, decreasing times
-    within a run, duplicate deliveries of the same message, receives with no
-    matching send, or events outside the run's ``0..duration`` window.
-    """

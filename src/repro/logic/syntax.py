@@ -40,7 +40,7 @@ Nothing in this module evaluates formulas; evaluation lives in
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, Tuple
 
 from repro.errors import FormulaError, PositivityError
 from repro.logic.agents import Agent, Group, GroupLike, as_agent, as_group
@@ -165,29 +165,6 @@ class Formula:
             elif isinstance(f, _GroupModal):
                 found.update(f.group.members)
         return frozenset(found)
-
-    def is_epistemic_free(self) -> bool:
-        """``True`` when the formula contains no knowledge or fixpoint operators.
-
-        Such formulas are "ground" in the sense of Section 6: their truth at a point
-        depends only on the valuation ``pi``, never on indistinguishability.
-        """
-        for f in self.subformulas():
-            if isinstance(
-                f,
-                (
-                    Knows,
-                    KnowsAt,
-                    _GroupModal,
-                    GreatestFixpoint,
-                    LeastFixpoint,
-                    Var,
-                    Eventually,
-                    Always,
-                ),
-            ):
-                return False
-        return True
 
     def depth(self) -> int:
         """The height of the formula's syntax tree (atoms have depth 0)."""

@@ -36,15 +36,6 @@ class CheatingHusbands(MuddyChildren):
         queen_names = tuple(names) if names else tuple(f"queen_{i}" for i in range(n))
         super().__init__(n, muddy=unfaithful, names=queen_names)
 
-    @property
-    def at_least_one_unfaithful(self):
-        """The Queen Mother's announcement: some husband is unfaithful."""
-        return self.at_least_one_muddy
-
-    def knows_husband_unfaithful(self, queen: str):
-        """Queen ``queen`` can prove her husband is unfaithful (and must shoot him)."""
-        return self.knows_muddy(queen)
-
 
 # -- catalogue callables (see repro.experiments.catalogue) ---------------------
 

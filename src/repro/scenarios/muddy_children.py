@@ -33,7 +33,7 @@ from repro.kripke.checker import ModelChecker
 from repro.kripke.structure import KripkeStructure
 from repro.logic.agents import Agent
 from repro.logic.check import ScenarioSignature
-from repro.logic.syntax import C, E, Formula, K, Not, Prop, disjunction
+from repro.logic.syntax import C, E, Formula, Prop
 
 __all__ = [
     "MuddyChildren",
@@ -126,15 +126,6 @@ class MuddyChildren:
     def muddy_prop(self, child: Agent) -> Formula:
         """The proposition "``child`` has a muddy forehead"."""
         return Prop(f"muddy_{child}")
-
-    def knows_own_state(self, child: Agent) -> Formula:
-        """``child`` knows whether it is muddy (knows it is, or knows it is not)."""
-        muddy = self.muddy_prop(child)
-        return disjunction([K(child, muddy), K(child, Not(muddy))])
-
-    def knows_muddy(self, child: Agent) -> Formula:
-        """``child`` knows that it is muddy (the "yes" answer)."""
-        return K(child, self.muddy_prop(child))
 
     # -- knowledge-state queries --------------------------------------------------
     def holds_initially(self, formula: Formula) -> bool:

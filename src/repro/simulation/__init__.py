@@ -3,9 +3,8 @@
 Deterministic protocols, message-delivery models, and exhaustive run enumeration that
 turns "protocol + environment" into the systems of runs analysed by
 :mod:`repro.systems`.  The substrate also carries the seeded random-protocol
-fuzzer (:mod:`repro.simulation.fuzz`) and the JSONL trace-ingestion path
-(:mod:`repro.simulation.trace`), which build systems of runs from generated
-protocols and recorded event logs respectively.
+fuzzer (:mod:`repro.simulation.fuzz`), which builds systems of runs from
+generated protocols.
 """
 
 from repro.simulation.fuzz import (
@@ -37,14 +36,6 @@ from repro.simulation.protocol import (
     as_joint_protocol,
 )
 from repro.simulation.simulator import Environment, FactRule, Simulator, simulate
-from repro.simulation.trace import (
-    dump_lines,
-    dump_path,
-    dump_text,
-    ingest_lines,
-    ingest_path,
-    ingest_text,
-)
 
 __all__ = [
     "AdversarialDrops",
@@ -73,10 +64,4 @@ __all__ = [
     "fuzz_fact_rule",
     "fuzz_formulas",
     "delivery_models",
-    "dump_lines",
-    "dump_text",
-    "dump_path",
-    "ingest_lines",
-    "ingest_text",
-    "ingest_path",
 ]

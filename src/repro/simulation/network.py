@@ -214,13 +214,3 @@ class AdversarialDrops(DeliveryModel):
             base if base is not None else ReliableSynchronous(),
             lambda message, send_time: message.uid < k,
         )
-
-    @staticmethod
-    def against_sender(
-        sender: object, base: Optional[DeliveryModel] = None
-    ) -> "AdversarialDrops":
-        """The adversary that silences one processor: all its sends are lost."""
-        return AdversarialDrops(
-            base if base is not None else ReliableSynchronous(),
-            lambda message, send_time: message.sender == sender,
-        )

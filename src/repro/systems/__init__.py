@@ -9,7 +9,6 @@ conditions used by the attainability theorems (Section 8 and Appendix B).
 from repro.systems.clocks import (
     Clock,
     clocks_within,
-    no_clock,
     offset_clock,
     perfect_clock,
     scaled_clock,
@@ -52,7 +51,6 @@ from repro.systems.views import (
 __all__ = [
     "Clock",
     "clocks_within",
-    "no_clock",
     "offset_clock",
     "perfect_clock",
     "scaled_clock",

@@ -12,7 +12,7 @@ Section 8 and Appendix B) trivial.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import ModelError
 
@@ -21,7 +21,6 @@ __all__ = [
     "perfect_clock",
     "offset_clock",
     "scaled_clock",
-    "no_clock",
     "validate_clock",
     "clocks_within",
 ]
@@ -55,12 +54,6 @@ def scaled_clock(duration: int, rate: float, offset: float = 0.0) -> Tuple[float
     if rate < 0:
         raise ModelError("a clock's rate must be non-negative")
     return tuple(rate * t + offset for t in range(duration + 1))
-
-
-def no_clock(duration: int) -> None:
-    """The absence of a clock (readable alias used by scenario constructors)."""
-    del duration
-    return None
 
 
 def validate_clock(clock: Clock, duration: int) -> None:

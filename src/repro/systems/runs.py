@@ -25,11 +25,9 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import (
     AbstractSet,
-    Any,
     Dict,
     FrozenSet,
     Hashable,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -113,14 +111,6 @@ class LocalHistory:
             clock_readings=(
                 None if clock is None else tuple(clock[t] for t in range(wake, time + 1))
             ),
-        )
-
-    def message_events(self) -> Tuple[Tuple[int, Event], ...]:
-        """Only the send/receive events of the history."""
-        return tuple(
-            (time, event)
-            for time, event in self.events
-            if isinstance(event, (SendEvent, ReceiveEvent))
         )
 
     def received_messages(self) -> Tuple[Message, ...]:
@@ -350,11 +340,6 @@ class Run:
         )
         self._history_cache[key] = history
         return history
-
-    def histories_equal(self, other: "Run", time: int, processor: Agent) -> bool:
-        """Whether ``processor`` has the same history at ``(self, time)`` and
-        ``(other, time)``."""
-        return self.history(processor, time) == other.history(processor, time)
 
     def extends(self, point: Point) -> bool:
         """Whether this run extends the point ``point`` (Section 5).

@@ -46,8 +46,16 @@ HEAVY_MODULES = (
 
 
 def loaded_after(code, env=None):
-    """The module names a fresh interpreter holds after running ``code``."""
-    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    """The module names a fresh interpreter holds after running ``code``.
+
+    The names are taken before the report itself imports :mod:`json`, so a
+    check may assert that ``code`` loaded no ``json``.
+    """
+    script = (
+        code
+        + "\nimport sys\nloaded = sorted(sys.modules)\n"
+        + "import json\nprint(json.dumps(loaded))\n"
+    )
     environment = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
     environment.pop("REPRO_CHAOS", None)
     environment.update(env or {})
@@ -110,6 +118,15 @@ def test_a_kripke_run_loads_neither_the_systems_stack_nor_the_harnesses():
         "sqlite3",
     ):
         assert name not in modules, name
+
+
+def test_a_system_run_loads_the_simulator_but_no_serialiser():
+    modules = loaded_after(
+        "from repro.experiments.runner import ExperimentRunner\n"
+        "ExperimentRunner().run('ok_protocol', {})\n"
+    )
+    assert "repro.simulation.simulator" in modules
+    assert "json" not in modules
 
 
 def test_chaos_loads_only_when_its_variable_is_set():

@@ -130,12 +130,6 @@ class TestStructure:
         assert formula.depth() == 2
         assert p.depth() == 0
 
-    def test_is_epistemic_free(self):
-        p, q = props("p", "q")
-        assert (p & ~q).is_epistemic_free()
-        assert not K("a", p).is_epistemic_free()
-        assert not CDiamond(["a", "b"], p).is_epistemic_free()
-
     def test_free_variables(self):
         p = prop("p")
         open_formula = Var("X") & p

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import DSLError, ScenarioError, TraceError
+from repro.errors import DSLError, ScenarioError
 from repro.experiments import ExperimentRunner
 from repro.experiments.registry import (
     BuiltScenario,
@@ -67,7 +67,6 @@ def test_baseline_recipe_builds():
 
 def test_dsl_error_is_a_scenario_error():
     assert issubclass(DSLError, ScenarioError)
-    assert not issubclass(TraceError, ScenarioError)
 
 
 def test_empty_name_rejected():
