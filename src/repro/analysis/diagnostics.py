@@ -1,12 +1,11 @@
-"""Structured diagnostics for the static formula/recipe checker.
+"""Structured diagnostics for the static formula checker.
 
 The static analyzer in :mod:`repro.logic.check` reports its findings as
 :class:`Diagnostic` records — stable machine-readable codes (``REP001`` …),
 a severity (``error`` / ``warning``), the path of the offending node inside
 the formula tree, a human-readable message and a fix hint.  This module owns
 the record type, the code table and the rendering/aggregation helpers shared
-by every surface (the ``repro check`` CLI verb, the runner pre-flight and the
-scenario-DSL lint).
+by every surface (the ``repro check`` CLI verb and the runner pre-flight).
 
 Severity semantics:
 

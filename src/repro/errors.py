@@ -83,18 +83,6 @@ class ScenarioError(ReproError):
     """Raised when a scenario is instantiated with invalid parameters."""
 
 
-class DSLError(ScenarioError):
-    """Raised when a declarative scenario recipe is malformed.
-
-    Typical causes: a protocol factory that does not cover every processor, a
-    delivery field that is not a :class:`~repro.simulation.network.DeliveryModel`,
-    a formula entry that fails to parse, or a default-label selection naming a
-    label the formula suite does not define.  Subclasses
-    :class:`ScenarioError` so registry-level callers (CLI, runner) report DSL
-    misuse through the same ``error:`` path as any other scenario problem.
-    """
-
-
 class CheckError(ScenarioError):
     """Raised when the static checker rejects a formula batch before a run.
 

@@ -16,14 +16,12 @@ whose model builds in about 2 s at otherwise default parameters (measured on
 Python 3.11, 2 CPUs); larger values are refused before anything is built.
 
 Adding a built-in scenario: write its builder (a function of the declared
-parameters, see :func:`~repro.experiments.registry.register_scenario`) or a
-:meth:`~repro.scenarios.dsl.ScenarioRecipe.catalogued` recipe in a module
-under :mod:`repro.scenarios`, then add its entry here.  The tests check that
-every entry resolves and that each builder accepts exactly the declared
-parameter names; ``python tools/gen_scenario_docs.py`` regenerates
+parameters, see :func:`~repro.experiments.registry.register_scenario`) in a
+module under :mod:`repro.scenarios`, then add its entry here.  The tests
+check that every entry resolves and that each builder accepts exactly the
+declared parameter names; ``python tools/gen_scenario_docs.py`` regenerates
 ``docs/scenarios.md``.  Plugins and tests that add scenarios at run time call
-:func:`~repro.experiments.registry.register_scenario` or
-:meth:`~repro.scenarios.dsl.ScenarioRecipe.register` instead.
+:func:`~repro.experiments.registry.register_scenario` instead.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from typing import Tuple
 
 from repro.experiments.registry import Deferred, Parameter, ScenarioSpec
 
-__all__ = ["BUILTIN_SCENARIOS", "builtin_spec"]
+__all__ = ["BUILTIN_SCENARIOS"]
 
 BUILTIN_SCENARIOS: Tuple[ScenarioSpec, ...] = (
     ScenarioSpec(
@@ -91,9 +89,9 @@ BUILTIN_SCENARIOS: Tuple[ScenarioSpec, ...] = (
                 description="adversary drops the first k messages sent in each run",
             ),
         ),
-        builder=Deferred("repro.scenarios.byzantine:RECIPE.build_scenario"),
-        formulas=Deferred("repro.scenarios.byzantine:RECIPE.resolve_formulas"),
-        signature=Deferred("repro.scenarios.byzantine:RECIPE.signature_for"),
+        builder=Deferred("repro.scenarios.byzantine:build_byzantine_general_scenario"),
+        formulas=Deferred("repro.scenarios.byzantine:_formulas"),
+        signature=Deferred("repro.scenarios.byzantine:_registry_signature"),
         details=(
             "The general broadcasts its vote once; each receiver echoes the first "
             "vote it hears to the other.  In the `byz` run the echoes contradict the "
@@ -201,16 +199,15 @@ BUILTIN_SCENARIOS: Tuple[ScenarioSpec, ...] = (
                 description="how many time steps each run lasts",
             ),
         ),
-        builder=Deferred("repro.scenarios.gossip:RECIPE.build_scenario"),
-        formulas=Deferred("repro.scenarios.gossip:RECIPE.resolve_formulas"),
-        signature=Deferred("repro.scenarios.gossip:RECIPE.signature_for"),
+        builder=Deferred("repro.scenarios.gossip:build_gossip_scenario"),
+        formulas=Deferred("repro.scenarios.gossip:_formulas"),
+        signature=Deferred("repro.scenarios.gossip:_registry_signature"),
         details=(
             "Each processor forwards everything it has learned to its clockwise "
             "neighbour under reliable synchronous delivery.  A secret crosses one "
             "hop every two steps (send, deliver), so `K_g1 whether secret_0` turns "
             "true at time 2, the far neighbour learns it after ~2(n-1) steps, and `C "
-            "secret_0` stays false until the valuation is common to the whole ring — "
-            "the DSL's first parameter-sized scenario family."
+            "secret_0` stays false until the valuation is common to the whole ring."
         ),
     ),
     ScenarioSpec(
@@ -255,9 +252,9 @@ BUILTIN_SCENARIOS: Tuple[ScenarioSpec, ...] = (
                 description="the epsilon of C^eps in the formula set",
             ),
         ),
-        builder=Deferred("repro.scenarios.ok_protocol:RECIPE.build_scenario"),
-        formulas=Deferred("repro.scenarios.ok_protocol:RECIPE.resolve_formulas"),
-        signature=Deferred("repro.scenarios.ok_protocol:RECIPE.signature_for"),
+        builder=Deferred("repro.scenarios.ok_protocol:build_ok_protocol_scenario"),
+        formulas=Deferred("repro.scenarios.ok_protocol:_registry_formulas"),
+        signature=Deferred("repro.scenarios.ok_protocol:_registry_signature"),
         details=(
             "psi says some message was not delivered within one time unit.  In this "
             "system psi -> E^1 psi is valid, so psi -> C^1 psi is valid too: "
@@ -344,9 +341,9 @@ BUILTIN_SCENARIOS: Tuple[ScenarioSpec, ...] = (
                 description="communication assumption (fuzz-matrix delivery kind)",
             ),
         ),
-        builder=Deferred("repro.scenarios.fuzzed:RECIPE.build_scenario"),
-        formulas=Deferred("repro.scenarios.fuzzed:RECIPE.resolve_formulas"),
-        signature=Deferred("repro.scenarios.fuzzed:RECIPE.signature_for"),
+        builder=Deferred("repro.scenarios.fuzzed:build_random_protocol_scenario"),
+        formulas=Deferred("repro.scenarios.fuzzed:_formulas"),
+        signature=Deferred("repro.scenarios.fuzzed:_registry_signature"),
         details=(
             "Every decision of the generated protocol is a keyed blake2b digest of "
             "the acting processor's canonical local history, so the same seed always "
@@ -375,9 +372,9 @@ BUILTIN_SCENARIOS: Tuple[ScenarioSpec, ...] = (
                 description="communication assumption (fuzz-matrix delivery kind)",
             ),
         ),
-        builder=Deferred("repro.scenarios.sequence_transmission:RECIPE.build_scenario"),
-        formulas=Deferred("repro.scenarios.sequence_transmission:RECIPE.resolve_formulas"),
-        signature=Deferred("repro.scenarios.sequence_transmission:RECIPE.signature_for"),
+        builder=Deferred("repro.scenarios.sequence_transmission:build_sequence_transmission_scenario"),
+        formulas=Deferred("repro.scenarios.sequence_transmission:_formulas"),
+        signature=Deferred("repro.scenarios.sequence_transmission:_registry_signature"),
         details=(
             "The sender retransmits the lowest unacknowledged bit; the receiver "
             "acknowledges each index once.  Over the lossy/asynchronous kinds the "
@@ -388,11 +385,3 @@ BUILTIN_SCENARIOS: Tuple[ScenarioSpec, ...] = (
     ),
 )
 """Every built-in scenario, sorted by name."""
-
-
-def builtin_spec(name: str) -> ScenarioSpec:
-    """The catalogue entry called ``name`` (``KeyError`` when there is none)."""
-    for spec in BUILTIN_SCENARIOS:
-        if spec.name == name:
-            return spec
-    raise KeyError(name)

@@ -239,7 +239,6 @@ SignatureFactory = Callable[[Mapping[str, object]], "ScenarioSignature"]
 class Deferred:
     """A callable named ``"package.module:attribute"``, imported on first call.
 
-    The attribute may be a dotted path (``"pkg.mod:RECIPE.build_scenario"``).
     The catalogue's builders and factories are deferred so that reading a
     scenario's metadata never imports its module; the first call imports it,
     and later calls find it in :data:`sys.modules`.
@@ -254,11 +253,8 @@ class Deferred:
 
     def resolve(self) -> Callable:
         """Import the module and return the named attribute."""
-        module_name, _, path = self.target.partition(":")
-        resolved = importlib.import_module(module_name)
-        for part in path.split("."):
-            resolved = getattr(resolved, part)
-        return resolved
+        module_name, _, attribute = self.target.partition(":")
+        return getattr(importlib.import_module(module_name), attribute)
 
     def __call__(self, *args, **kwargs):
         return self.resolve()(*args, **kwargs)

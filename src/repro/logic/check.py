@@ -12,8 +12,8 @@ carries the static shape of a scenario (agents, horizon, Kripke-vs-system
 capability) that the signature-dependent checks run against.
 
 Every finding is a :class:`~repro.analysis.diagnostics.Diagnostic` with a
-stable ``REPxxx`` code; the CLI verb, the runner pre-flight and the scenario
-DSL all consume the same records.
+stable ``REPxxx`` code; the CLI verb and the runner pre-flight consume the
+same records.
 """
 
 from __future__ import annotations

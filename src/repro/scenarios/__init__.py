@@ -33,7 +33,6 @@ _SUBMODULES = (
 )
 
 _EXPORTS = {
-    "ScenarioRecipe": "repro.scenarios.dsl",
     "CheatingHusbands": "repro.scenarios.cheating_husbands",
     "run_cheating_husbands": "repro.scenarios.cheating_husbands",
     "MuddyChildren": "repro.scenarios.muddy_children",

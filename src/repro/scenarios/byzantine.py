@@ -1,4 +1,4 @@
-"""A byzantine-style faulty sender, expressed purely in the scenario DSL.
+"""A byzantine-style faulty sender: an equivocating general and two receivers.
 
 A general ``gen`` broadcasts a vote bit to two receivers.  In some runs the
 general is *faulty* ("byzantine" in the traditional sense restricted to
@@ -17,8 +17,8 @@ among the receivers — the reliable-channel escape hatch that the unreliable
 coordinated-attack setting famously lacks.  An adversarial drop schedule
 (``drop_first``) closes that hatch.
 
-The recipe also exercises the DSL's ``adversary`` hook: ``drop_first`` composes
-an :class:`~repro.simulation.network.AdversarialDrops` schedule over the
+The ``drop_first`` parameter composes an
+:class:`~repro.simulation.network.AdversarialDrops` schedule over the
 reliable channel that silently discards the first ``k`` messages sent in the
 run (message uids are the global send order), so sweeps can watch detection —
 and the knowledge it creates — disappear as the adversary grows stronger.
@@ -28,10 +28,12 @@ from __future__ import annotations
 
 from typing import Dict, Mapping
 
+from repro.experiments.registry import BuiltScenario
+from repro.logic.check import ScenarioSignature
 from repro.logic.syntax import Common, Eventually, Everyone, Knows, Prop
-from repro.scenarios.dsl import ScenarioRecipe
-from repro.simulation.network import ReliableSynchronous
+from repro.simulation.network import AdversarialDrops, ReliableSynchronous
 from repro.simulation.protocol import Action, Protocol
+from repro.simulation.simulator import simulate
 from repro.systems.runs import LocalHistory, Run
 
 __all__ = ["GENERAL", "RECEIVERS", "EquivocatingGeneralProtocol"]
@@ -119,19 +121,25 @@ def _formulas(params: Mapping[str, object]) -> Dict[str, object]:
     }
 
 
-RECIPE = ScenarioRecipe.catalogued(
-    "byzantine_general",
-    processors=(GENERAL,) + RECEIVERS,
-    protocol=EquivocatingGeneralProtocol(),
-    horizon="horizon",
-    delivery=ReliableSynchronous(1),
-    adversary=lambda params: (lambda message, time: message.uid < params["drop_first"]),
-    initial_states={GENERAL: ("zero", "one", "byz")},
-    fact_rules=(_byzantine_facts,),
-    formulas=_formulas,
-    note="three runs: honest-0, honest-1, and the equivocating general",
-    system_name=lambda params: (
-        f"byzantine-h{params['horizon']}-d{params['drop_first']}"
-    ),
-)
+def _registry_signature(params: Mapping[str, object]) -> ScenarioSignature:
+    """Static signature: the general and both receivers, runs last ``horizon`` ticks."""
+    return ScenarioSignature(agents=(GENERAL,) + RECEIVERS, horizon=params["horizon"])
 
+
+def build_byzantine_general_scenario(horizon: int, drop_first: int) -> BuiltScenario:
+    """Registry builder: the honest and equivocating runs under the drop adversary."""
+    system = simulate(
+        EquivocatingGeneralProtocol(),
+        (GENERAL,) + RECEIVERS,
+        duration=horizon,
+        delivery=AdversarialDrops(
+            ReliableSynchronous(1), lambda message, time: message.uid < drop_first
+        ),
+        initial_states={GENERAL: ("zero", "one", "byz")},
+        fact_rules=(_byzantine_facts,),
+        system_name=f"byzantine-h{horizon}-d{drop_first}",
+    )
+    return BuiltScenario(
+        model=system,
+        note="three runs: honest-0, honest-1, and the equivocating general",
+    )

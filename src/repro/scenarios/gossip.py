@@ -1,4 +1,4 @@
-"""Gossip / rumor spreading, expressed purely in the scenario DSL.
+"""Gossip / rumor spreading on a ring of ``n`` processors.
 
 ``n`` processors sit on a ring; each starts with a private bit (its "secret").
 At every time step each processor sends everything it has learned so far to its
@@ -8,9 +8,8 @@ questions are *when* processor ``j`` comes to know processor ``i``'s secret,
 when everyone knows every secret, and why common knowledge of the secrets is
 still delayed by the ring's diameter.
 
-The scenario exists to exercise the DSL with a parameter-sized processor set:
-the processor tuple, the protocol, the fact rules and the formula suite all
-depend on ``n``, so every ingredient goes through the recipe's callable form.
+The processor tuple, the protocol, the initial states and the formula suite
+all depend on ``n``, so one builder covers a whole family of systems.
 
 Facts: ``secret_i`` holds (at every time) in exactly the runs where processor
 ``i``'s bit is 1 — the valuation varies across the ``2^n`` initial
@@ -21,10 +20,12 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Tuple
 
+from repro.experiments.registry import BuiltScenario
+from repro.logic.check import ScenarioSignature
 from repro.logic.syntax import Common, Everyone, Formula, Knows, Or, Prop
-from repro.scenarios.dsl import ScenarioRecipe
 from repro.simulation.network import ReliableSynchronous
 from repro.simulation.protocol import Action, Protocol
+from repro.simulation.simulator import simulate
 from repro.systems.runs import LocalHistory, Run
 
 __all__ = ["RingGossipProtocol", "knows_whether", "gossip_processors"]
@@ -94,18 +95,24 @@ def _formulas(params: Mapping[str, object]) -> Dict[str, object]:
     }
 
 
-RECIPE = ScenarioRecipe.catalogued(
-    "gossip",
-    processors=lambda params: gossip_processors(params["n"]),
-    protocol=lambda params: RingGossipProtocol(gossip_processors(params["n"])),
-    horizon="horizon",
-    delivery=ReliableSynchronous(1),
-    initial_states=lambda params: {
-        p: (0, 1) for p in gossip_processors(params["n"])
-    },
-    fact_rules=(_secret_facts,),
-    formulas=_formulas,
-    note="2^n runs, one per assignment of secret bits; no focus point",
-    system_name=lambda params: f"gossip-n{params['n']}-h{params['horizon']}",
-)
+def _registry_signature(params: Mapping[str, object]) -> ScenarioSignature:
+    """Static signature: the ring's processors, runs last ``horizon`` ticks."""
+    return ScenarioSignature(agents=gossip_processors(params["n"]), horizon=params["horizon"])
 
+
+def build_gossip_scenario(n: int, horizon: int) -> BuiltScenario:
+    """Registry builder: every run of ring gossip over ``2^n`` secret assignments."""
+    ring = gossip_processors(n)
+    system = simulate(
+        RingGossipProtocol(ring),
+        ring,
+        duration=horizon,
+        delivery=ReliableSynchronous(1),
+        initial_states={p: (0, 1) for p in ring},
+        fact_rules=(_secret_facts,),
+        system_name=f"gossip-n{n}-h{horizon}",
+    )
+    return BuiltScenario(
+        model=system,
+        note="2^n runs, one per assignment of secret bits; no focus point",
+    )

@@ -18,11 +18,12 @@ Proposition 10, where ``(E^<>)^k phi`` holds for every k while ``C^<> phi`` fail
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 from repro.errors import ScenarioError
-from repro.logic.syntax import CDiamond, CEps, EveryoneEps, Formula, Prop
-from repro.scenarios.dsl import ScenarioRecipe
+from repro.experiments.registry import BuiltScenario
+from repro.logic.check import ScenarioSignature
+from repro.logic.syntax import CEps, EveryoneEps, Formula, Prop
 from repro.simulation.network import Unreliable
 from repro.simulation.protocol import Action, Protocol
 from repro.simulation.simulator import simulate
@@ -113,7 +114,7 @@ def build_ok_system(horizon: int) -> System:
     )
 
 
-# -- catalogue recipe (see repro.experiments.catalogue) ------------------------
+# -- catalogue callables (see repro.experiments.catalogue) ---------------------
 
 def _registry_formulas(params):
     """Default formula set: psi and its epsilon-common-knowledge closure."""
@@ -126,25 +127,23 @@ def _registry_formulas(params):
     }
 
 
-def _clocks(params):
-    """Both processors read the same perfectly synchronised clock."""
-    clock = perfect_clock(params["horizon"])
-    return {LEFT: (clock,), RIGHT: (clock,)}
+def _registry_signature(params) -> ScenarioSignature:
+    """Static signature: R2 and D2, runs last ``horizon`` ticks.
+
+    Both processors read a perfect clock, so a timestamp past the horizon is
+    unreachable and the checker reports it as an error.
+    """
+    return ScenarioSignature(
+        agents=(LEFT, RIGHT), horizon=params["horizon"], custom_clocks=False
+    )
 
 
-RECIPE = ScenarioRecipe.catalogued(
-    "ok_protocol",
-    processors=(LEFT, RIGHT),
-    protocol=OkProtocol(),
-    horizon="horizon",
-    delivery=Unreliable(delay=1),
-    clocks=_clocks,
-    fact_rules=(_delayed_fact,),
-    formulas=_registry_formulas,
-    note="no focus point: the Section 11 claims are validity claims",
-    system_name=lambda params: f"ok-protocol-h{params['horizon']}",
-    max_runs=100_000,
-)
+def build_ok_protocol_scenario(horizon: int, eps: int) -> BuiltScenario:
+    """Registry builder: every run of the OK protocol (``eps`` sizes only the formulas)."""
+    return BuiltScenario(
+        model=build_ok_system(horizon),
+        note="no focus point: the Section 11 claims are validity claims",
+    )
 
 
 def psi_formula() -> Formula:

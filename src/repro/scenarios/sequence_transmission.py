@@ -1,4 +1,4 @@
-"""The sequence transmission problem over a faulty line, in the scenario DSL.
+"""The sequence transmission problem over a faulty line.
 
 A sender ``S`` must transmit a sequence of bits to a receiver ``R`` over a
 channel that may lose or arbitrarily delay messages — the data-link setting the
@@ -18,19 +18,21 @@ has ``b_i = 1`` (the sequence is the sender's initial state and varies across
 runs), and ``got_i`` holds from the moment ``R`` first receives bit ``i``.
 
 The delivery model is a parameter (the fuzz matrix's four kinds), so one
-scenario family sweeps the same protocol across every communication assumption
-— the product the DSL exists to express.
+scenario family sweeps the same protocol across every communication
+assumption.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Mapping, Tuple
 
+from repro.experiments.registry import BuiltScenario
+from repro.logic.check import ScenarioSignature
 from repro.logic.syntax import Common, Eventually, Knows, Prop
-from repro.scenarios.dsl import ScenarioRecipe
 from repro.scenarios.gossip import knows_whether
 from repro.simulation.fuzz import delivery_models
 from repro.simulation.protocol import Action, Protocol
+from repro.simulation.simulator import simulate
 from repro.systems.runs import LocalHistory, Run
 
 __all__ = ["SENDER", "RECEIVER", "StopAndWaitProtocol"]
@@ -123,19 +125,26 @@ def _formulas(params: Mapping[str, object]) -> Dict[str, object]:
     }
 
 
-RECIPE = ScenarioRecipe.catalogued(
-    "sequence_transmission",
-    processors=(SENDER, RECEIVER),
-    protocol=lambda params: StopAndWaitProtocol(params["n_bits"]),
-    horizon="horizon",
-    delivery=lambda params: delivery_models(params["delivery"], params["horizon"]),
-    initial_states=lambda params: {SENDER: _all_sequences(params["n_bits"])},
-    fact_rules=(_sequence_facts,),
-    formulas=_formulas,
-    note="one branch per transmitted sequence and delivery choice; no focus point",
-    system_name=lambda params: (
-        f"seqtx-b{params['n_bits']}-h{params['horizon']}-{params['delivery']}"
-    ),
-    max_runs=100_000,
-)
+def _registry_signature(params: Mapping[str, object]) -> ScenarioSignature:
+    """Static signature: sender and receiver, runs last ``horizon`` ticks."""
+    return ScenarioSignature(agents=(SENDER, RECEIVER), horizon=params["horizon"])
 
+
+def build_sequence_transmission_scenario(
+    n_bits: int, horizon: int, delivery: str
+) -> BuiltScenario:
+    """Registry builder: stop-and-wait over every ``n_bits`` sequence."""
+    system = simulate(
+        StopAndWaitProtocol(n_bits),
+        (SENDER, RECEIVER),
+        duration=horizon,
+        delivery=delivery_models(delivery, horizon),
+        initial_states={SENDER: _all_sequences(n_bits)},
+        fact_rules=(_sequence_facts,),
+        max_runs=100_000,
+        system_name=f"seqtx-b{n_bits}-h{horizon}-{delivery}",
+    )
+    return BuiltScenario(
+        model=system,
+        note="one branch per transmitted sequence and delivery choice; no focus point",
+    )

@@ -289,8 +289,7 @@ def fuzz_initial_states(
 
     One bit per processor, read off a digest of the seed material, so generated
     systems vary in their initial configuration as well as their communication
-    pattern.  Shared between :func:`random_system` and the registered
-    ``random_protocol`` scenario family so both build identical systems.
+    pattern.
     """
     config_digest = hashlib.blake2b(
         f"init-{seed}-{n_agents}-{horizon}".encode("utf-8"), digest_size=8
@@ -310,9 +309,8 @@ def random_system(
 ) -> System:
     """The full system of runs of one generated protocol under one delivery kind.
 
-    This is the one-call form the fuzz scenario family and the differential
-    tests build on; the registered ``random_protocol`` scenario produces the
-    same system through the DSL.
+    This is the one-call form the differential tests build on, and the
+    builder of the registered ``random_protocol`` scenario.
     """
     protocol = random_protocol(seed, n_agents=n_agents, horizon=horizon)
     processors = protocol.processors

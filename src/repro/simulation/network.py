@@ -171,10 +171,10 @@ class AdversarialDrops(DeliveryModel):
 
     Messages the drop rule selects are removed from the network deterministically
     — their only outcome is loss, with no branching — while every other message
-    keeps the base model's outcome set.  This is how the scenario DSL expresses
-    "the messenger is captured on the first trip" or "the faulty sender's
-    messages to ``B`` never arrive" without writing a new delivery model: the
-    base model supplies the timing assumptions, the rule supplies the adversary.
+    keeps the base model's outcome set.  This expresses "the messenger is
+    captured on the first trip" or "the faulty sender's messages to ``B`` never
+    arrive" without writing a new delivery model: the base model supplies the
+    timing assumptions, the rule supplies the adversary.
     """
 
     name = "adversarial"

@@ -3,9 +3,8 @@
 Covers the diagnostic framework (stable ``REP`` codes, severities, rendering),
 the structural and scenario-signature checks of :mod:`repro.logic.check`, the
 ``repro check`` CLI verb's exit-code contract, the runner/sweep pre-flight
-(including the no-worker-spawn pin), the DSL lint integration, the eval-time
-positivity enforcement, and a checker-vs-evaluator differential over the seeded
-random formula corpus.
+(including the no-worker-spawn pin), the eval-time positivity enforcement, and
+a checker-vs-evaluator differential over the seeded random formula corpus.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro.analysis.diagnostics import (
 from repro.cli import main
 from repro.errors import (
     CheckError,
-    DSLError,
     EvaluationError,
     PositivityError,
     UnknownAgentError,
@@ -387,6 +385,7 @@ def test_check_acceptance_distinct_codes_and_exit_one(capsys):
         ("muddy_children", "nu X. !(E_{child_0,child_1} X)", "REP003"),
         ("muddy_children", "K_z at_least_one", "REP101"),
         ("commit", "K@99_coordinator commit", "REP103"),
+        ("ok_protocol", "K@9_R2 delayed", "REP103"),
     ]
     seen = set()
     for scenario, text, expected in cases:
@@ -434,64 +433,6 @@ def test_check_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "check", "no_such_scenario")[0] == 2
     assert run_cli(capsys, "check", "muddy_children", "--all")[0] == 2
     assert run_cli(capsys, "check", "-f", "p", "-p", "n=3")[0] == 2
-
-
-# -- DSL integration -----------------------------------------------------------
-
-from repro.simulation.protocol import Action, Protocol
-
-
-class _Ping(Protocol):
-    """A sends one message to B at time 0 (the minimal recipe protocol)."""
-
-    name = "ping"
-
-    def step(self, processor, history, time):
-        if processor == "A" and time == 0 and not history.sent_messages():
-            return Action.send("B", "ping")
-        return Action.nothing()
-
-
-def _recipe(**overrides):
-    from repro.scenarios.dsl import ScenarioRecipe
-    from repro.simulation.network import ReliableSynchronous
-
-    fields = dict(
-        name="check_test_ping",
-        summary="one message over a reliable link",
-        section="test",
-        processors=("A", "B"),
-        protocol=_Ping(),
-        horizon=2,
-        delivery=ReliableSynchronous(1),
-    )
-    fields.update(overrides)
-    return ScenarioRecipe(**fields)
-
-
-def test_recipe_signature_for_reflects_the_recipe():
-    signature = _recipe().signature_for()
-    assert signature.agents == ("A", "B")
-    assert signature.horizon == 2
-    assert not signature.custom_clocks
-
-
-def test_recipe_lint_flags_unknown_agents():
-    diagnostics = _recipe(formulas={"bad": "K_zz delivered"}).lint()
-    assert codes(diagnostics) == ["REP101"]
-
-
-def test_recipe_validate_reports_structural_codes():
-    with pytest.raises(DSLError, match="REP003"):
-        _recipe(formulas={"bad": "nu X. !X"}).validate()
-
-
-def test_recipe_register_rejects_failing_default_suite():
-    with pytest.raises(DSLError, match="REP101"):
-        _recipe(formulas={"bad": "K_zz delivered"}).register()
-    # A failed register must not leave a half-registered scenario behind.
-    with pytest.raises(Exception):
-        get_scenario("check_test_ping")
 
 
 # -- checker-vs-evaluator differential over the random corpus ------------------

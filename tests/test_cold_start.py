@@ -16,16 +16,12 @@ import sys
 
 import pytest
 
-from repro.errors import DSLError
-from repro.experiments.catalogue import BUILTIN_SCENARIOS, builtin_spec
-from repro.experiments.registry import Deferred
-from repro.scenarios.dsl import ScenarioRecipe
+from repro.experiments.catalogue import BUILTIN_SCENARIOS
+from repro.experiments.registry import Deferred, get_scenario
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-SCENARIO_MODULES = {
-    spec.builder.module for spec in BUILTIN_SCENARIOS
-} | {"repro.scenarios.dsl"}
+SCENARIO_MODULES = {spec.builder.module for spec in BUILTIN_SCENARIOS}
 
 HEAVY_PACKAGES = (
     "repro.kripke",
@@ -157,9 +153,6 @@ def test_catalogue_is_sorted_and_unique():
     for spec in BUILTIN_SCENARIOS:
         parameter_names = [p.name for p in spec.parameters]
         assert len(parameter_names) == len(set(parameter_names)), spec.name
-        assert builtin_spec(spec.name) is spec
-    with pytest.raises(KeyError):
-        builtin_spec("no_such_scenario")
 
 
 @pytest.mark.parametrize("spec", BUILTIN_SCENARIOS, ids=lambda spec: spec.name)
@@ -170,12 +163,6 @@ def test_entry_callables_resolve_and_builders_take_exactly_the_schema(spec):
             assert callable(ref.resolve()), ref.target
     builder = spec.builder.resolve()
     declared = [p.name for p in spec.parameters]
-    recipe = getattr(builder, "__self__", None)
-    if isinstance(recipe, ScenarioRecipe):
-        # A recipe's builder takes **params; its schema is the entry's.
-        assert [p.name for p in recipe.parameters] == declared
-        assert recipe.name == spec.name
-        return
     parameters = inspect.signature(builder).parameters.values()
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in parameters), spec.name
     assert sorted(p.name for p in parameters) == sorted(declared)
@@ -185,35 +172,9 @@ def test_catalogue_choices_match_the_scenario_modules():
     from repro.scenarios import r2d2
     from repro.simulation.fuzz import DELIVERY_KINDS
 
-    assert builtin_spec("r2d2").parameter("variant").choices == tuple(
+    assert get_scenario("r2d2").parameter("variant").choices == tuple(
         sorted(r2d2._VARIANT_BUILDERS)
     )
     for name in ("random_protocol", "sequence_transmission"):
-        assert builtin_spec(name).parameter("delivery").choices == DELIVERY_KINDS
+        assert get_scenario(name).parameter("delivery").choices == DELIVERY_KINDS
 
-
-@pytest.mark.parametrize(
-    "spec",
-    [spec for spec in BUILTIN_SCENARIOS if spec.builder.target.endswith(":RECIPE.build_scenario")],
-    ids=lambda spec: spec.name,
-)
-def test_every_built_in_recipe_passes_the_registration_lint(spec):
-    recipe = spec.builder.resolve().__self__
-    recipe.check()
-    defaults = {p.name: p.default for p in spec.parameters}
-    assert recipe.lint(defaults) == []
-
-
-def test_catalogued_recipe_is_linted_like_a_registered_one():
-    from repro.scenarios import gossip
-
-    with pytest.raises(DSLError, match="REP101"):
-        ScenarioRecipe.catalogued(
-            "gossip",
-            processors=lambda params: gossip.gossip_processors(params["n"]),
-            protocol=lambda params: gossip.RingGossipProtocol(
-                gossip.gossip_processors(params["n"])
-            ),
-            horizon="horizon",
-            formulas={"bad": "K_nobody secret_0"},
-        )

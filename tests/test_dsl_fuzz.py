@@ -1,4 +1,4 @@
-"""The random-protocol differential harness (fuzzing the DSL end to end).
+"""The random-protocol differential harness (fuzzing the simulator end to end).
 
 Every test here runs *generated* scenarios — seeded random protocols from
 :mod:`repro.simulation.fuzz` across the delivery-model matrix — and checks that

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import ExperimentRunner
 from repro.logic.syntax import C, E, K, prop
 from repro.kripke.checker import ModelChecker
 from repro.scenarios.cheating_husbands import run_cheating_husbands
@@ -274,3 +275,66 @@ class TestPhases:
         ct_points = interp.extension(phases.timestamped_common_knowledge(phase_end=2))
         cd_points = interp.extension(phases.eventual_common_knowledge())
         assert ct_points <= cd_points
+
+
+# -- gossip, sequence transmission, byzantine general ------------------------------
+
+
+def test_gossip_secret_spreads_but_is_not_common():
+    report = ExperimentRunner().run("gossip", {"n": 3, "horizon": 4})
+    rows = {row.label: row for row in report.rows}
+    assert report.universe == 8 * 5  # 2^3 secret assignments x 5 points each
+    assert rows["E whether secret_0"].valid
+    assert rows["K_g1 whether secret_0"].satisfiable
+    assert not rows["C secret_0"].valid
+    assert rows["C secret_0"].satisfiable
+
+
+def test_gossip_run_count_scales_with_ring_size():
+    for n in (2, 4):
+        report = ExperimentRunner().run("gossip", {"n": n, "horizon": 2})
+        assert report.universe == (2 ** n) * 3
+
+
+def test_sequence_transmission_knowledge_without_common_knowledge():
+    """Over the unreliable line the receiver can know the bit; C never holds."""
+    report = ExperimentRunner().run(
+        "sequence_transmission",
+        {"n_bits": 1, "horizon": 3, "delivery": "unreliable"},
+    )
+    rows = {row.label: row for row in report.rows}
+    assert rows["K_R whether bit_0"].satisfiable
+    assert not rows["C whether bit_0"].satisfiable
+    assert not rows["K_S got_0"].satisfiable  # no ack arrives within horizon 3
+
+
+def test_sequence_transmission_reliable_delivers_eventually():
+    report = ExperimentRunner().run(
+        "sequence_transmission",
+        {"n_bits": 1, "horizon": 3, "delivery": "reliable"},
+    )
+    rows = {row.label: row for row in report.rows}
+    assert rows["<> got_0"].valid
+    assert rows["C whether bit_0"].satisfiable
+
+
+def test_byzantine_detection_climbs_to_common_knowledge():
+    report = ExperimentRunner().run(
+        "byzantine_general", {"horizon": 4, "drop_first": 0}
+    )
+    rows = {row.label: row for row in report.rows}
+    assert rows["detect_r0"].satisfiable
+    assert rows["K_r0 faulty"].satisfiable
+    assert rows["C faulty"].satisfiable
+    assert not rows["faulty"].valid  # the honest runs exist
+
+
+def test_byzantine_adversary_destroys_detection():
+    report = ExperimentRunner().run(
+        "byzantine_general", {"horizon": 4, "drop_first": 6}
+    )
+    rows = {row.label: row for row in report.rows}
+    assert rows["faulty"].satisfiable  # the fact still varies with the run
+    assert not rows["detect_r0"].satisfiable
+    assert not rows["K_r0 faulty"].satisfiable
+    assert not rows["C faulty"].satisfiable
